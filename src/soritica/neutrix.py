@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .series import (
-    EPS,
     ONE,
     ZERO,
+    Cut,
     EpsSeries,
     ExprParser,
     ParseError,
@@ -41,7 +41,6 @@ __all__ = [
     "n_max",
     "n_scale",
     "n_mul",
-    "canonicalize",
     "classify",
     "is_limited",
     "is_infinitesimal",
@@ -86,12 +85,27 @@ class Neutrix:
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def contains(self, x: EpsSeries) -> bool:
+    @property
+    def cut(self) -> Optional[Cut]:
+        """The exponents this group absorbs, or None for the zero group.
+
+        ``L(q)`` absorbs the terms of exponent ``>= q``, ``o(q)`` those of
+        exponent ``> q``; see :meth:`EpsSeries.truncate`.
+        """
         if self.is_zero:
-            return x.is_zero
+            return None
+        return (self.exponent, self.kind is Kind.LIM)
+
+    def absorbs(self, exponent: Fraction) -> bool:
+        """True when the group contains the monomials ``c*e^exponent``."""
+        if self.is_zero:
+            return False
         if self.kind is Kind.LIM:
-            return x.valuation >= self.exponent
-        return x.valuation > self.exponent
+            return exponent >= self.exponent
+        return exponent > self.exponent
+
+    def contains(self, x: EpsSeries) -> bool:
+        return x.is_zero or self.absorbs(x.valuation)
 
     def _size_key(self):
         # Total inclusion order: Zero is least; smaller exponents are
@@ -165,24 +179,38 @@ class BoundExceeded(ValueError):
 class ExternalNumber:
     """Canonical representative-plus-neutrix pair.
 
-    Always construct through :meth:`make` (or the arithmetic operators),
-    which drops every representative term absorbed by the neutrix; two
-    external numbers denote the same external set iff they are equal.
+    Canonical means that the neutrix absorbs no term of the
+    representative.  The terms of a series are sorted by exponent, so the
+    absorbed ones are a suffix: :meth:`make` cuts it off (``exp >= q``
+    for ``L(q)``, ``exp > q`` for ``o(q)``), and the constructor refuses a
+    pair whose last term is absorbed.  Two external numbers denote the
+    same external set iff they are equal.
+
+    A product computes its neutrix first, the largest of ``a*B``, ``b*A``
+    and ``A*B``, and then only the cross terms of ``a*b`` below that
+    neutrix's cut.
     """
 
     rep: EpsSeries
     neutrix: Neutrix
 
+    def __post_init__(self):
+        terms = self.rep.terms
+        if terms and self.neutrix.absorbs(terms[-1][0]):
+            raise ValueError(
+                f"non-canonical external number: {self.neutrix} absorbs "
+                f"terms of {self.rep}; build it with ExternalNumber.make"
+            )
+
     @staticmethod
     def make(rep, neutrix: Neutrix = Neutrix.zero()) -> "ExternalNumber":
+        """The canonical pair: ``rep`` less the terms ``neutrix`` absorbs."""
         if not isinstance(rep, EpsSeries):
             rep = EpsSeries.from_rational(rep)
-        kept = tuple(
-            (exp, coeff)
-            for exp, coeff in rep.terms
-            if not neutrix.contains(EpsSeries.monomial(exp, coeff))
-        )
-        return ExternalNumber(EpsSeries(kept), neutrix)
+        cut = neutrix.cut
+        if cut is not None:
+            rep = rep.truncate(cut)
+        return ExternalNumber(rep, neutrix)
 
     @property
     def is_zero(self) -> bool:
@@ -212,7 +240,7 @@ class ExternalNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExternalNumber.make(-self.rep, self.neutrix)
+        return ExternalNumber(-self.rep, self.neutrix)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -237,7 +265,7 @@ class ExternalNumber:
             n_scale(b, neutrix_a),
             n_mul(neutrix_a, neutrix_b),
         )
-        return ExternalNumber.make(a * b, product_neutrix)
+        return ExternalNumber(a.__mul__(b, product_neutrix.cut), product_neutrix)
 
     __rmul__ = __mul__
 
@@ -258,10 +286,6 @@ class ExternalNumber:
 
     def __repr__(self) -> str:
         return f"ExternalNumber({self})"
-
-
-def canonicalize(rep: EpsSeries, neutrix: Neutrix) -> ExternalNumber:
-    return ExternalNumber.make(rep, neutrix)
 
 
 def classify(alpha: ExternalNumber) -> Classification:

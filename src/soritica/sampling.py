@@ -21,7 +21,6 @@ __all__ = [
     "en_samples",
     "mutual_membership_check",
     "strict_subset_witness",
-    "numeric_identity_check",
 ]
 
 
@@ -97,22 +96,3 @@ def strict_subset_witness(
         return witness
     return None
 
-
-def numeric_identity_check(
-    left: EpsSeries,
-    right: EpsSeries,
-    rel_tol: float = 1e-6,
-) -> bool:
-    """Substitute a concrete small epsilon into both sides and compare.
-
-    The substitution point is chosen small relative to the exponent
-    spread so the leading terms dominate numerically.
-    """
-    exponents = [q for q, _ in left.terms] + [q for q, _ in right.terms]
-    spread = max((abs(q) for q in exponents), default=Fraction(1))
-    k = max(6, int(spread) + 6)
-    eps_value = 10.0**-k
-    lhs = left.evaluate(eps_value)
-    rhs = right.evaluate(eps_value)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale <= rel_tol or abs(lhs - rhs) < 1e-12

@@ -133,7 +133,7 @@ def _eval_graded(
             values.append(
                 _eval_graded(formula.body, atoms, propvars, domains, env)
             )
-        del env[formula.var]
+        env.pop(formula.var, None)
         if not values:
             raise UnboundAtom("empty quantifier domain")
         return min(values) if isinstance(formula, Forall) else max(values)
@@ -245,7 +245,7 @@ def eval_classical(
             results.append(
                 eval_classical(formula.body, cutoff, propvars, domains, env)
             )
-        del env[formula.var]
+        env.pop(formula.var, None)
         return all(results) if isinstance(formula, Forall) else any(results)
     raise TypeError(f"not a formula: {formula!r}")
 

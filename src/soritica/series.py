@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Tuple
+from operator import itemgetter
+from typing import Iterable, Optional, Tuple
 
 __all__ = [
     "EpsSeries",
@@ -49,6 +51,66 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
+Terms = Tuple[Tuple[Fraction, Fraction], ...]
+
+#: ``(q, closed)`` absorbs every exponent above ``q``, and ``q`` itself
+#: when ``closed``: the exponents of the neutrix ``L(q)`` (closed) or
+#: ``o(q)`` (open).
+Cut = Tuple[Fraction, bool]
+
+_exponent = itemgetter(0)
+
+
+def _kept(terms: Terms, cut: Cut) -> int:
+    """Length of the prefix of sorted ``terms`` that ``cut`` does not absorb."""
+    q, closed = cut
+    return (bisect_left if closed else bisect_right)(terms, q, key=_exponent)
+
+
+def _merge(xs: Terms, ys: Terms) -> Terms:
+    """Sum of two sorted, zero-free term tuples; sorted and zero-free."""
+    if not xs:
+        return ys
+    if not ys:
+        return xs
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        ex, cx = xs[i]
+        ey, cy = ys[j]
+        if ex < ey:
+            out.append(xs[i])
+            i += 1
+        elif ey < ex:
+            out.append(ys[j])
+            j += 1
+        else:
+            coeff = cx + cy
+            if coeff:
+                out.append((ex, coeff))
+            i += 1
+            j += 1
+    return (*out, *xs[i:], *ys[j:])
+
+
+def _product(xs: Terms, ys: Terms, cut: Optional[Cut]) -> Terms:
+    """Product of two sorted, zero-free term tuples, less what ``cut`` absorbs.
+
+    Row ``ex`` is ``ys`` shifted by ``ex``; it is sorted, so the cut keeps
+    a prefix of it, and rows further down keep no more than it does.
+    """
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    total: Terms = ()
+    for ex, cx in xs:
+        row = ys if cut is None else ys[: _kept(ys, (cut[0] - ex, cut[1]))]
+        if not row:
+            break
+        total = _merge(total, tuple([(ex + ey, cx * cy) for ey, cy in row]))
+    return total
+
+
 @total_ordering
 @dataclass(frozen=True)
 class EpsSeries:
@@ -56,21 +118,29 @@ class EpsSeries:
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
     increasing exponents and no zero coefficients; the empty tuple is 0.
+    Every operation relies on this invariant and keeps it: a sum merges
+    two sorted tuples, a product merges its shifted rows, and the terms a
+    neutrix absorbs are always a suffix (see :meth:`truncate`).  The
+    constructor does not check it; build from unsorted pairs with
+    :meth:`from_terms`.
     """
 
-    terms: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    terms: Terms = ()
 
     @staticmethod
     def from_terms(pairs: Iterable[Tuple[Fraction, Fraction]]) -> "EpsSeries":
-        merged: dict[Fraction, Fraction] = {}
-        for exp, coeff in pairs:
-            exp = _as_fraction(exp)
-            coeff = _as_fraction(coeff)
-            merged[exp] = merged.get(exp, Fraction(0)) + coeff
-        terms = tuple(
-            (exp, merged[exp]) for exp in sorted(merged) if merged[exp] != 0
+        """Canonical series of any pairs: sorted, with equal exponents summed."""
+        ordered = sorted(
+            ((_as_fraction(exp), _as_fraction(coeff)) for exp, coeff in pairs),
+            key=_exponent,
         )
-        return EpsSeries(terms)
+        summed = []
+        for exp, coeff in ordered:
+            if summed and summed[-1][0] == exp:
+                summed[-1] = (exp, summed[-1][1] + coeff)
+            else:
+                summed.append((exp, coeff))
+        return EpsSeries(tuple([term for term in summed if term[1]]))
 
     @staticmethod
     def from_rational(value) -> "EpsSeries":
@@ -110,6 +180,13 @@ class EpsSeries:
         c = self.leading_coefficient
         return (c > 0) - (c < 0)
 
+    def truncate(self, cut: Cut) -> "EpsSeries":
+        """The terms below ``cut``; ``self`` itself when it absorbs none."""
+        kept = _kept(self.terms, cut)
+        if kept == len(self.terms):
+            return self
+        return EpsSeries(self.terms[:kept])
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -123,7 +200,7 @@ class EpsSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsSeries.from_terms(self.terms + other.terms)
+        return EpsSeries(_merge(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -134,7 +211,7 @@ class EpsSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return EpsSeries(_merge(self.terms, (-other).terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -142,15 +219,16 @@ class EpsSeries:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other):
+    def __mul__(self, other, cut: Optional[Cut] = None):
+        """The product; given ``cut``, only its terms below the cut.
+
+        ``x.__mul__(y, cut)`` equals ``(x * y).truncate(cut)`` but never
+        computes a cross term the cut would absorb.
+        """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsSeries.from_terms(
-            (ea + eb, ca * cb)
-            for ea, ca in self.terms
-            for eb, cb in other.terms
-        )
+        return EpsSeries(_product(self.terms, other.terms, cut))
 
     __rmul__ = __mul__
 

@@ -12,7 +12,6 @@ from soritica.neutrix import (
     Neutrix,
     SetRelation,
     binomial_check,
-    canonicalize,
     classify,
     distributivity_holds,
     infinitely_close,
@@ -33,6 +32,8 @@ from soritica.sampling import (
     strict_subset_witness,
 )
 from soritica.series import EPS, OMEGA, ONE, ZERO, EpsSeries, parse_series
+
+from reference_arithmetic import ref_external_mul, ref_make, ref_mul
 
 F = Fraction
 OSLASH = Neutrix.osl(0)
@@ -156,17 +157,46 @@ class TestMultiplication:
 
 class TestCanonicalize:
     def test_absorbs_high_terms(self):
-        got = canonicalize(parse_series("1 + e + e^2"), Neutrix.lim(1))
+        got = ExternalNumber.make(parse_series("1 + e + e^2"), Neutrix.lim(1))
         assert got.rep == ONE
-        assert got == canonicalize(got.rep, got.neutrix)  # idempotent
+        assert got == ExternalNumber.make(got.rep, got.neutrix)  # idempotent
 
     def test_zero_neutrix_keeps_everything(self):
         x = parse_series("1 + e + e^2")
-        assert canonicalize(x, Neutrix.zero()).rep == x
+        assert ExternalNumber.make(x, Neutrix.zero()).rep == x
 
     def test_boundary_not_absorbed(self):
-        got = canonicalize(EpsSeries.from_rational(5), OSLASH)
+        got = ExternalNumber.make(EpsSeries.from_rational(5), OSLASH)
         assert got.rep == EpsSeries.from_rational(5)
+
+    def test_constructor_refuses_absorbed_terms(self):
+        with pytest.raises(ValueError):
+            ExternalNumber(EPS, OSLASH)
+        with pytest.raises(ValueError):
+            ExternalNumber(parse_series("2 + e^(-1)"), POUND)
+        assert ExternalNumber(ONE, OSLASH) == en("1 + osl")
+        got = ExternalNumber.make(EPS, OSLASH)
+        assert got == en("osl")
+        assert relate(got, en("osl")) is SetRelation.EQUAL
+
+
+class TestAgainstReference:
+    """The cut and the truncated product equal the term-by-term reference."""
+
+    @pytest.mark.parametrize("kind", [None, Kind.LIM, Kind.OSL])
+    @given(series_values, exponents)
+    def test_make(self, kind, rep, q):
+        neutrix = Neutrix.zero() if kind is None else Neutrix(q, kind)
+        assert ExternalNumber.make(rep, neutrix) == ref_make(rep, neutrix)
+
+    @given(series_values, series_values, neutrices)
+    def test_truncated_series_product(self, x, y, neutrix):
+        expected = ref_make(ref_mul(x, y), neutrix).rep
+        assert x.__mul__(y, neutrix.cut) == expected
+
+    @given(externals, externals)
+    def test_mul(self, a, b):
+        assert a * b == ref_external_mul(a, b)
 
 
 class TestClassify:

@@ -76,6 +76,11 @@ class TestKleene:
         exists = parse_formula("exists n in 1..3. S(n)")
         assert eval_k3(exists, {("S", 1): FALSE, ("S", 2): HALF, ("S", 3): FALSE}) == HALF
 
+    def test_empty_quantifier_domain(self):
+        for text in ("forall n in 5..4. S(n)", "exists n in 5..4. S(n)"):
+            with pytest.raises(UnboundAtom, match="empty quantifier domain"):
+                eval_k3(parse_formula(text), {})
+
     def test_unbound(self):
         with pytest.raises(UnboundAtom):
             eval_k3(P)
@@ -143,6 +148,10 @@ class TestClassical:
     def test_sharp_boundary_conjunction(self):
         formula = parse_formula("S(4) & ~S(5)")
         assert eval_classical(formula, cutoff=5)
+
+    def test_empty_quantifier_domain_is_vacuous(self):
+        assert eval_classical(parse_formula("forall n in 5..4. S(n)"), cutoff=5)
+        assert not eval_classical(parse_formula("exists n in 5..4. S(n)"), cutoff=5)
 
     def test_induction_step_fails(self):
         formula = parse_formula("forall n in 1..9. S(n) -> S(n+1)")

@@ -14,6 +14,14 @@ from soritica.series import (
     parse_series,
 )
 
+from reference_arithmetic import (
+    ref_add,
+    ref_compare,
+    ref_from_terms,
+    ref_mul,
+    ref_sub,
+)
+
 F = Fraction
 
 
@@ -174,3 +182,26 @@ class TestOrderCompatibility:
     @given(series_values, series_values)
     def test_total(self, x, y):
         assert (x < y) + (x == y) + (y < x) == 1
+
+
+class TestAgainstReference:
+    """The merge-based core equals the dict-based reference arithmetic."""
+
+    @given(series_values, series_values)
+    def test_add_sub_mul(self, x, y):
+        assert x + y == ref_add(x, y)
+        assert x - y == ref_sub(x, y)
+        assert x * y == ref_mul(x, y)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-2, 2).map(F), coefficients), max_size=8
+        )
+    )
+    def test_from_terms_unsorted_repeated(self, pairs):
+        assert EpsSeries.from_terms(pairs) == ref_from_terms(pairs)
+
+    @given(series_values, series_values)
+    def test_compare(self, x, y):
+        assert x.compare(y) == ref_compare(x, y)
+        assert (x < y) == (ref_compare(x, y) < 0)
