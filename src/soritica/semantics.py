@@ -5,6 +5,12 @@ Kleene connectives on rational degrees: ``~x = 1-x``, ``& = min``,
 ``| = max``, ``x -> y = max(1-x, y)``, quantifiers min/max over their
 finite domains).  The classical evaluator is a separate boolean walk so
 the conservativity checks compare genuinely independent code paths.
+
+The K3 tautology tests do not enumerate all 3^v assignments.  Strong
+Kleene is regular (Kleene 1952): refining a 1/2 to 0 or 1 never changes
+a defined value.  So a formula is 1 under every assignment iff it is 1
+under the all-1/2 one, and it is 0 under some assignment iff it is 0
+under some classical one; one and 2^v evaluations decide the two tests.
 """
 
 from __future__ import annotations
@@ -274,8 +280,8 @@ def eval_super(
 def collect_variables(formula: Formula) -> Tuple:
     """Ordered propositional variables and literal-index atoms.
 
-    Quantified formulas are rejected here: brute-force assignment search
-    is defined for the propositional fragment.
+    Quantified formulas are rejected here: the tautology searches are
+    defined for the propositional fragment.
     """
     seen = []
 
@@ -308,13 +314,14 @@ def collect_variables(formula: Formula) -> Tuple:
 _VAR_BOUND = 12
 
 
-def _assignment_values(formula: Formula, max_vars: int):
+def _assignment_values(formula: Formula, max_vars: int, values: Tuple):
+    """Value of ``formula`` under each assignment drawn from ``values``."""
     variables = collect_variables(formula)
     if len(variables) > max_vars:
         raise BoundExceeded(
             f"{len(variables)} variables exceed the bound {max_vars}"
         )
-    for combo in itertools.product(K3_VALUES, repeat=len(variables)):
+    for combo in itertools.product(values, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
         propvars = {k: v for k, v in assignment.items() if isinstance(k, str)}
         atoms = {k: v for k, v in assignment.items() if isinstance(k, tuple)}
@@ -322,13 +329,23 @@ def _assignment_values(formula: Formula, max_vars: int):
 
 
 def is_tautology_k3(formula: Formula, max_vars: int = _VAR_BOUND) -> bool:
-    """True when every three-valued assignment yields 1."""
-    return all(v == TRUE for v in _assignment_values(formula, max_vars))
+    """True when every three-valued assignment yields 1.
+
+    By regularity the least-defined assignment, all 1/2, decides it.
+    """
+    return all(
+        v == TRUE for v in _assignment_values(formula, max_vars, (HALF,))
+    )
 
 
 def quasi_tautology_k3(formula: Formula, max_vars: int = _VAR_BOUND) -> bool:
-    """True when no three-valued assignment yields 0."""
-    return all(v != FALSE for v in _assignment_values(formula, max_vars))
+    """True when no three-valued assignment yields 0.
+
+    A 0 survives every classical refinement of its assignment, so the
+    classical assignments decide it.
+    """
+    classical = _assignment_values(formula, max_vars, (TRUE, FALSE))
+    return all(v != FALSE for v in classical)
 
 
 def _fmt(value: Fraction) -> str:

@@ -314,6 +314,9 @@ def tokenize(text: str) -> list[Token]:
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
+        _, slash, denominator = m.group().partition("/")
+        if kind == "num" and slash and int(denominator) == 0:
+            raise ParseError(f"zero denominator in {m.group()!r}", pos)
         tokens.append(Token(kind, m.group(), pos))
         pos = m.end()
     tokens.append(Token("end", "", len(text)))

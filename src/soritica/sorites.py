@@ -520,6 +520,24 @@ def _step_formula(n: int):
     return Implies(Atom("S", Index(None, n)), Atom("S", Index(None, n + 1)))
 
 
+def _check_chain_length(scenario: SoritesScenario, length: ModelInteger):
+    """Raise ValueError unless ``length`` can bound a chain in ``scenario``.
+
+    A witness on the nonstandard backend passes: the conditional runner
+    refuses it with :class:`ChainThroughWitness`, a result of the model.
+    """
+    if isinstance(length, Witness):
+        if not isinstance(scenario.backend, Nonstandard):
+            raise ValueError(
+                "witness chain lengths apply to the nonstandard backend"
+            )
+    elif not scenario.lo <= length.value <= scenario.hi:
+        raise ValueError(
+            f"chain length {length.value} outside range "
+            f"{scenario.lo}..{scenario.hi}"
+        )
+
+
 def run_conditional(
     scenario: SoritesScenario,
     chain_length: Optional[ModelInteger] = None,
@@ -532,20 +550,14 @@ def run_conditional(
     if isinstance(length, int):
         length = Naive(length)
 
-    if isinstance(length, Witness):
-        if isinstance(backend, Nonstandard):
-            raise ChainThroughWitness(
-                f"chain length {length.series} is not naive: modus ponens "
-                "may only be iterated a naive number of times"
-            )
-        raise ValueError("witness chain lengths apply to the nonstandard backend")
+    if isinstance(length, Witness) and isinstance(backend, Nonstandard):
+        raise ChainThroughWitness(
+            f"chain length {length.series} is not naive: modus ponens "
+            "may only be iterated a naive number of times"
+        )
+    _check_chain_length(scenario, length)
 
     target = length.value
-    if not scenario.lo <= target <= scenario.hi:
-        raise ValueError(
-            f"chain length {target} outside range "
-            f"{scenario.lo}..{scenario.hi}"
-        )
 
     if isinstance(backend, FuzzyMembership):
         final = backend.truth(target)
@@ -656,6 +668,11 @@ def run_scenario(scenario: SoritesScenario) -> SoritesReport:
 # -- JSON configuration ----------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(config: dict, key: str, pointer: str):
     if key not in config:
         raise ConfigError(f"{pointer}/{key}", "missing required field")
@@ -694,7 +711,7 @@ def _parse_backend(raw, pointer: str) -> Backend:
             return Nonstandard(parse_series(str(threshold)))
     except ConfigError:
         raise
-    except (ValueError, TypeError, ParseError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"{pointer}/params", str(exc)) from exc
     raise ConfigError(f"{pointer}/type", f"unknown backend type {backend_type!r}")
 
@@ -707,7 +724,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
     if (
         not isinstance(raw_range, (list, tuple))
         or len(raw_range) != 2
-        or not all(isinstance(v, int) for v in raw_range)
+        or not all(_is_integer(v) for v in raw_range)
     ):
         raise ConfigError("/range", "range must be [lo, hi] integers")
     backend = _parse_backend(_require(config, "backend", ""), "/backend")
@@ -722,6 +739,10 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
     chain_length: Optional[ModelInteger] = None
     if "chainLength" in config:
         raw_length = config["chainLength"]
+        if isinstance(raw_length, bool):
+            raise ConfigError(
+                "/chainLength", "chainLength must be an integer or a series"
+            )
         if isinstance(raw_length, int):
             chain_length = Naive(raw_length)
         else:
@@ -731,7 +752,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
                 raise ConfigError("/chainLength", str(exc)) from exc
 
     try:
-        return SoritesScenario(
+        scenario = SoritesScenario(
             name=str(name),
             lo=raw_range[0],
             hi=raw_range[1],
@@ -741,6 +762,12 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
         )
     except ValueError as exc:
         raise ConfigError("/range", str(exc)) from exc
+    if chain_length is not None:
+        try:
+            _check_chain_length(scenario, chain_length)
+        except ValueError as exc:
+            raise ConfigError("/chainLength", str(exc)) from exc
+    return scenario
 
 
 def load_scenario(path) -> SoritesScenario:

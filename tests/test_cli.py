@@ -43,6 +43,13 @@ class TestNumbers:
         assert code == 2
         assert "syntax error" in err
 
+    @pytest.mark.parametrize("expr", ["1/0", "e^(1/0)", "L(1/0)"])
+    def test_zero_denominator(self, capsys, expr):
+        code, out, err = run(capsys, "numbers", "eval", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("syntax error: zero denominator")
+
 
 class TestTables:
     def test_matches_golden(self, capsys):
@@ -102,6 +109,16 @@ class TestSorites:
         code, _, err = run(capsys, "sorites", "run", str(config))
         assert code == 2
         assert "/backend/type" in err
+
+    def test_chain_length_outside_range(self, capsys, tmp_path):
+        config = tmp_path / "long_chain.json"
+        data = json.loads((FIXTURES / "classical_cutoff5.json").read_text())
+        data["chainLength"] = data["range"][1] + 30
+        config.write_text(json.dumps(data))
+        code, out, err = run(capsys, "sorites", "run", str(config))
+        assert code == 2
+        assert out == ""
+        assert "config error at /chainLength" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sorites", "run", "/nonexistent.json")

@@ -31,7 +31,15 @@ from soritica.sampling import (
     neutrix_samples,
     strict_subset_witness,
 )
-from soritica.series import EPS, OMEGA, ONE, ZERO, EpsSeries, parse_series
+from soritica.series import (
+    EPS,
+    OMEGA,
+    ONE,
+    ZERO,
+    EpsSeries,
+    ParseError,
+    parse_series,
+)
 
 from reference_arithmetic import ref_external_mul, ref_make, ref_mul
 
@@ -361,3 +369,11 @@ class TestParsePrint:
     @given(externals)
     def test_round_trip(self, alpha):
         assert parse_external(str(alpha)) == alpha
+
+    @pytest.mark.parametrize(
+        "text, position", [("1/0", 0), ("L(1/0)", 2), ("osl + e^(1/0)", 9)]
+    )
+    def test_zero_denominator(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_external(text)
+        assert info.value.position == position

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,8 @@ from soritica.semantics import (
     kleene_tables,
     quasi_tautology_k3,
 )
+
+from reference_semantics import ref_is_tautology_k3, ref_quasi_tautology_k3
 
 F = Fraction
 
@@ -112,6 +115,54 @@ class TestTautology:
             formula = And(formula, PropVar(f"x{i}"))
         with pytest.raises(BoundExceeded):
             is_tautology_k3(formula)
+        with pytest.raises(BoundExceeded):
+            quasi_tautology_k3(formula)
+
+    def test_twelve_variable_classical_tautology(self):
+        # 3^12 = 531441 assignments; the searches evaluate 1 and 2^12.
+        body = PropVar("x0")
+        for i in range(1, 6):
+            body = And(body, PropVar(f"x{i}"))
+        other = Atom("S", Index(None, 1))
+        for i in range(2, 7):
+            other = Or(other, Atom("S", Index(None, i)))
+        formula = Or(Implies(body, other), Not(Implies(body, other)))
+        start = time.perf_counter()
+        assert quasi_tautology_k3(formula)
+        assert not is_tautology_k3(formula)
+        assert time.perf_counter() - start < 10.0
+
+
+# At most four variables: two propositional, two ground atoms.
+k3_leaves = [
+    PropVar("p"),
+    PropVar("q"),
+    Atom("S", Index(None, 1)),
+    Atom("T", Index(None, 2)),
+]
+k3_formulas = st.recursive(
+    st.sampled_from(k3_leaves),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Implies, children, children),
+        st.builds(Iff, children, children),
+    ),
+    max_leaves=12,
+)
+
+
+class TestTautologyAgainstReference:
+    @given(k3_formulas)
+    @settings(max_examples=300, deadline=None)
+    def test_tautology(self, formula):
+        assert is_tautology_k3(formula) == ref_is_tautology_k3(formula)
+
+    @given(k3_formulas)
+    @settings(max_examples=300, deadline=None)
+    def test_quasi_tautology(self, formula):
+        assert quasi_tautology_k3(formula) == ref_quasi_tautology_k3(formula)
 
 
 def linear_membership(pred: str, n: int) -> Fraction:

@@ -140,6 +140,14 @@ class TestParsePrint:
         with pytest.raises(ParseError):
             parse_series("(1 + e")
 
+    @pytest.mark.parametrize(
+        "text,position", [("1/0", 0), ("e^(1/0)", 3), ("2 + 3/00", 4)]
+    )
+    def test_zero_denominator(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_series(text)
+        assert info.value.position == position
+
 
 class TestRingLaws:
     @given(series_values, series_values)

@@ -229,6 +229,50 @@ class TestConfig:
         scenario = scenario_from_dict(config)
         assert isinstance(scenario.chain_length, Witness)
 
+    @pytest.mark.parametrize("bad", [[True, 10], [1, False]])
+    def test_boolean_range(self, bad):
+        config = self.good()
+        config["range"] = bad
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/range"
+
+    def test_boolean_chain_length(self):
+        config = self.good()
+        config["chainLength"] = True
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/chainLength"
+
+    @pytest.mark.parametrize("length", [0, 11, "e^(-1)"])
+    def test_unusable_chain_length(self, length):
+        # Outside the range, or a witness on a non-nonstandard backend.
+        config = self.good()
+        config["chainLength"] = length
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/chainLength"
+
+    def test_chain_length_at_range_ends(self):
+        for length in (1, 10):
+            config = self.good()
+            config["chainLength"] = length
+            assert scenario_from_dict(config).chain_length == Naive(length)
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            {"type": "fuzzy_membership", "params": {"points": [[1, "1"], [10, "1/0"]]}},
+            {"type": "nonstandard", "params": {"threshold": "e^(1/0)"}},
+        ],
+    )
+    def test_zero_denominator_params(self, backend):
+        config = self.good()
+        config["backend"] = backend
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+
     def test_bundled_fixtures_load(self):
         fixtures = resources.files("soritica") / "fixtures"
         for name in (
