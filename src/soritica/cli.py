@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 property or oracle failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -25,7 +26,13 @@ from .series import ParseError
 from .sorites import ConfigError, load_scenario, run_scenario
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    Parsing leaves no state in the parser: every call returns a fresh
+    namespace filled from the declared defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="soritica",
         description="External-number calculator and Sorites workbench",

@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+from .bounds import MAX_NESTING
+
 __all__ = [
     "Index",
     "Atom",
@@ -149,9 +151,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive-descent formula parser.
+
+    Parentheses, ``~`` and quantifiers nest at most ``MAX_NESTING`` deep.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -172,6 +180,14 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {text!r}", token.pos)
         return self.advance()
 
+    def descend(self, token: _Token) -> None:
+        """Enter one more nesting level, opened by ``token``."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", token.pos
+            )
+        self.depth += 1
+
     def parse(self) -> Formula:
         formula = self.parse_formula()
         token = self.peek()
@@ -185,6 +201,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "name" and token.text in ("forall", "exists"):
             self.advance()
+            self.descend(token)
             var_token = self.peek()
             if var_token.kind != "name" or var_token.text in _KEYWORDS:
                 raise FormulaSyntaxError(
@@ -198,6 +215,7 @@ class _Parser:
             domain = self.parse_domain()
             self.expect_op(".")
             body = self.parse_formula()
+            self.depth -= 1
             cls = Forall if token.text == "forall" else Exists
             return cls(var_token.text, domain, body)
         return self.parse_iff()
@@ -250,11 +268,16 @@ class _Parser:
         token = self.peek()
         if self.at_op("~"):
             self.advance()
-            return Not(self.parse_unary())
+            self.descend(token)
+            formula = Not(self.parse_unary())
+            self.depth -= 1
+            return formula
         if self.at_op("("):
             self.advance()
+            self.descend(token)
             formula = self.parse_formula()
             self.expect_op(")")
+            self.depth -= 1
             return formula
         if token.kind == "name" and token.text not in _KEYWORDS:
             self.advance()

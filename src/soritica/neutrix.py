@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .bounds import BoundExceeded
 from .series import (
     ONE,
     ZERO,
@@ -107,16 +108,19 @@ class Neutrix:
     def contains(self, x: EpsSeries) -> bool:
         return x.is_zero or self.absorbs(x.valuation)
 
-    def _size_key(self):
-        # Total inclusion order: Zero is least; smaller exponents are
-        # larger groups; at equal exponent, L(q) strictly contains o(q).
-        if self.is_zero:
-            return (0,)
-        return (1, -self.exponent, 1 if self.kind is Kind.LIM else 0)
-
     def includes(self, other: "Neutrix") -> bool:
-        """True when this group contains the other (possibly equal)."""
-        return self == other or self._size_key() > other._size_key()
+        """True when this group contains the other (possibly equal).
+
+        Inclusion is a total order: zero is least, a smaller exponent is a
+        larger group, and at equal exponents ``L(q)`` contains ``o(q)``.
+        """
+        if other.is_zero:
+            return True
+        if self.is_zero:
+            return False
+        if self.exponent != other.exponent:
+            return self.exponent < other.exponent
+        return self.kind is other.kind or self.kind is Kind.LIM
 
     def strictly_includes(self, other: "Neutrix") -> bool:
         return self != other and self.includes(other)
@@ -135,7 +139,11 @@ def n_max(*neutrices: Neutrix) -> Neutrix:
     """Inclusion-largest of the given neutrices."""
     if not neutrices:
         raise ValueError("n_max needs at least one neutrix")
-    return max(neutrices, key=Neutrix._size_key)
+    largest = neutrices[0]
+    for neutrix in neutrices[1:]:
+        if not largest.includes(neutrix):
+            largest = neutrix
+    return largest
 
 
 def n_scale(a: EpsSeries, neutrix: Neutrix) -> Neutrix:
@@ -169,10 +177,6 @@ class SetRelation(enum.Enum):
     PROPER_SUP = "ProperSup"
     DISJOINT_LESS = "DisjointLess"
     DISJOINT_GREATER = "DisjointGreater"
-
-
-class BoundExceeded(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

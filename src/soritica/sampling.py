@@ -19,22 +19,37 @@ __all__ = [
     "neutrix_samples",
     "en_member",
     "en_samples",
+    "samples_within",
     "mutual_membership_check",
     "strict_subset_witness",
 ]
 
 
-def _rand_coeff(rng: random.Random, allow_zero: bool = True) -> Fraction:
-    num = rng.randint(-9, 9)
-    if not allow_zero and num == 0:
-        num = 1
-    return Fraction(num, rng.randint(1, 9))
+#: ``_COEFFICIENTS[n + 9][d - 1] == Fraction(n, d)``: the sample
+#: coefficients, drawn as ``n = randint(-9, 9)`` then ``d = randint(1, 9)``.
+_COEFFICIENTS = tuple(
+    tuple(Fraction(n, d) for d in range(1, 10)) for n in range(-9, 10)
+)
+#: ``_OFFSETS[a - 1][b - 1] == Fraction(a, b)``: how far above ``q`` an
+#: ``o(q)`` sample starts, drawn as ``a = randint(1, 4)``, ``b = randint(1, 3)``.
+_OFFSETS = tuple(
+    tuple(Fraction(a, b) for b in range(1, 4)) for a in range(1, 5)
+)
+
+
+def _rand_coeff(rng: random.Random) -> Fraction:
+    return _COEFFICIENTS[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1]
 
 
 def neutrix_samples(
     neutrix: Neutrix, count: int, rng: random.Random
 ) -> List[EpsSeries]:
-    """Concrete members of the group, biased toward boundary exponents."""
+    """Concrete members of the group, biased toward boundary exponents.
+
+    Each sample is one term at the group's exponent (``L(q)``) or just
+    above it (``o(q)``), plus, four times in ten, a second term one to
+    three powers of ``e`` higher; zero coefficients are dropped.
+    """
     if neutrix.is_zero:
         return [EpsSeries()] * count
     q = neutrix.exponent
@@ -43,13 +58,14 @@ def neutrix_samples(
         if neutrix.kind is Kind.LIM:
             exp = q
         else:
-            exp = q + Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        sample = EpsSeries.monomial(exp, _rand_coeff(rng))
+            exp = q + _OFFSETS[rng.randint(1, 4) - 1][rng.randint(1, 3) - 1]
+        first = (exp, _rand_coeff(rng))
+        terms = (first,) if first[1] else ()
         if rng.random() < 0.4:
-            sample = sample + EpsSeries.monomial(
-                exp + Fraction(rng.randint(1, 3)), _rand_coeff(rng)
-            )
-        samples.append(sample)
+            second = (exp + rng.randint(1, 3), _rand_coeff(rng))
+            if second[1]:
+                terms += (second,)
+        samples.append(EpsSeries(terms))
     return samples
 
 
@@ -64,6 +80,27 @@ def en_samples(
     return [alpha.rep + s for s in neutrix_samples(alpha.neutrix, count, rng)]
 
 
+def samples_within(
+    left: ExternalNumber,
+    right: ExternalNumber,
+    rng: random.Random,
+    count: int = 50,
+) -> bool:
+    """Whether ``count`` sampled members of ``left`` all lie in ``right``.
+
+    A member ``left.rep + s`` lies in ``right`` iff ``right.neutrix``
+    contains ``(left.rep + s) - right.rep``, which is exactly
+    ``s + gap`` for the one difference ``gap = left.rep - right.rep``.
+    The verdict and the draws from ``rng`` are those of testing
+    :func:`en_member` on each of :func:`en_samples`.
+    """
+    gap = left.rep - right.rep
+    return all(
+        right.neutrix.contains(s + gap)
+        for s in neutrix_samples(left.neutrix, count, rng)
+    )
+
+
 def mutual_membership_check(
     left: ExternalNumber,
     right: ExternalNumber,
@@ -71,9 +108,9 @@ def mutual_membership_check(
     count: int = 50,
 ) -> bool:
     """Samples of each side must be members of the other."""
-    return all(
-        en_member(x, right) for x in en_samples(left, count, rng)
-    ) and all(en_member(x, left) for x in en_samples(right, count, rng))
+    return samples_within(left, right, rng, count) and samples_within(
+        right, left, rng, count
+    )
 
 
 def strict_subset_witness(

@@ -20,6 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from .bounds import BoundExceeded
 from .formulas import (
     And,
     Atom,
@@ -60,10 +61,6 @@ K3_VALUES = (TRUE, FALSE, HALF)
 
 
 class UnboundAtom(KeyError):
-    pass
-
-
-class BoundExceeded(ValueError):
     pass
 
 

@@ -19,6 +19,8 @@ from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
+from .bounds import MAX_NESTING
+
 __all__ = [
     "EpsSeries",
     "ParseError",
@@ -328,12 +330,14 @@ class ExprParser:
 
     Subclasses may extend :meth:`parse_name` to add further primaries
     (the external-number parser adds neutrix symbols this way).
+    Parentheses and unary minus nest at most ``MAX_NESTING`` deep.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # hooks ---------------------------------------------------------------
 
@@ -368,6 +372,14 @@ class ExprParser:
             raise ParseError(f"expected {text!r}", token.pos)
         return self.advance()
 
+    def descend(self, token: Token) -> None:
+        """Enter one more nesting level, opened by ``token``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", token.pos
+            )
+        self.depth += 1
+
     def parse(self):
         value = self.parse_sum()
         token = self.peek()
@@ -394,7 +406,10 @@ class ExprParser:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
             self.advance()
-            return -self.parse_factor()
+            self.descend(token)
+            value = -self.parse_factor()
+            self.depth -= 1
+            return value
         return self.parse_primary()
 
     def parse_primary(self):
@@ -404,8 +419,10 @@ class ExprParser:
         if token.kind == "name":
             return self.parse_name(token)
         if token.kind == "op" and token.text == "(":
+            self.descend(token)
             value = self.parse_sum()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError("expected a value", token.pos)
 

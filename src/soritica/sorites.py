@@ -673,6 +673,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer(value) -> int:
+    if not _is_integer(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _require(config: dict, key: str, pointer: str):
     if key not in config:
         raise ConfigError(f"{pointer}/{key}", "missing required field")
@@ -688,22 +694,24 @@ def _parse_backend(raw, pointer: str) -> Backend:
         raise ConfigError(f"{pointer}/params", "params must be an object")
     try:
         if backend_type == "classical_cutoff":
-            return ClassicalCutoff(int(_require(params, "cutoff", f"{pointer}/params")))
+            return ClassicalCutoff(
+                _integer(_require(params, "cutoff", f"{pointer}/params"))
+            )
         if backend_type == "kleene_penumbra":
             return KleenePenumbra(
-                int(_require(params, "t1", f"{pointer}/params")),
-                int(_require(params, "t2", f"{pointer}/params")),
+                _integer(_require(params, "t1", f"{pointer}/params")),
+                _integer(_require(params, "t2", f"{pointer}/params")),
             )
         if backend_type == "fuzzy_membership":
             points = _require(params, "points", f"{pointer}/params")
             parsed = tuple(
-                (int(n), Fraction(str(degree))) for n, degree in points
+                (_integer(n), Fraction(str(degree))) for n, degree in points
             )
             threshold = Fraction(str(params.get("threshold", 1)))
             return FuzzyMembership(parsed, threshold)
         if backend_type == "superval":
             cutoffs = _require(params, "cutoffs", f"{pointer}/params")
-            return Superval(tuple(int(k) for k in cutoffs))
+            return Superval(tuple(_integer(k) for k in cutoffs))
         if backend_type == "nonstandard":
             threshold = params.get("threshold", "limited")
             if threshold == "limited":

@@ -3,13 +3,14 @@
 These are the plain versions the sorted-merge core replaced: every sum
 and product collects its terms in a dict keyed by exponent, and
 canonicalization asks the neutrix about each representative term, one
-monomial at a time.  They share no code with the merge, the cut or the
-truncated product.
+monomial at a time.  Neutrix inclusion compares key tuples.  They share
+no code with the merge, the cut, the truncated product or
+``Neutrix.includes``.
 """
 
 from fractions import Fraction
 
-from soritica.neutrix import ExternalNumber, n_max, n_mul, n_scale
+from soritica.neutrix import ExternalNumber, Kind, n_mul, n_scale
 from soritica.series import EpsSeries
 
 
@@ -51,9 +52,25 @@ def ref_make(rep, neutrix):
 
 
 def ref_external_mul(alpha, beta):
-    neutrix = n_max(
+    neutrix = ref_n_max(
         n_scale(alpha.rep, beta.neutrix),
         n_scale(beta.rep, alpha.neutrix),
         n_mul(alpha.neutrix, beta.neutrix),
     )
     return ref_make(ref_mul(alpha.rep, beta.rep), neutrix)
+
+
+def _ref_size_key(neutrix):
+    # Total inclusion order: zero is least; smaller exponents are larger
+    # groups; at equal exponent, L(q) strictly contains o(q).
+    if neutrix.is_zero:
+        return (0,)
+    return (1, -neutrix.exponent, 1 if neutrix.kind is Kind.LIM else 0)
+
+
+def ref_includes(a, b):
+    return a == b or _ref_size_key(a) > _ref_size_key(b)
+
+
+def ref_n_max(*neutrices):
+    return max(neutrices, key=_ref_size_key)

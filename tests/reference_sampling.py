@@ -1,0 +1,54 @@
+"""Reference membership sampling that soritica.sampling is tested against.
+
+These are the plain versions the sampler replaced: each sample is built
+as a sum of monomials with fresh ``Fraction`` coefficients and exponents,
+and each sampled member ``left.rep + s`` of the left side is rebuilt and
+tested against the right side on its own, by subtracting ``right.rep``.
+They share no code with the coefficient tables or the one-difference
+check.
+"""
+
+from fractions import Fraction
+
+from soritica.neutrix import Kind
+from soritica.sampling import en_member
+from soritica.series import EpsSeries
+
+
+def _ref_coeff(rng):
+    num = rng.randint(-9, 9)
+    return Fraction(num, rng.randint(1, 9))
+
+
+def ref_neutrix_samples(neutrix, count, rng):
+    if neutrix.is_zero:
+        return [EpsSeries()] * count
+    q = neutrix.exponent
+    samples = []
+    for _ in range(count):
+        if neutrix.kind is Kind.LIM:
+            exp = q
+        else:
+            exp = q + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        sample = EpsSeries.monomial(exp, _ref_coeff(rng))
+        if rng.random() < 0.4:
+            sample = sample + EpsSeries.monomial(
+                exp + Fraction(rng.randint(1, 3)), _ref_coeff(rng)
+            )
+        samples.append(sample)
+    return samples
+
+
+def ref_en_samples(alpha, count, rng):
+    return [alpha.rep + s for s in ref_neutrix_samples(alpha.neutrix, count, rng)]
+
+
+def ref_samples_within(left, right, rng, count=50):
+    """Every sampled member of ``left``, rebuilt, is a member of ``right``."""
+    return all(en_member(x, right) for x in ref_en_samples(left, count, rng))
+
+
+def ref_mutual_membership_check(left, right, rng, count=50):
+    return ref_samples_within(left, right, rng, count) and ref_samples_within(
+        right, left, rng, count
+    )

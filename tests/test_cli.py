@@ -141,3 +141,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+class TestInProcessCalls:
+    def test_calls_share_no_state(self, capsys):
+        code, out, _ = run(
+            capsys, "numbers", "eval", "--oracle", "--seed", "5", "1 + osl"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "oracle: ok (seed 5)"
+        code, out, _ = run(capsys, "numbers", "eval", "1 + osl")
+        assert code == 0
+        assert out.splitlines() == ["1 + o(0)", "Appreciable"]
+
+    def test_deep_parentheses_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "numbers", "eval", "(" * 3000 + "1" + ")" * 3000
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("syntax error: nesting deeper than")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from soritica.bounds import MAX_NESTING
 from soritica.formulas import (
     And,
     Atom,
@@ -88,3 +89,28 @@ class TestPrinting:
         formula = parse_formula(text)
         assert formula_to_str(formula) == text
         assert parse_formula(formula_to_str(formula)) == formula
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "open_, close, levels",
+        [("~", "", 1), ("(", ")", 1), ("~(", ")", 2), ("forall n in 1..2. ", "", 1)],
+    )
+    def test_at_and_past_the_limit(self, open_, close, levels):
+        repeats = MAX_NESTING // levels
+        text = open_ * repeats + "S(n)" + close * repeats
+        formula = parse_formula(text)
+        assert parse_formula(formula_to_str(formula)) == formula
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(open_ * repeats + "~S(n)" + close * repeats)
+        assert info.value.position == len(open_) * repeats
+        assert info.value.message.startswith("nesting deeper than")
+
+    def test_thousands_of_negations(self):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula("~" * 5000 + "p")
+        assert info.value.position == MAX_NESTING
+
+    def test_siblings_do_not_add_up(self):
+        text = " & ".join(["(~p)"] * (2 * MAX_NESTING))
+        assert formula_to_str(parse_formula(text)).count("~p") == 2 * MAX_NESTING

@@ -41,7 +41,13 @@ from soritica.series import (
     parse_series,
 )
 
-from reference_arithmetic import ref_external_mul, ref_make, ref_mul
+from reference_arithmetic import (
+    ref_external_mul,
+    ref_includes,
+    ref_make,
+    ref_mul,
+    ref_n_max,
+)
 
 F = Fraction
 OSLASH = Neutrix.osl(0)
@@ -91,6 +97,25 @@ class TestNeutrixLattice:
         for a in groups:
             for b in groups:
                 assert a.includes(b) or b.includes(a)
+
+    @given(neutrices, neutrices)
+    def test_includes_matches_reference_order(self, a, b):
+        assert a.includes(b) == ref_includes(a, b)
+        assert a.strictly_includes(b) == (a != b and ref_includes(a, b))
+
+    @given(st.lists(neutrices, min_size=1, max_size=4))
+    def test_n_max_matches_reference(self, groups):
+        got = n_max(*groups)
+        assert got == ref_n_max(*groups)
+        # Among equal groups the first one given wins, as with max().
+        assert got is next(n for n in groups if n == got)
+
+    def test_one_bound_exceeded(self):
+        from soritica import semantics
+
+        assert semantics.BoundExceeded is BoundExceeded
+        with pytest.raises(semantics.BoundExceeded):
+            binomial_check(en("1"), en("1"), 9)
 
 
 class TestScale:

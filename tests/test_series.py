@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from soritica.bounds import MAX_NESTING
+from soritica.neutrix import parse_external
 from soritica.series import (
     EPS,
     INFINITE_VALUATION,
@@ -213,3 +215,30 @@ class TestAgainstReference:
     def test_compare(self, x, y):
         assert x.compare(y) == ref_compare(x, y)
         assert (x < y) == (ref_compare(x, y) < 0)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("parse", [parse_series, parse_external])
+    @pytest.mark.parametrize("open_, close", [("(", ")"), ("-", ""), ("-(", ")")])
+    def test_at_and_past_the_limit(self, parse, open_, close):
+        # Every character of ``open_`` opens one level; an even number of
+        # minus signs leaves the value 1.
+        repeats = MAX_NESTING // len(open_)
+        assert parse(open_ * repeats + "1" + close * repeats) == parse("1")
+        with pytest.raises(ParseError) as info:
+            parse(open_ * repeats + "-(1)" + close * repeats)
+        assert info.value.position == MAX_NESTING
+        assert info.value.message.startswith("nesting deeper than")
+
+    def test_thousands_of_parentheses(self):
+        with pytest.raises(ParseError) as info:
+            parse_external("(" * 3000 + "1" + ")" * 3000)
+        assert info.value.position == MAX_NESTING
+
+    def test_exponent_parentheses_do_not_nest(self):
+        text = "(" * MAX_NESTING + "e^(-1)" + ")" * MAX_NESTING
+        assert parse_series(text) == EpsSeries.monomial(-1)
+
+    def test_siblings_do_not_add_up(self):
+        text = " + ".join(["(-1)"] * (2 * MAX_NESTING))
+        assert parse_series(text) == EpsSeries.from_rational(-2 * MAX_NESTING)

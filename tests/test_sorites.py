@@ -285,3 +285,27 @@ class TestConfig:
         ):
             config = json.loads((fixtures / name).read_text())
             run_scenario(scenario_from_dict(config))
+
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            {"type": "classical_cutoff", "params": {"cutoff": True}},
+            {"type": "classical_cutoff", "params": {"cutoff": "5"}},
+            {"type": "classical_cutoff", "params": {"cutoff": 5.0}},
+            {"type": "kleene_penumbra", "params": {"t1": 4, "t2": 7.5}},
+            {"type": "kleene_penumbra", "params": {"t1": False, "t2": 7}},
+            {"type": "superval", "params": {"cutoffs": [True, "7", 5.9]}},
+            {"type": "superval", "params": {"cutoffs": [2, 6.0]}},
+            {"type": "fuzzy_membership", "params": {"points": [[True, "1"], [9, "0"]]}},
+            {"type": "fuzzy_membership", "params": {"points": [[1, "1"], ["9", "0"]]}},
+            {"type": "fuzzy_membership", "params": {"points": [[1.5, "1"], [9, "0"]]}},
+        ],
+    )
+    def test_non_integer_params(self, backend):
+        config = self.good()
+        config["backend"] = backend
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+        assert "expected an integer" in info.value.message
