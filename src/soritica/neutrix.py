@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .bounds import BoundExceeded
+from .bounds import MAX_POWER, BoundExceeded
 from .series import (
     ONE,
     ZERO,
@@ -29,7 +29,9 @@ from .series import (
     EpsSeries,
     ExprParser,
     ParseError,
+    Rational,
     Token,
+    rational,
 )
 
 __all__ = [
@@ -63,7 +65,7 @@ class Kind(enum.Enum):
 class Neutrix:
     """Zero, or a scaled limited/infinitesimal group at a rational exponent."""
 
-    exponent: Optional[Fraction] = None
+    exponent: Optional[Rational] = None
     kind: Optional[Kind] = None
 
     def __post_init__(self):
@@ -76,11 +78,11 @@ class Neutrix:
 
     @staticmethod
     def lim(exponent=0) -> "Neutrix":
-        return Neutrix(Fraction(exponent), Kind.LIM)
+        return Neutrix(rational(exponent), Kind.LIM)
 
     @staticmethod
     def osl(exponent=0) -> "Neutrix":
-        return Neutrix(Fraction(exponent), Kind.OSL)
+        return Neutrix(rational(exponent), Kind.OSL)
 
     @property
     def is_zero(self) -> bool:
@@ -97,7 +99,7 @@ class Neutrix:
             return None
         return (self.exponent, self.kind is Kind.LIM)
 
-    def absorbs(self, exponent: Fraction) -> bool:
+    def absorbs(self, exponent: Rational) -> bool:
         """True when the group contains the monomials ``c*e^exponent``."""
         if self.is_zero:
             return False
@@ -152,7 +154,7 @@ def n_scale(a: EpsSeries, neutrix: Neutrix) -> Neutrix:
         a = EpsSeries.from_rational(a)
     if a.is_zero or neutrix.is_zero:
         return Neutrix.zero()
-    return Neutrix(neutrix.exponent + a.valuation, neutrix.kind)
+    return Neutrix(rational(neutrix.exponent + a.valuation), neutrix.kind)
 
 
 def n_mul(a: Neutrix, b: Neutrix) -> Neutrix:
@@ -160,7 +162,7 @@ def n_mul(a: Neutrix, b: Neutrix) -> Neutrix:
     if a.is_zero or b.is_zero:
         return Neutrix.zero()
     kind = Kind.LIM if (a.kind is Kind.LIM and b.kind is Kind.LIM) else Kind.OSL
-    return Neutrix(a.exponent + b.exponent, kind)
+    return Neutrix(rational(a.exponent + b.exponent), kind)
 
 
 class Classification(enum.Enum):
@@ -276,6 +278,8 @@ class ExternalNumber:
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
             raise ValueError("powers must be non-negative integers")
+        if power > MAX_POWER:
+            raise BoundExceeded(f"power {power} above {MAX_POWER}")
         result = ExternalNumber.make(ONE)
         for _ in range(power):
             result = result * self
@@ -384,41 +388,58 @@ _INVERSE_MAX_TERMS = 48
 def regular_inverse(alpha: ExternalNumber) -> Optional[ExternalNumber]:
     """A beta with alpha*beta*alpha == alpha, or None if none is found.
 
-    The candidate representative is the geometric-series inverse of the
-    representative, truncated once further terms are absorbed by the
-    scaled neutrix.  With a zero neutrix only monomial representatives
-    are invertible in the finite-series model.
+    For ``alpha = a + A`` with ``a`` of valuation ``v``, beta's neutrix is
+    ``B = e^(-2v)*A`` and its representative is the series ``1/a`` less
+    the terms ``B`` absorbs: long division of 1 by ``a``, one quotient
+    term at a time, up to the first term ``B`` absorbs.  The product
+    check then runs once.
+
+    The search reaches as far as the geometric series
+    ``base * (1 + r + ... + r^k)``, ``k < 48``, with ``base`` the inverse
+    of ``a``'s leading term and ``r = 1 - a*base``: that partial sum
+    differs from ``1/a`` by a series of valuation ``-v + (k+1)*val(r)``,
+    so when ``B`` does not absorb ``-v + 48*val(r)`` there is no answer
+    within reach.  With a zero neutrix only monomial representatives are
+    invertible in the finite-series model.
     """
     a = alpha.rep
     if a.is_zero:
         return None
     v = a.valuation
-    base = EpsSeries.monomial(-v, 1 / a.leading_coefficient)
-    correction = ONE - a * base  # valuation > 0 unless a is a monomial
+    inverse_lead = rational(Fraction(1, a.leading_coefficient))
+    base = EpsSeries.monomial(-v, inverse_lead)
     if alpha.neutrix.is_zero:
         beta = ExternalNumber.make(base)
         return beta if alpha * beta * alpha == alpha else None
-    inv_neutrix = Neutrix(alpha.neutrix.exponent - 2 * v, alpha.neutrix.kind)
-    inv = base
-    power = ONE
-    for _ in range(_INVERSE_MAX_TERMS):
-        beta = ExternalNumber.make(inv, inv_neutrix)
-        if alpha * beta * alpha == alpha:
-            return beta
-        power = power * correction
-        if power.is_zero:
-            return None
-        inv = inv + base * power
-    return None
+    q, kind = alpha.neutrix.exponent, alpha.neutrix.kind
+    inv_neutrix = Neutrix(rational(q - 2 * v), kind)
+    # A remainder term at exponent x gives the quotient term at x - v,
+    # which B absorbs exactly when x lies past this cut.
+    cut = (rational(q - v), kind is Kind.LIM)
+    remainder = (ONE - a * base).truncate(cut)
+    if not remainder.is_zero and not inv_neutrix.absorbs(
+        -v + _INVERSE_MAX_TERMS * remainder.valuation
+    ):
+        return None
+    terms = [base.terms[0]]
+    while not remainder.is_zero:
+        term = EpsSeries.monomial(
+            remainder.valuation - v,
+            remainder.leading_coefficient * inverse_lead,
+        )
+        terms.append(term.terms[0])
+        remainder = remainder - a.__mul__(term, cut)
+    beta = ExternalNumber(EpsSeries(tuple(terms)), inv_neutrix)
+    return beta if alpha * beta * alpha == alpha else None
 
 
 class _ExternalExprParser(ExprParser):
     """Extends the series grammar with neutrix symbols L(q), o(q), osl, lim."""
 
-    def from_rational(self, value: Fraction):
+    def from_rational(self, value: Rational):
         return ExternalNumber.make(EpsSeries.from_rational(value))
 
-    def make_eps_power(self, exponent: Fraction):
+    def make_eps_power(self, exponent: Rational):
         return ExternalNumber.make(EpsSeries.monomial(exponent))
 
     def parse_name(self, token: Token):
@@ -435,7 +456,7 @@ class _ExternalExprParser(ExprParser):
             return ExternalNumber.make(ZERO, Neutrix.lim(0))
         return super().parse_name(token)
 
-    def parse_signed_rational(self) -> Fraction:
+    def parse_signed_rational(self) -> Rational:
         negative = False
         token = self.peek()
         if token.kind == "op" and token.text == "-":
@@ -444,7 +465,7 @@ class _ExternalExprParser(ExprParser):
             token = self.peek()
         if token.kind != "num":
             raise ParseError("expected a rational", token.pos)
-        value = Fraction(self.advance().text)
+        value = rational(Fraction(self.advance().text))
         return -value if negative else value
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .neutrix import ExternalNumber, Kind, Neutrix
-from .series import EpsSeries
+from .series import EpsSeries, Rational, rational
 
 __all__ = [
     "neutrix_samples",
@@ -25,20 +25,22 @@ __all__ = [
 ]
 
 
-#: ``_COEFFICIENTS[n + 9][d - 1] == Fraction(n, d)``: the sample
-#: coefficients, drawn as ``n = randint(-9, 9)`` then ``d = randint(1, 9)``.
+#: ``_COEFFICIENTS[n + 9][d - 1] == n/d``: the sample coefficients, drawn
+#: as ``rng.choice(rng.choice(_COEFFICIENTS))``, which makes the same
+#: ``rng`` calls as ``n = randint(-9, 9)`` then ``d = randint(1, 9)``.
 _COEFFICIENTS = tuple(
-    tuple(Fraction(n, d) for d in range(1, 10)) for n in range(-9, 10)
+    tuple(rational(Fraction(n, d)) for d in range(1, 10))
+    for n in range(-9, 10)
 )
-#: ``_OFFSETS[a - 1][b - 1] == Fraction(a, b)``: how far above ``q`` an
-#: ``o(q)`` sample starts, drawn as ``a = randint(1, 4)``, ``b = randint(1, 3)``.
+#: ``_OFFSETS[a - 1][b - 1] == a/b``: how far above ``q`` an ``o(q)``
+#: sample starts, drawn as ``a = randint(1, 4)`` then ``b = randint(1, 3)``.
 _OFFSETS = tuple(
-    tuple(Fraction(a, b) for b in range(1, 4)) for a in range(1, 5)
+    tuple(rational(Fraction(a, b)) for b in range(1, 4)) for a in range(1, 5)
 )
 
 
-def _rand_coeff(rng: random.Random) -> Fraction:
-    return _COEFFICIENTS[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1]
+def _rand_coeff(rng: random.Random) -> Rational:
+    return rng.choice(rng.choice(_COEFFICIENTS))
 
 
 def neutrix_samples(
@@ -58,7 +60,7 @@ def neutrix_samples(
         if neutrix.kind is Kind.LIM:
             exp = q
         else:
-            exp = q + _OFFSETS[rng.randint(1, 4) - 1][rng.randint(1, 3) - 1]
+            exp = rational(q + rng.choice(rng.choice(_OFFSETS)))
         first = (exp, _rand_coeff(rng))
         terms = (first,) if first[1] else ()
         if rng.random() < 0.4:
@@ -127,7 +129,7 @@ def strict_subset_witness(
         return EpsSeries.monomial(large.exponent + 1)
     # large is o(qL) with small at a strictly bigger exponent qS: pick the
     # midpoint exponent, inside o(qL) but below the small group.
-    mid = (large.exponent + small.exponent) / 2
+    mid = Fraction(large.exponent + small.exponent, 2)
     witness = EpsSeries.monomial(mid)
     if large.contains(witness) and not small.contains(witness):
         return witness

@@ -96,6 +96,18 @@ def _domain_range(domain, domains: Optional[Domains]):
     return range(lo, hi + 1)
 
 
+def _restore(env: Dict[str, int], var: str, outer: Optional[int]) -> None:
+    """Give ``var`` back the binding ``outer`` it had before a quantifier.
+
+    A quantifier that rebinds a variable of an enclosing one must leave the
+    outer binding in place for the rest of the enclosing body.
+    """
+    if outer is None:
+        env.pop(var, None)
+    else:
+        env[var] = outer
+
+
 def _eval_graded(
     formula: Formula,
     atoms: AtomFn,
@@ -131,12 +143,13 @@ def _eval_graded(
         return min(max(1 - left, right), max(1 - right, left))
     if isinstance(formula, (Forall, Exists)):
         values = []
+        outer = env.get(formula.var)
         for n in _domain_range(formula.domain, domains):
             env[formula.var] = n
             values.append(
                 _eval_graded(formula.body, atoms, propvars, domains, env)
             )
-        env.pop(formula.var, None)
+        _restore(env, formula.var, outer)
         if not values:
             raise UnboundAtom("empty quantifier domain")
         return min(values) if isinstance(formula, Forall) else max(values)
@@ -243,12 +256,13 @@ def eval_classical(
         ) == eval_classical(formula.right, cutoff, propvars, domains, env)
     if isinstance(formula, (Forall, Exists)):
         results = []
+        outer = env.get(formula.var)
         for n in _domain_range(formula.domain, domains):
             env[formula.var] = n
             results.append(
                 eval_classical(formula.body, cutoff, propvars, domains, env)
             )
-        env.pop(formula.var, None)
+        _restore(env, formula.var, outer)
         return all(results) if isinstance(formula, Forall) else any(results)
     raise TypeError(f"not a formula: {formula!r}")
 

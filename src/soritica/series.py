@@ -19,7 +19,7 @@ from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
-from .bounds import MAX_NESTING
+from .bounds import MAX_NESTING, MAX_POWER, BoundExceeded
 
 __all__ = [
     "EpsSeries",
@@ -29,6 +29,8 @@ __all__ = [
     "EPS",
     "OMEGA",
     "INFINITE_VALUATION",
+    "Rational",
+    "rational",
     "parse_series",
 ]
 
@@ -45,20 +47,35 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+#: An exact rational in the number core's one form: an ``int`` when it is
+#: integral, a ``Fraction`` otherwise.
+Rational = int | Fraction
+
+
+def rational(value) -> Rational:
+    """``value`` in the number core's form: an ``int`` or a ``Fraction``.
+
+    Every exponent and coefficient is built through here.  ``int``
+    arithmetic is about a hundred times cheaper than ``Fraction``
+    arithmetic, and the two forms are interchangeable: ``1 == Fraction(1)``,
+    their hashes agree and they print the same text.  A value that skips
+    this only costs time, never exactness.
+    """
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
-Terms = Tuple[Tuple[Fraction, Fraction], ...]
+Terms = Tuple[Tuple[Rational, Rational], ...]
 
 #: ``(q, closed)`` absorbs every exponent above ``q``, and ``q`` itself
 #: when ``closed``: the exponents of the neutrix ``L(q)`` (closed) or
 #: ``o(q)`` (open).
-Cut = Tuple[Fraction, bool]
+Cut = Tuple[Rational, bool]
 
 _exponent = itemgetter(0)
 
@@ -90,7 +107,7 @@ def _merge(xs: Terms, ys: Terms) -> Terms:
         else:
             coeff = cx + cy
             if coeff:
-                out.append((ex, coeff))
+                out.append((ex, rational(coeff)))
             i += 1
             j += 1
     return (*out, *xs[i:], *ys[j:])
@@ -109,7 +126,10 @@ def _product(xs: Terms, ys: Terms, cut: Optional[Cut]) -> Terms:
         row = ys if cut is None else ys[: _kept(ys, (cut[0] - ex, cut[1]))]
         if not row:
             break
-        total = _merge(total, tuple([(ex + ey, cx * cy) for ey, cy in row]))
+        total = _merge(
+            total,
+            tuple([(rational(ex + ey), rational(cx * cy)) for ey, cy in row]),
+        )
     return total
 
 
@@ -120,6 +140,7 @@ class EpsSeries:
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
     increasing exponents and no zero coefficients; the empty tuple is 0.
+    Each exponent and coefficient is in the form :func:`rational` gives.
     Every operation relies on this invariant and keeps it: a sum merges
     two sorted tuples, a product merges its shifted rows, and the terms a
     neutrix absorbs are always a suffix (see :meth:`truncate`).  The
@@ -130,33 +151,33 @@ class EpsSeries:
     terms: Terms = ()
 
     @staticmethod
-    def from_terms(pairs: Iterable[Tuple[Fraction, Fraction]]) -> "EpsSeries":
+    def from_terms(pairs: Iterable[Tuple[Rational, Rational]]) -> "EpsSeries":
         """Canonical series of any pairs: sorted, with equal exponents summed."""
         ordered = sorted(
-            ((_as_fraction(exp), _as_fraction(coeff)) for exp, coeff in pairs),
+            ((rational(exp), rational(coeff)) for exp, coeff in pairs),
             key=_exponent,
         )
         summed = []
         for exp, coeff in ordered:
             if summed and summed[-1][0] == exp:
-                summed[-1] = (exp, summed[-1][1] + coeff)
+                summed[-1] = (exp, rational(summed[-1][1] + coeff))
             else:
                 summed.append((exp, coeff))
         return EpsSeries(tuple([term for term in summed if term[1]]))
 
     @staticmethod
     def from_rational(value) -> "EpsSeries":
-        value = _as_fraction(value)
+        value = rational(value)
         if value == 0:
             return EpsSeries()
-        return EpsSeries(((Fraction(0), value),))
+        return EpsSeries(((0, value),))
 
     @staticmethod
     def monomial(exponent, coefficient=1) -> "EpsSeries":
-        coefficient = _as_fraction(coefficient)
+        coefficient = rational(coefficient)
         if coefficient == 0:
             return EpsSeries()
-        return EpsSeries(((_as_fraction(exponent), coefficient),))
+        return EpsSeries(((rational(exponent), coefficient),))
 
     # -- structure ---------------------------------------------------------
 
@@ -172,9 +193,9 @@ class EpsSeries:
         return self.terms[0][0]
 
     @property
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Rational:
         if not self.terms:
-            return Fraction(0)
+            return 0
         return self.terms[0][1]
 
     def sign(self) -> int:
@@ -237,6 +258,8 @@ class EpsSeries:
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
             raise ValueError("series powers must be non-negative integers")
+        if power > MAX_POWER:
+            raise BoundExceeded(f"power {power} above {MAX_POWER}")
         result = ONE
         for _ in range(power):
             result = result * self
@@ -251,12 +274,6 @@ class EpsSeries:
     def compare(self, other) -> int:
         """Three-way comparison: -1, 0, or 1."""
         return (self - other).sign()
-
-    # -- numeric sampling --------------------------------------------------
-
-    def evaluate(self, eps_value: float) -> float:
-        """Substitute a concrete small positive value for ``e``."""
-        return sum(float(c) * eps_value ** float(q) for q, c in self.terms)
 
     # -- text --------------------------------------------------------------
 
@@ -341,10 +358,10 @@ class ExprParser:
 
     # hooks ---------------------------------------------------------------
 
-    def from_rational(self, value: Fraction):
+    def from_rational(self, value: Rational):
         return EpsSeries.from_rational(value)
 
-    def make_eps_power(self, exponent: Fraction):
+    def make_eps_power(self, exponent: Rational):
         return EpsSeries.monomial(exponent)
 
     def parse_name(self, token: Token):
@@ -352,7 +369,7 @@ class ExprParser:
             if self.peek().kind == "op" and self.peek().text == "^":
                 self.advance()
                 return self.make_eps_power(self.parse_exponent())
-            return self.make_eps_power(Fraction(1))
+            return self.make_eps_power(1)
         raise ParseError(f"unknown symbol {token.text!r}", token.pos)
 
     # machinery -----------------------------------------------------------
@@ -415,7 +432,7 @@ class ExprParser:
     def parse_primary(self):
         token = self.advance()
         if token.kind == "num":
-            return self.from_rational(Fraction(token.text))
+            return self.from_rational(rational(Fraction(token.text)))
         if token.kind == "name":
             return self.parse_name(token)
         if token.kind == "op" and token.text == "(":
@@ -426,7 +443,7 @@ class ExprParser:
             return value
         raise ParseError("expected a value", token.pos)
 
-    def parse_exponent(self) -> Fraction:
+    def parse_exponent(self) -> Rational:
         token = self.peek()
         negative = False
         parenthesized = False
@@ -440,7 +457,7 @@ class ExprParser:
             token = self.peek()
         if token.kind != "num":
             raise ParseError("expected an exponent", token.pos)
-        value = Fraction(self.advance().text)
+        value = rational(Fraction(self.advance().text))
         if parenthesized:
             self.expect_op(")")
         return -value if negative else value

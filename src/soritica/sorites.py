@@ -34,7 +34,6 @@ __all__ = [
     "ChainThroughWitness",
     "BackendUnsupported",
     "ConfigError",
-    "DEFAULT_WITNESSES",
     "barnes_check",
     "run_induction",
     "run_conditional",
@@ -79,13 +78,6 @@ class Witness:
 
 
 ModelInteger = Union[Naive, Witness]
-
-DEFAULT_WITNESSES: Tuple[Witness, ...] = (
-    Witness(parse_series("e^(-1)")),
-    Witness(parse_series("e^(-2)")),
-    Witness(parse_series("e^(-1) + 7")),
-)
-
 
 # -- backends --------------------------------------------------------------
 

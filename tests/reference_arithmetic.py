@@ -3,14 +3,15 @@
 These are the plain versions the sorted-merge core replaced: every sum
 and product collects its terms in a dict keyed by exponent, and
 canonicalization asks the neutrix about each representative term, one
-monomial at a time.  Neutrix inclusion compares key tuples.  They share
-no code with the merge, the cut, the truncated product or
-``Neutrix.includes``.
+monomial at a time.  Neutrix inclusion compares key tuples.  The regular
+inverse is searched by a geometric series.  They share no code with the
+merge, the cut, the truncated product, ``Neutrix.includes`` or the long
+division.
 """
 
 from fractions import Fraction
 
-from soritica.neutrix import ExternalNumber, Kind, n_mul, n_scale
+from soritica.neutrix import ExternalNumber, Kind, Neutrix, n_mul, n_scale
 from soritica.series import EpsSeries
 
 
@@ -74,3 +75,36 @@ def ref_includes(a, b):
 
 def ref_n_max(*neutrices):
     return max(neutrices, key=_ref_size_key)
+
+
+_REF_INVERSE_MAX_TERMS = 48
+
+
+def ref_regular_inverse(alpha):
+    """The geometric-series search ``regular_inverse`` replaced.
+
+    Grows ``base * (1 + r + r^2 + ...)``, ``r = 1 - a*base``, one power at
+    a time and runs the full check ``alpha*beta*alpha == alpha`` after
+    each, for at most 48 partial sums.
+    """
+    a = alpha.rep
+    if a.is_zero:
+        return None
+    v = a.valuation
+    base = EpsSeries.monomial(-v, Fraction(1) / a.leading_coefficient)
+    correction = EpsSeries.from_rational(1) - a * base
+    if alpha.neutrix.is_zero:
+        beta = ExternalNumber.make(base)
+        return beta if alpha * beta * alpha == alpha else None
+    inv_neutrix = Neutrix(alpha.neutrix.exponent - 2 * v, alpha.neutrix.kind)
+    inv = base
+    power = EpsSeries.from_rational(1)
+    for _ in range(_REF_INVERSE_MAX_TERMS):
+        beta = ExternalNumber.make(inv, inv_neutrix)
+        if alpha * beta * alpha == alpha:
+            return beta
+        power = power * correction
+        if power.is_zero:
+            return None
+        inv = inv + base * power
+    return None

@@ -41,12 +41,16 @@ from soritica.series import (
     parse_series,
 )
 
+from soritica.bounds import MAX_POWER
+from soritica.laws import rand_external, rand_invertible_external
+
 from reference_arithmetic import (
     ref_external_mul,
     ref_includes,
     ref_make,
     ref_mul,
     ref_n_max,
+    ref_regular_inverse,
 )
 
 F = Fraction
@@ -360,6 +364,62 @@ class TestRegularity:
     def test_no_zero_divisors(self, a, b):
         if (a * b).is_zero:
             assert a.is_zero or b.is_zero
+
+
+class TestRegularInverseAgainstLoop:
+    """Long division gives the geometric-series loop's result, None included."""
+
+    @given(externals)
+    @settings(max_examples=200)
+    def test_hypothesis_inputs(self, alpha):
+        assert regular_inverse(alpha) == ref_regular_inverse(alpha)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200)
+    def test_drawn_inputs(self, seed):
+        rng = random.Random(seed)
+        for alpha in (rand_invertible_external(rng), rand_external(rng)):
+            assert regular_inverse(alpha) == ref_regular_inverse(alpha)
+
+    @pytest.mark.parametrize("w", [F(1, 2), F(1, 3), F(2, 5)])
+    @pytest.mark.parametrize("steps", [47, 48, 49])
+    @pytest.mark.parametrize("kind", [Kind.LIM, Kind.OSL])
+    @pytest.mark.parametrize("v", [-1, F(1, 2)])
+    def test_near_the_term_cap(self, w, steps, kind, v):
+        # The loop's k-th partial sum misses 1/a by valuation -v + (k+1)*w,
+        # so its last check (k = 47) passes iff the inverse neutrix, at
+        # exponent v - 2v + steps*w, absorbs -v + 48*w: for L(.) up to 48
+        # steps, for o(.) up to 47.  Past that both give None.
+        rep = EpsSeries.from_terms([(v, 3), (v + w, F(-1, 2))])
+        alpha = ExternalNumber.make(rep, Neutrix(v + steps * w, kind))
+        got = regular_inverse(alpha)
+        assert got == ref_regular_inverse(alpha)
+        assert (got is None) == (steps > 48 or (steps == 48 and kind is Kind.OSL))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0",
+            "L(1)",
+            "1 + e",
+            "e^(-1) + 2*e^(1/2)",
+            "1 + e^(1/100) + L(1)",
+            "1 + e^(1/100) + o(12/25)",
+            "2 + e + e^(3/2) + o(3)",
+        ],
+    )
+    def test_fixed_inputs(self, text):
+        alpha = en(text)
+        assert regular_inverse(alpha) == ref_regular_inverse(alpha)
+
+
+class TestPowerBound:
+    def test_at_the_bound(self):
+        assert en("e") ** MAX_POWER == ExternalNumber.make(EpsSeries.monomial(MAX_POWER))
+
+    def test_past_the_bound(self):
+        with pytest.raises(BoundExceeded):
+            en("1 + osl") ** (MAX_POWER + 1)
 
 
 class TestNeutrixScaleProperties:

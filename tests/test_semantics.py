@@ -306,3 +306,38 @@ class TestTables:
         text = kleene_tables()
         assert "1     1/2   1     1/2   1/2   1/2" in text
         assert "1/2   1/2   1/2   1/2   1/2   1/2" in text
+
+
+class TestReboundVariable:
+    """An inner quantifier over the outer one's variable leaves it bound.
+
+    Each evaluator gives the formula the values of its alpha-renamed form.
+    """
+
+    TEXT = "forall n in 1..3. (forall n in 1..2. S(n)) | S(n)"
+    RENAMED = "forall n in 1..3. (forall m in 1..2. S(m)) | S(n)"
+
+    def test_classical(self):
+        f, g = parse_formula(self.TEXT), parse_formula(self.RENAMED)
+        # S(n) iff n < cutoff: the inner forall holds from cutoff 3 on, and
+        # then every disjunct does.
+        expected = [False, False, False, True, True]
+        for cutoff, want in enumerate(expected):
+            assert eval_classical(f, cutoff) is want
+            assert eval_classical(g, cutoff) is want
+
+    def test_k3(self):
+        f, g = parse_formula(self.TEXT), parse_formula(self.RENAMED)
+        for values, want in (
+            ((TRUE, FALSE, FALSE), FALSE),
+            ((TRUE, HALF, FALSE), HALF),
+            ((TRUE, TRUE, FALSE), TRUE),
+        ):
+            atoms = {("S", n): value for n, value in zip((1, 2, 3), values)}
+            assert eval_k3(f, atoms) == eval_k3(g, atoms) == want
+
+    def test_fuzzy(self):
+        f, g = parse_formula(self.TEXT), parse_formula(self.RENAMED)
+        degrees = {("S", 1): F(9, 10), ("S", 2): F(3, 5), ("S", 3): F(1, 5)}
+        # n = 3: max(min(9/10, 3/5), 1/5) = 3/5 is the least disjunct.
+        assert eval_fuzzy(f, degrees) == eval_fuzzy(g, degrees) == F(3, 5)

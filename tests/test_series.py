@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from soritica.bounds import MAX_NESTING
+from soritica.bounds import MAX_NESTING, MAX_POWER, BoundExceeded
 from soritica.neutrix import parse_external
 from soritica.series import (
     EPS,
@@ -43,10 +43,15 @@ series_values = st.lists(
 ).map(EpsSeries.from_terms)
 
 
+def evaluate(x: EpsSeries, eps_value: float) -> float:
+    """Float oracle: substitute a concrete small positive value for ``e``."""
+    return sum(float(c) * eps_value ** float(q) for q, c in x.terms)
+
+
 def sampled_equal(x: EpsSeries, y: EpsSeries, k: int = 6) -> bool:
     """Numeric oracle: substitute a tiny epsilon into both sides."""
     eps = 10.0**-k
-    lhs, rhs = x.evaluate(eps), y.evaluate(eps)
+    lhs, rhs = evaluate(x, eps), evaluate(y, eps)
     scale = max(abs(lhs), abs(rhs), 1.0)
     return abs(lhs - rhs) / scale < 1e-6
 
@@ -82,12 +87,17 @@ class TestArithmetic:
         assert x**3 == x * x * x
         assert x**0 == ONE
 
+    def test_pow_bound(self):
+        assert EPS**MAX_POWER == EpsSeries.monomial(MAX_POWER)
+        with pytest.raises(BoundExceeded):
+            series((0, 1), (1, 1)) ** (MAX_POWER + 1)
+
 
 class TestOrder:
     def test_omega_dominates_big_constants(self):
         assert OMEGA > EpsSeries.from_rational(1000000)
         # numeric oracle at a smaller epsilon
-        assert OMEGA.evaluate(1e-9) > 1000000
+        assert evaluate(OMEGA, 1e-9) > 1000000
 
     def test_reflexive_equal(self):
         x = series((1, 2), (2, -1))
