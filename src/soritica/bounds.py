@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
-__all__ = ["BoundExceeded", "MAX_NESTING", "MAX_POWER"]
+__all__ = ["BoundExceeded", "MAX_HEIGHT", "MAX_NESTING", "MAX_POWER"]
 
 
 class BoundExceeded(ValueError):
     """An input asks for more work than a fixed bound allows."""
 
 
-#: Deepest nesting of parentheses and prefix operators (unary ``-`` in
-#: number expressions, ``~`` in formulas) that either parser accepts.  The
-#: formula parser spends about six stack frames per level, so this stays
-#: well inside Python's default recursion limit of 1000.
+#: Deepest nesting of parentheses, prefix operators (unary ``-`` in number
+#: expressions, ``~`` in formulas) and quantifiers that either parser
+#: accepts.  A level of parentheses costs the formula parser six stack
+#: frames and the number parser four; a prefix operator or a quantifier
+#: costs one.  So 100 levels take at most about 600 of Python's default
+#: recursion limit of 1000.
 MAX_NESTING = 100
+
+#: Tallest formula tree the formula parser builds, a leaf counting 1.  A
+#: chain of connectives is read by a loop, so only this bound keeps a tree
+#: within what recursive walks over it can reach.  The printer, the
+#: evaluators and ``collect_variables`` spend one stack frame per level;
+#: the generated ``==`` and ``repr`` of the frozen dataclass nodes spend
+#: three, so 250 levels take about 750 of Python's default 1000 frames.
+MAX_HEIGHT = 250
 
 #: Largest integer power ``x ** n`` of a series or an external number.
 #: Each power is a chain of ``n`` products, and the terms of a power can

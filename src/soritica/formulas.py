@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .bounds import MAX_NESTING
+from .bounds import MAX_HEIGHT
+from .lexer import Descent, TextError, Token
 
 __all__ = [
     "Index",
@@ -34,11 +35,8 @@ __all__ = [
 ]
 
 
-class FormulaSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.message = message
-        self.position = position
+class FormulaSyntaxError(TextError):
+    """Raised on malformed formula text; carries the failing offset."""
 
 
 @dataclass(frozen=True)
@@ -125,79 +123,43 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"forall", "exists", "in"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", pos
-            )
-        tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
+class _Parser(Descent):
     """Recursive-descent formula parser.
 
-    Parentheses, ``~`` and quantifiers nest at most ``MAX_NESTING`` deep.
+    Parentheses, ``~`` and quantifiers nest at most ``MAX_NESTING`` deep,
+    and chains of connectives are read by loops, so the parser's own
+    recursion is bounded.  Each rule returns a formula and its height (a
+    leaf is 1); once the whole text has parsed, a formula taller than
+    ``MAX_HEIGHT`` is refused at the first node that crossed the bound.
     """
 
+    pattern = _TOKEN_RE
+    error = FormulaSyntaxError
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        if token.kind != "end":
-            self.index += 1
-        return token
-
-    def at_op(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "op" and token.text == text
-
-    def expect_op(self, text: str) -> _Token:
-        if not self.at_op(text):
-            token = self.peek()
-            raise FormulaSyntaxError(f"expected {text!r}", token.pos)
-        return self.advance()
-
-    def descend(self, token: _Token) -> None:
-        """Enter one more nesting level, opened by ``token``."""
-        if self.depth == MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels", token.pos
-            )
-        self.depth += 1
+        super().__init__(text)
+        self.too_tall: Optional[Token] = None
 
     def parse(self) -> Formula:
-        formula = self.parse_formula()
-        token = self.peek()
-        if token.kind != "end":
+        formula, _ = super().parse()
+        if self.too_tall is not None:
             raise FormulaSyntaxError(
-                f"unexpected token {token.text!r}", token.pos
+                f"formula taller than {MAX_HEIGHT} levels", self.too_tall.pos
             )
         return formula
 
-    def parse_formula(self) -> Formula:
+    def parse_root(self) -> Tuple[Formula, int]:
+        return self.parse_formula()
+
+    def node(self, token: Token, formula: Formula, height: int, other=0):
+        """``formula``, built at ``token`` on parts ``height`` and ``other``
+        tall, and its own height."""
+        height = (height if height > other else other) + 1
+        if height > MAX_HEIGHT and self.too_tall is None:
+            self.too_tall = token
+        return formula, height
+
+    def parse_formula(self) -> Tuple[Formula, int]:
         token = self.peek()
         if token.kind == "name" and token.text in ("forall", "exists"):
             self.advance()
@@ -214,64 +176,92 @@ class _Parser:
             self.advance()
             domain = self.parse_domain()
             self.expect_op(".")
-            body = self.parse_formula()
+            body, height = self.parse_formula()
             self.depth -= 1
             cls = Forall if token.text == "forall" else Exists
-            return cls(var_token.text, domain, body)
+            return self.node(token, cls(var_token.text, domain, body), height)
         return self.parse_iff()
 
     def parse_domain(self) -> Domain:
         token = self.peek()
         if token.kind == "num":
-            lo = int(self.advance().text)
+            lo = self.value(self.advance())
             self.expect_op("..")
             hi_token = self.peek()
             if hi_token.kind != "num":
                 raise FormulaSyntaxError(
                     "expected the domain upper bound", hi_token.pos
                 )
-            hi = int(self.advance().text)
+            hi = self.value(self.advance())
             return (lo, hi)
         if token.kind == "name" and token.text not in _KEYWORDS:
             return self.advance().text
         raise FormulaSyntaxError("expected a finite domain", token.pos)
 
-    def parse_iff(self) -> Formula:
-        formula = self.parse_implies()
+    def parse_iff(self) -> Tuple[Formula, int]:
+        first = self.parse_implies()
+        if not self.at_op("<->"):
+            return first
+        formula, height = first
         while self.at_op("<->"):
-            self.advance()
-            formula = Iff(formula, self.parse_implies())
-        return formula
+            token = self.advance()
+            right, right_height = self.parse_implies()
+            formula, height = self.node(
+                token, Iff(formula, right), height, right_height
+            )
+        return formula, height
 
-    def parse_implies(self) -> Formula:
-        formula = self.parse_or()
-        if self.at_op("->"):
-            self.advance()
-            return Implies(formula, self.parse_implies())
-        return formula
+    def parse_implies(self) -> Tuple[Formula, int]:
+        """``p -> q -> r`` is ``p -> (q -> r)``: read by a loop, folded right."""
+        last = self.parse_or()
+        if not self.at_op("->"):
+            return last
+        parts, ops = [last], []
+        while self.at_op("->"):
+            ops.append(self.advance())
+            parts.append(self.parse_or())
+        formula, height = parts.pop()
+        while ops:
+            left, left_height = parts.pop()
+            formula, height = self.node(
+                ops.pop(), Implies(left, formula), left_height, height
+            )
+        return formula, height
 
-    def parse_or(self) -> Formula:
-        formula = self.parse_and()
+    def parse_or(self) -> Tuple[Formula, int]:
+        first = self.parse_and()
+        if not self.at_op("|"):
+            return first
+        formula, height = first
         while self.at_op("|"):
-            self.advance()
-            formula = Or(formula, self.parse_and())
-        return formula
+            token = self.advance()
+            right, right_height = self.parse_and()
+            formula, height = self.node(
+                token, Or(formula, right), height, right_height
+            )
+        return formula, height
 
-    def parse_and(self) -> Formula:
-        formula = self.parse_unary()
+    def parse_and(self) -> Tuple[Formula, int]:
+        first = self.parse_unary()
+        if not self.at_op("&"):
+            return first
+        formula, height = first
         while self.at_op("&"):
-            self.advance()
-            formula = And(formula, self.parse_unary())
-        return formula
+            token = self.advance()
+            right, right_height = self.parse_unary()
+            formula, height = self.node(
+                token, And(formula, right), height, right_height
+            )
+        return formula, height
 
-    def parse_unary(self) -> Formula:
+    def parse_unary(self) -> Tuple[Formula, int]:
         token = self.peek()
         if self.at_op("~"):
             self.advance()
             self.descend(token)
-            formula = Not(self.parse_unary())
+            body, height = self.parse_unary()
             self.depth -= 1
-            return formula
+            return self.node(token, Not(body), height)
         if self.at_op("("):
             self.advance()
             self.descend(token)
@@ -285,14 +275,14 @@ class _Parser:
                 self.advance()
                 index = self.parse_index()
                 self.expect_op(")")
-                return Atom(token.text, index)
-            return PropVar(token.text)
+                return Atom(token.text, index), 1
+            return PropVar(token.text), 1
         raise FormulaSyntaxError("expected a formula", token.pos)
 
     def parse_index(self) -> Index:
         token = self.peek()
         if token.kind == "num":
-            return Index(None, int(self.advance().text))
+            return Index(None, self.value(self.advance()))
         if token.kind == "name" and token.text not in _KEYWORDS:
             var = self.advance().text
             offset = 0
@@ -303,7 +293,7 @@ class _Parser:
                     raise FormulaSyntaxError(
                         "expected an offset", num_token.pos
                     )
-                offset = int(self.advance().text)
+                offset = self.value(self.advance())
             return Index(var, offset)
         raise FormulaSyntaxError("expected an index term", token.pos)
 

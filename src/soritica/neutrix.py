@@ -22,15 +22,14 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .bounds import MAX_POWER, BoundExceeded
+from .lexer import Token
 from .series import (
     ONE,
     ZERO,
     Cut,
     EpsSeries,
     ExprParser,
-    ParseError,
     Rational,
-    Token,
     rational,
 )
 
@@ -446,7 +445,7 @@ class _ExternalExprParser(ExprParser):
         name = token.text
         if name in ("L", "o"):
             self.expect_op("(")
-            exponent = self.parse_signed_rational()
+            exponent = self.parse_signed_rational("a rational")
             self.expect_op(")")
             kind = Kind.LIM if name == "L" else Kind.OSL
             return ExternalNumber.make(ZERO, Neutrix(exponent, kind))
@@ -455,18 +454,6 @@ class _ExternalExprParser(ExprParser):
         if name in ("lim", "£"):
             return ExternalNumber.make(ZERO, Neutrix.lim(0))
         return super().parse_name(token)
-
-    def parse_signed_rational(self) -> Rational:
-        negative = False
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            negative = True
-            self.advance()
-            token = self.peek()
-        if token.kind != "num":
-            raise ParseError("expected a rational", token.pos)
-        value = rational(Fraction(self.advance().text))
-        return -value if negative else value
 
 
 def parse_external(text: str) -> ExternalNumber:

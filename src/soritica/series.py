@@ -19,7 +19,8 @@ from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
-from .bounds import MAX_NESTING, MAX_POWER, BoundExceeded
+from .bounds import MAX_POWER, BoundExceeded
+from .lexer import Descent, TextError, Token
 
 __all__ = [
     "EpsSeries",
@@ -38,13 +39,8 @@ __all__ = [
 INFINITE_VALUATION = math.inf
 
 
-class ParseError(ValueError):
-    """Raised on malformed textual input; carries the failing offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.message = message
-        self.position = position
+class ParseError(TextError):
+    """Raised on malformed number expressions; carries the failing offset."""
 
 
 #: An exact rational in the number core's one form: an ``int`` when it is
@@ -315,34 +311,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        _, slash, denominator = m.group().partition("/")
-        if kind == "num" and slash and int(denominator) == 0:
-            raise ParseError(f"zero denominator in {m.group()!r}", pos)
-        tokens.append(Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(Token("end", "", len(text)))
-    return tokens
-
-
-class ExprParser:
+class ExprParser(Descent):
     """Recursive-descent parser for ``+ - *`` expressions over series.
 
     Subclasses may extend :meth:`parse_name` to add further primaries
@@ -350,11 +319,8 @@ class ExprParser:
     Parentheses and unary minus nest at most ``MAX_NESTING`` deep.
     """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.index = 0
-        self.depth = 0
+    pattern = _TOKEN_RE
+    error = ParseError
 
     # hooks ---------------------------------------------------------------
 
@@ -366,43 +332,16 @@ class ExprParser:
 
     def parse_name(self, token: Token):
         if token.text == "e":
-            if self.peek().kind == "op" and self.peek().text == "^":
+            if self.at_op("^"):
                 self.advance()
                 return self.make_eps_power(self.parse_exponent())
             return self.make_eps_power(1)
         raise ParseError(f"unknown symbol {token.text!r}", token.pos)
 
-    # machinery -----------------------------------------------------------
+    # grammar -------------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind != "end":
-            self.index += 1
-        return token
-
-    def expect_op(self, text: str) -> Token:
-        token = self.peek()
-        if token.kind != "op" or token.text != text:
-            raise ParseError(f"expected {text!r}", token.pos)
-        return self.advance()
-
-    def descend(self, token: Token) -> None:
-        """Enter one more nesting level, opened by ``token``."""
-        if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"nesting deeper than {MAX_NESTING} levels", token.pos
-            )
-        self.depth += 1
-
-    def parse(self):
-        value = self.parse_sum()
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected token {token.text!r}", token.pos)
-        return value
+    def parse_root(self):
+        return self.parse_sum()
 
     def parse_sum(self):
         value = self.parse_product()
@@ -414,14 +353,14 @@ class ExprParser:
 
     def parse_product(self):
         value = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
+        while self.at_op("*"):
             self.advance()
             value = value * self.parse_factor()
         return value
 
     def parse_factor(self):
         token = self.peek()
-        if token.kind == "op" and token.text == "-":
+        if self.at_op("-"):
             self.advance()
             self.descend(token)
             value = -self.parse_factor()
@@ -432,7 +371,7 @@ class ExprParser:
     def parse_primary(self):
         token = self.advance()
         if token.kind == "num":
-            return self.from_rational(rational(Fraction(token.text)))
+            return self.from_rational(self.value(token))
         if token.kind == "name":
             return self.parse_name(token)
         if token.kind == "op" and token.text == "(":
@@ -444,23 +383,14 @@ class ExprParser:
         raise ParseError("expected a value", token.pos)
 
     def parse_exponent(self) -> Rational:
-        token = self.peek()
-        negative = False
-        parenthesized = False
-        if token.kind == "op" and token.text == "(":
-            parenthesized = True
+        """A signed rational, optionally in parentheses: ``2``, ``(-1/2)``."""
+        parenthesized = self.at_op("(")
+        if parenthesized:
             self.advance()
-            token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            negative = True
-            self.advance()
-            token = self.peek()
-        if token.kind != "num":
-            raise ParseError("expected an exponent", token.pos)
-        value = rational(Fraction(self.advance().text))
+        value = self.parse_signed_rational("an exponent")
         if parenthesized:
             self.expect_op(")")
-        return -value if negative else value
+        return value
 
 
 def parse_series(text: str) -> EpsSeries:

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 from importlib import resources
 
 import pytest
 
+from soritica import cli, laws
+from soritica.bounds import MAX_NESTING
 from soritica.cli import main
 
 FIXTURES = resources.files("soritica") / "fixtures"
@@ -161,3 +164,118 @@ class TestInProcessCalls:
         assert code == 2
         assert out == ""
         assert err.startswith("syntax error: nesting deeper than")
+
+
+def _failing_law(monkeypatch):
+    law = dataclasses.replace(laws.LAWS[0], check=lambda instance, rng: False)
+    monkeypatch.setattr(laws, "LAWS", (law,))
+
+
+def _failing_oracle(monkeypatch):
+    monkeypatch.setattr(cli, "mutual_membership_check", lambda *args: False)
+
+
+DEEP = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
+
+#: ``(argv, exit code, stream, first line, patch)``; ``{fixtures}`` and
+#: ``{bad}`` name the bundled fixtures and a config with a bad field.
+CONTRACT = [
+    (["numbers", "eval", "1 + osl"], 0, "out", "1 + o(0)", None),
+    (["numbers", "eval", "--oracle", "1 + osl"], 0, "out", "1 + o(0)", None),
+    (
+        ["numbers", "eval", "1 @"],
+        2,
+        "err",
+        "syntax error: unexpected character '@' (at offset 2)",
+        None,
+    ),
+    (
+        ["numbers", "eval", "2 + 3/0"],
+        2,
+        "err",
+        "syntax error: zero denominator in '3/0' (at offset 4)",
+        None,
+    ),
+    (
+        ["numbers", "eval", DEEP],
+        2,
+        "err",
+        f"syntax error: nesting deeper than {MAX_NESTING} levels"
+        f" (at offset {MAX_NESTING})",
+        None,
+    ),
+    (
+        ["numbers", "eval", "1" * 5000],
+        2,
+        "err",
+        "syntax error: numeral longer than 4300 digits (at offset 0)",
+        None,
+    ),
+    (
+        ["numbers", "eval", "--oracle", "1 + osl"],
+        1,
+        "out",
+        "1 + o(0)",
+        _failing_oracle,
+    ),
+    (["tables"], 0, "out", "p     ~p", None),
+    (
+        ["laws", "--n", "1"],
+        0,
+        "out",
+        "soritica 0.1.0 law suite (seed 0, n 1)",
+        None,
+    ),
+    (["laws", "--n", "0"], 2, "err", "laws: --n must be >= 1", None),
+    (
+        ["laws", "--n", "1"],
+        1,
+        "out",
+        "soritica 0.1.0 law suite (seed 0, n 1)",
+        _failing_law,
+    ),
+    (
+        ["sorites", "run", "{fixtures}/classical_cutoff5.json"],
+        0,
+        "out",
+        "scenario: classical_cutoff5",
+        None,
+    ),
+    (
+        ["sorites", "run", "{bad}"],
+        2,
+        "err",
+        "config error at /backend/type: unknown backend type 'wat'",
+        None,
+    ),
+    (
+        ["sorites", "run", "/nonexistent.json"],
+        2,
+        "err",
+        "cannot read config: [Errno 2] No such file or directory:"
+        " '/nonexistent.json'",
+        None,
+    ),
+    ([], 2, "err", "usage: soritica [-h] [--version] {numbers,tables,laws,sorites} ...", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, first, patch", CONTRACT)
+def test_exit_code_contract(
+    capsys, monkeypatch, tmp_path, argv, code, stream, first, patch
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"name": "bad", "range": [1, 10], "backend": {"type": "wat"}})
+    )
+    if patch is not None:
+        patch(monkeypatch)
+    argv = [arg.format(fixtures=FIXTURES, bad=bad) for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    text = captured.out if stream == "out" else captured.err
+    assert got == code
+    assert text.splitlines()[0] == first

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from soritica.bounds import MAX_NESTING
+from soritica import semantics
+from soritica.bounds import MAX_HEIGHT, MAX_NESTING
 from soritica.formulas import (
     And,
     Atom,
@@ -114,3 +115,70 @@ class TestNestingLimit:
     def test_siblings_do_not_add_up(self):
         text = " & ".join(["(~p)"] * (2 * MAX_NESTING))
         assert formula_to_str(parse_formula(text)).count("~p") == 2 * MAX_NESTING
+
+
+CONNECTIVES = ["->", "&", "|", "<->"]
+
+
+def chain(op, operands):
+    return f" {op} ".join(["p"] * operands)
+
+
+class TestHeightLimit:
+    @pytest.mark.parametrize("op", CONNECTIVES)
+    def test_long_chain_is_a_syntax_error(self, op):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(chain(op, 10**4))
+        assert info.value.message == f"formula taller than {MAX_HEIGHT} levels"
+
+    @pytest.mark.parametrize("op", CONNECTIVES)
+    def test_chain_at_the_bound(self, op):
+        text = chain(op, MAX_HEIGHT)
+        formula = parse_formula(text)
+        assert formula_to_str(formula) == text
+        assert parse_formula(formula_to_str(formula)) == formula
+        assert semantics.collect_variables(formula) == ("p",)
+        assert semantics.eval_classical(formula, propvars={"p": True})
+        assert semantics.eval_k3(formula, propvars={"p": 1}) == 1
+        assert semantics.eval_fuzzy(formula, propvars={"p": 1}) == 1
+        assert (
+            semantics.eval_super(formula, [1, 2], propvars={"p": True})
+            is semantics.SuperVerdict.SUPERTRUE
+        )
+
+    @pytest.mark.parametrize(
+        # The node past the bound is the root: the last '&' of the left
+        # fold, the first '->' of the right fold.
+        "op, find",
+        [("&", str.rindex), ("->", str.index)],
+    )
+    def test_offset_of_the_crossing_node(self, op, find):
+        text = chain(op, MAX_HEIGHT + 1)
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        assert info.value.position == find(text, op)
+
+    @pytest.mark.parametrize(
+        "prefix, position", [("~", 0), ("forall n in 1..2. ", 0)]
+    )
+    def test_prefix_node_crossing(self, prefix, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(prefix + "(" + chain("&", MAX_HEIGHT) + ")")
+        assert info.value.position == position
+
+    def test_syntax_error_reported_before_height(self):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(chain("&", 10**4) + " )")
+        assert info.value.message == "unexpected token ')'"
+
+
+class TestLongNumerals:
+    @pytest.mark.parametrize(
+        "text, position",
+        [("S(" + "1" * 5000 + ")", 2), ("exists n in 1.." + "9" * 5000 + ". S(n)", 15)],
+    )
+    def test_typed_error_at_the_literal(self, text, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        assert info.value.position == position
+        assert info.value.message.startswith("numeral longer than")

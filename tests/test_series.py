@@ -252,3 +252,41 @@ class TestNestingLimit:
     def test_siblings_do_not_add_up(self):
         text = " + ".join(["(-1)"] * (2 * MAX_NESTING))
         assert parse_series(text) == EpsSeries.from_rational(-2 * MAX_NESTING)
+
+
+LONG = "7" * 5000
+
+
+class TestLongNumerals:
+    @pytest.mark.parametrize("parse", [parse_series, parse_external])
+    @pytest.mark.parametrize(
+        "text, position",
+        [(LONG, 0), ("2 + 1/" + LONG, 4), ("e^(-" + LONG + ")", 4), ("1/" + "0" * 5000, 0)],
+    )
+    def test_typed_error_at_the_literal(self, parse, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert info.value.message.startswith("numeral longer than")
+
+    def test_neutrix_exponent(self):
+        with pytest.raises(ParseError) as info:
+            parse_external("osl + L(" + LONG + ")")
+        assert info.value.position == 8
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x + " + LONG, "unknown symbol 'x'"), (LONG + " @", "unexpected character '@'")],
+    )
+    def test_earlier_errors_come_first(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_series(text)
+        assert info.value.message == message
+
+    def test_zero_denominator_checked_first(self):
+        with pytest.raises(ParseError) as info:
+            parse_series(LONG + "/0")
+        assert info.value.message.startswith("zero denominator")
+
+    def test_long_literal_within_the_limit(self):
+        assert parse_series("9" * 4000) == EpsSeries.from_rational(10**4000 - 1)
