@@ -80,14 +80,20 @@ def _cmd_numbers_eval(args) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    print(value)
+    try:
+        text = str(value)
+    except ValueError:  # a numeral past the int-to-str digit limit
+        digits = sys.get_int_max_str_digits()
+        print(f"cannot print result: numeral over {digits} digits", file=sys.stderr)
+        return 2
+    print(text)
     label = classify(value).value
     if label == "NeutrixOnly":
         label = f"NeutrixOnly({value.neutrix.kind.name.title()})"
     print(label)
     if args.oracle:
         rng = random.Random(args.seed)
-        reparsed = parse_external(str(value))
+        reparsed = parse_external(text)
         ok = value == reparsed and mutual_membership_check(
             value, reparsed, rng
         )

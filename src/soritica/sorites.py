@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import __version__
-from .formulas import Atom, Index
 from .neutrix import ExternalNumber, classify
-from .semantics import HALF, TRUE, FALSE, SuperVerdict, eval_super
+from .semantics import HALF, TRUE, FALSE, SuperVerdict
 from .series import EpsSeries, ParseError, parse_series
 
 __all__ = [
@@ -89,6 +88,8 @@ class ClassicalCutoff:
     cutoff: int
 
     id = "classical_cutoff"
+    #: Step detail when all steps over ``{lo}..{hi}`` hold, and when step ``{n}`` fails.
+    step_wording = ("step designated-true for every sampled n", "step fails at n={n}")
 
     def truth(self, n: int) -> bool:
         return n < self.cutoff
@@ -98,6 +99,9 @@ class ClassicalCutoff:
 
     def designated_false(self, n: int) -> bool:
         return not self.truth(n)
+
+    def step_holds(self, n: int) -> bool:
+        return n + 1 != self.cutoff
 
     def describe(self) -> str:
         return f"classical cutoff at {self.cutoff}"
@@ -111,6 +115,7 @@ class KleenePenumbra:
     t2: int
 
     id = "kleene_penumbra"
+    step_wording = ClassicalCutoff.step_wording
 
     def __post_init__(self):
         if self.t1 > self.t2:
@@ -128,6 +133,9 @@ class KleenePenumbra:
 
     def designated_false(self, n: int) -> bool:
         return self.truth(n) == FALSE
+
+    def step_holds(self, n: int) -> bool:
+        return n + 1 != self.t1
 
     def describe(self) -> str:
         return f"three-valued penumbra on {self.t1}..{self.t2}"
@@ -176,6 +184,9 @@ class FuzzyMembership:
     def implication(self, n: int) -> Fraction:
         return max(1 - self.truth(n), self.truth(n + 1))
 
+    def step_holds(self, n: int) -> bool:
+        return self.implication(n) >= self.threshold
+
     def describe(self) -> str:
         pts = ", ".join(f"({n}, {d})" for n, d in self.points)
         return f"fuzzy membership through {pts}"
@@ -188,22 +199,32 @@ class Superval:
     cutoffs: Tuple[int, ...]
 
     id = "superval"
+    step_wording = (
+        "step instance supertrue for every sampled n",
+        "step instance not supertrue at n={n} (some precisification cuts there)",
+    )
 
     def __post_init__(self):
         if not self.cutoffs:
             raise ValueError("precisification family must be nonempty")
 
     def truth(self, n: int) -> SuperVerdict:
-        return eval_super(Atom("S", Index(None, n)), self.cutoffs)
-
-    def verdict(self, formula) -> SuperVerdict:
-        return eval_super(formula, self.cutoffs)
+        # S(n) holds on the precisification at cutoff k exactly when n < k.
+        if n < min(self.cutoffs):
+            return SuperVerdict.SUPERTRUE
+        if n >= max(self.cutoffs):
+            return SuperVerdict.SUPERFALSE
+        return SuperVerdict.INDETERMINATE
 
     def designated_true(self, n: int) -> bool:
         return self.truth(n) is SuperVerdict.SUPERTRUE
 
     def designated_false(self, n: int) -> bool:
         return self.truth(n) is SuperVerdict.SUPERFALSE
+
+    def step_holds(self, n: int) -> bool:
+        # The step fails on the precisification at cutoff k exactly when k == n + 1.
+        return n + 1 not in self.cutoffs
 
     def describe(self) -> str:
         return f"supervaluation over cutoffs {list(self.cutoffs)}"
@@ -217,6 +238,10 @@ class Nonstandard:
     bound: Optional[EpsSeries] = None  # None: S(x) iff x is limited
 
     id = "nonstandard"
+    step_wording = (
+        "demonstrated on naive samples {lo}..{hi}; external induction covers "
+        "exactly the naive numbers",
+    ) * 2
 
     def holds(self, x: EpsSeries) -> bool:
         if self.bound is None:
@@ -231,6 +256,9 @@ class Nonstandard:
 
     def designated_false(self, n: int) -> bool:
         return not self.truth(n)
+
+    def step_holds(self, n: int) -> bool:
+        return not self.truth(n) or self.truth(n + 1)
 
     def describe(self) -> str:
         if self.bound is None:
@@ -255,6 +283,8 @@ class SoritesScenario:
     def __post_init__(self):
         if self.lo >= self.hi:
             raise ValueError("range must contain at least two indices")
+        if self.witnesses and not isinstance(self.backend, Nonstandard):
+            raise BackendUnsupported("witnesses apply to the nonstandard backend")
 
     def naive_indices(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -405,7 +435,7 @@ def barnes_check(scenario: SoritesScenario) -> BarnesResult:
     c1 = backend.designated_true(scenario.lo)
     evidence.append(f"S(a_{scenario.lo}) designated-true: {c1}")
 
-    if isinstance(backend, Nonstandard) and scenario.witnesses:
+    if scenario.witnesses:
         c2 = all(
             not backend.holds(w.series) for w in scenario.witnesses
         )
@@ -433,17 +463,23 @@ def barnes_check(scenario: SoritesScenario) -> BarnesResult:
     return BarnesResult(c1, c2, c3, tuple(evidence))
 
 
+def _first_failing_step(backend: Backend, lo: int, stop: int) -> Optional[int]:
+    """The least ``n`` in ``lo .. stop-1`` whose step S(n) -> S(n+1) fails."""
+    return next((n for n in range(lo, stop) if not backend.step_holds(n)), None)
+
+
+def _min_link(backend: FuzzyMembership, lo: int, stop: int) -> Fraction:
+    """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
+    return min((backend.implication(n) for n in range(lo, stop)), default=Fraction(1))
+
+
 def run_induction(scenario: SoritesScenario) -> InductionResult:
     backend = scenario.backend
     basis = backend.designated_true(scenario.lo)
-    witness_details: List[str] = []
 
     if isinstance(backend, FuzzyMembership):
         basis_degree = backend.truth(scenario.lo)
-        min_step = min(
-            backend.implication(n)
-            for n in range(scenario.lo, scenario.hi)
-        )
+        min_step = _min_link(backend, scenario.lo, scenario.hi)
         return InductionResult(
             basis=basis,
             basis_detail=f"degree of S(a_{scenario.lo}) = {basis_degree}",
@@ -453,63 +489,20 @@ def run_induction(scenario: SoritesScenario) -> InductionResult:
             witness_details=(),
         )
 
-    step_holds = True
-    counterexample = None
-    for n in range(scenario.lo, scenario.hi):
-        step_true = not backend.designated_true(n) or backend.designated_true(
-            n + 1
-        )
-        if isinstance(backend, Superval):
-            step_true = (
-                backend.verdict(
-                    _step_formula(n)
-                )
-                is SuperVerdict.SUPERTRUE
-            )
-        if not step_true:
-            step_holds = False
-            counterexample = n
-            break
-
-    if isinstance(backend, Nonstandard):
-        for w in scenario.witnesses:
-            holds = backend.holds(w.series)
-            cls = classify(ExternalNumber.make(w.series))
-            witness_details.append(
-                f"~S({w.series}): {not holds} "
-                f"(classified {cls.value})"
-            )
-        step_detail = (
-            "demonstrated on naive samples "
-            f"{scenario.lo}..{scenario.hi}; external induction covers "
-            "exactly the naive numbers"
-        )
-    elif isinstance(backend, Superval):
-        step_detail = "step instance supertrue for every sampled n"
-        if counterexample is not None:
-            step_detail = (
-                f"step instance not supertrue at n={counterexample} "
-                "(some precisification cuts there)"
-            )
-    else:
-        step_detail = "step designated-true for every sampled n"
-        if counterexample is not None:
-            step_detail = f"step fails at n={counterexample}"
-
+    counterexample = _first_failing_step(backend, scenario.lo, scenario.hi)
+    wording = backend.step_wording[counterexample is not None]
     return InductionResult(
         basis=basis,
         basis_detail=f"S(a_{scenario.lo}) designated-true: {basis}",
-        step_holds=step_holds,
+        step_holds=counterexample is None,
         step_counterexample=counterexample,
-        step_detail=step_detail,
-        witness_details=tuple(witness_details),
+        step_detail=wording.format(lo=scenario.lo, hi=scenario.hi, n=counterexample),
+        witness_details=tuple(
+            f"~S({w.series}): {not backend.holds(w.series)} "
+            f"(classified {classify(ExternalNumber.make(w.series)).value})"
+            for w in scenario.witnesses
+        ),
     )
-
-
-def _step_formula(n: int):
-    from .formulas import Implies
-
-    return Implies(Atom("S", Index(None, n)), Atom("S", Index(None, n + 1)))
 
 
 def _check_chain_length(scenario: SoritesScenario, length: ModelInteger):
@@ -553,14 +546,7 @@ def run_conditional(
 
     if isinstance(backend, FuzzyMembership):
         final = backend.truth(target)
-        min_link = (
-            min(
-                backend.implication(n)
-                for n in range(scenario.lo, target)
-            )
-            if target > scenario.lo
-            else Fraction(1)
-        )
+        min_link = _min_link(backend, scenario.lo, target)
         return ConditionalResult(
             completed=True,
             chain_length=str(target),
@@ -571,27 +557,16 @@ def run_conditional(
             ),
         )
 
-    for n in range(scenario.lo, target):
-        link_true = not backend.designated_true(n) or backend.designated_true(
-            n + 1
-        )
-        if isinstance(backend, Superval):
-            link_true = (
-                backend.verdict(_step_formula(n)) is SuperVerdict.SUPERTRUE
-            )
-        if not link_true:
-            return ConditionalResult(
-                completed=False,
-                chain_length=str(target),
-                failing_link=n,
-                conclusion=f"chain stops at link {n} -> {n + 1}",
-            )
-    designated = backend.designated_true(target)
+    n = _first_failing_step(backend, scenario.lo, target)
     return ConditionalResult(
-        completed=True,
+        completed=n is None,
         chain_length=str(target),
-        failing_link=None,
-        conclusion=f"S(a_{target}) designated-true: {designated}",
+        failing_link=n,
+        conclusion=(
+            f"S(a_{target}) designated-true: {backend.designated_true(target)}"
+            if n is None
+            else f"chain stops at link {n} -> {n + 1}"
+        ),
     )
 
 
@@ -677,6 +652,35 @@ def _require(config: dict, key: str, pointer: str):
     return config[key]
 
 
+def _points(points) -> Tuple[Tuple[int, Fraction], ...]:
+    return tuple((_integer(n), Fraction(str(degree))) for n, degree in points)
+
+
+def _bound(threshold) -> Optional[EpsSeries]:
+    return None if threshold == "limited" else parse_series(str(threshold))
+
+
+_INT = {"type": "integer"}
+_STR = {"type": "string"}
+_INTS = {"type": "array", "items": _INT}
+_POINTS = {"type": "array", "items": {"prefixItems": [_INT, _STR]}}
+
+#: Backend type -> (class, *params in constructor order).  A param is (name,
+#: JSON Schema, reader of its JSON value), required unless its schema has a
+#: "default"; the backend section of the shipped schema is generated from it.
+BACKENDS = {
+    "classical_cutoff": (ClassicalCutoff, ("cutoff", _INT, _integer)),
+    "kleene_penumbra": (KleenePenumbra, ("t1", _INT, _integer), ("t2", _INT, _integer)),
+    "fuzzy_membership": (
+        FuzzyMembership,
+        ("points", _POINTS, _points),
+        ("threshold", {**_STR, "default": "1"}, lambda t: Fraction(str(t))),
+    ),
+    "superval": (Superval, ("cutoffs", _INTS, lambda ks: tuple(map(_integer, ks)))),
+    "nonstandard": (Nonstandard, ("threshold", {**_STR, "default": "limited"}, _bound)),
+}
+
+
 def _parse_backend(raw, pointer: str) -> Backend:
     if not isinstance(raw, dict):
         raise ConfigError(pointer, "backend must be an object")
@@ -684,36 +688,28 @@ def _parse_backend(raw, pointer: str) -> Backend:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{pointer}/params", "params must be an object")
+    # A non-string type is unknown, not a key to look up.
+    if not isinstance(backend_type, str) or backend_type not in BACKENDS:
+        raise ConfigError(f"{pointer}/type", f"unknown backend type {backend_type!r}")
+    cls, *spec = BACKENDS[backend_type]
+    args = []
     try:
-        if backend_type == "classical_cutoff":
-            return ClassicalCutoff(
-                _integer(_require(params, "cutoff", f"{pointer}/params"))
-            )
-        if backend_type == "kleene_penumbra":
-            return KleenePenumbra(
-                _integer(_require(params, "t1", f"{pointer}/params")),
-                _integer(_require(params, "t2", f"{pointer}/params")),
-            )
-        if backend_type == "fuzzy_membership":
-            points = _require(params, "points", f"{pointer}/params")
-            parsed = tuple(
-                (_integer(n), Fraction(str(degree))) for n, degree in points
-            )
-            threshold = Fraction(str(params.get("threshold", 1)))
-            return FuzzyMembership(parsed, threshold)
-        if backend_type == "superval":
-            cutoffs = _require(params, "cutoffs", f"{pointer}/params")
-            return Superval(tuple(_integer(k) for k in cutoffs))
-        if backend_type == "nonstandard":
-            threshold = params.get("threshold", "limited")
-            if threshold == "limited":
-                return Nonstandard(None)
-            return Nonstandard(parse_series(str(threshold)))
+        for name, schema, read in spec:
+            if "default" not in schema:
+                _require(params, name, f"{pointer}/params")
+            args.append(read(params.get(name, schema.get("default"))))
+        return cls(*args)
     except ConfigError:
         raise
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"{pointer}/params", str(exc)) from exc
-    raise ConfigError(f"{pointer}/type", f"unknown backend type {backend_type!r}")
+
+
+def _witness(text, pointer: str) -> Witness:
+    try:
+        return Witness(parse_series(str(text)))
+    except (ParseError, ValueError) as exc:
+        raise ConfigError(pointer, str(exc)) from exc
 
 
 def scenario_from_dict(config: dict) -> SoritesScenario:
@@ -729,12 +725,10 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
         raise ConfigError("/range", "range must be [lo, hi] integers")
     backend = _parse_backend(_require(config, "backend", ""), "/backend")
 
-    witnesses: List[Witness] = []
-    for i, text in enumerate(config.get("witnesses", [])):
-        try:
-            witnesses.append(Witness(parse_series(str(text))))
-        except (ParseError, ValueError) as exc:
-            raise ConfigError(f"/witnesses/{i}", str(exc)) from exc
+    witnesses = [
+        _witness(text, f"/witnesses/{i}")
+        for i, text in enumerate(config.get("witnesses", []))
+    ]
 
     chain_length: Optional[ModelInteger] = None
     if "chainLength" in config:
@@ -746,10 +740,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
         if isinstance(raw_length, int):
             chain_length = Naive(raw_length)
         else:
-            try:
-                chain_length = Witness(parse_series(str(raw_length)))
-            except (ParseError, ValueError) as exc:
-                raise ConfigError("/chainLength", str(exc)) from exc
+            chain_length = _witness(raw_length, "/chainLength")
 
     try:
         scenario = SoritesScenario(
@@ -760,6 +751,8 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
             witnesses=tuple(witnesses),
             chain_length=chain_length,
         )
+    except BackendUnsupported as exc:
+        raise ConfigError("/witnesses", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError("/range", str(exc)) from exc
     if chain_length is not None:

@@ -257,6 +257,13 @@ CONTRACT = [
         None,
     ),
     ([], 2, "err", "usage: soritica [-h] [--version] {numbers,tables,laws,sorites} ...", None),
+    (
+        ["numbers", "eval", "9" * 4000 + "*" + "9" * 4000],
+        2,
+        "err",
+        "cannot print result: numeral over 4300 digits",
+        None,
+    ),
 ]
 
 

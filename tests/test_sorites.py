@@ -3,9 +3,14 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from soritica.series import parse_series
+from reference_sorites import ref_run_scenario
+from soritica.formulas import Atom, Implies, Index
+from soritica.semantics import SuperVerdict, eval_super
+from soritica.series import EpsSeries, parse_series
 from soritica.sorites import (
+    BACKENDS,
     BackendUnsupported,
     ChainThroughWitness,
     ClassicalCutoff,
@@ -309,3 +314,226 @@ class TestConfig:
             scenario_from_dict(config)
         assert info.value.pointer == "/backend/params"
         assert "expected an integer" in info.value.message
+
+
+class TestWitnessesBackend:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            ClassicalCutoff(5),
+            KleenePenumbra(4, 7),
+            FuzzyMembership(((1, F(1)), (10, F(0)))),
+            Superval((2, 6)),
+        ],
+    )
+    def test_refused_off_nonstandard(self, backend):
+        with pytest.raises(ValueError):
+            SoritesScenario(
+                "w", 1, 10, backend, witnesses=(Witness(parse_series("e^(-1)")),)
+            )
+
+    def test_loader_pointer(self):
+        config = TestConfig().good()
+        config["witnesses"] = ["e^(-1)"]
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/witnesses"
+        assert info.value.message == "witnesses apply to the nonstandard backend"
+
+    def test_empty_list_accepted(self):
+        config = TestConfig().good()
+        config["witnesses"] = []
+        assert scenario_from_dict(config).witnesses == ()
+
+    def test_range_reported_first(self):
+        config = TestConfig().good()
+        config["range"] = [10, 1]
+        config["witnesses"] = ["e^(-1)"]
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/range"
+
+
+class TestBackendTable:
+    @pytest.mark.parametrize("backend_type", [[], {}, 5, None, True])
+    def test_non_string_type(self, backend_type):
+        config = TestConfig().good()
+        config["backend"]["type"] = backend_type
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/type"
+        assert info.value.message == f"unknown backend type {backend_type!r}"
+
+    @pytest.mark.parametrize(
+        "backend, missing",
+        [
+            ({"type": "classical_cutoff"}, "cutoff"),
+            ({"type": "kleene_penumbra", "params": {"t2": 7}}, "t1"),
+            ({"type": "kleene_penumbra", "params": {"t1": 4}}, "t2"),
+            ({"type": "fuzzy_membership", "params": {"threshold": "1"}}, "points"),
+            ({"type": "superval", "params": {}}, "cutoffs"),
+        ],
+    )
+    def test_missing_param(self, backend, missing):
+        config = TestConfig().good()
+        config["backend"] = backend
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == f"/backend/params/{missing}"
+        assert info.value.message == "missing required field"
+
+    def test_defaults(self):
+        config = TestConfig().good()
+        config["backend"] = {"type": "nonstandard"}
+        assert scenario_from_dict(config).backend == Nonstandard(None)
+        config["backend"] = {
+            "type": "fuzzy_membership",
+            "params": {"points": [[1, "1"], [10, "0"]]},
+        }
+        assert scenario_from_dict(config).backend.threshold == 1
+
+    def test_checks_in_order(self):
+        # params must be an object before the type is looked up.
+        config = TestConfig().good()
+        config["backend"] = {"type": "nope", "params": []}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+        # A bad value is reported before a later missing param.
+        config["backend"] = {"type": "kleene_penumbra", "params": {"t1": "4"}}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+        assert "expected an integer" in info.value.message
+
+    @pytest.mark.parametrize("backend_type", list(BACKENDS))
+    def test_contract(self, backend_type):
+        # bench/tracing.py counts these three methods by patching
+        # vars(cls)[name], so each class defines them in its own body.
+        cls = BACKENDS[backend_type][0]
+        for name in ("truth", "designated_true", "designated_false"):
+            assert name in vars(cls)
+        assert cls.id == backend_type
+        assert callable(cls.describe) and callable(cls.step_holds)
+
+    def test_five_backends(self):
+        classes = {entry[0] for entry in BACKENDS.values()}
+        assert classes == {
+            ClassicalCutoff,
+            KleenePenumbra,
+            FuzzyMembership,
+            Superval,
+            Nonstandard,
+        }
+
+    def test_shipped_schema_is_generated(self):
+        shipped = json.loads(
+            (resources.files("soritica") / "fixtures" / "sorites_config.schema.json")
+            .read_text(encoding="utf-8")
+        )
+        assert shipped["properties"]["backend"] == backend_schema()
+
+
+def backend_schema():
+    """The backend section of ``sorites_config.schema.json``, from the table."""
+    branches = []
+    for backend_type, (_, *spec) in BACKENDS.items():
+        params = {
+            "type": "object",
+            "properties": {name: schema for name, schema, _ in spec},
+        }
+        branch = {"properties": {"type": {"const": backend_type}, "params": params}}
+        required = [name for name, schema, _ in spec if "default" not in schema]
+        if required:
+            params["required"] = required
+            branch["required"] = ["params"]
+        branches.append(branch)
+    return {
+        "type": "object",
+        "required": ["type"],
+        "properties": {
+            "type": {"enum": list(BACKENDS)},
+            "params": {"type": "object"},
+        },
+        "oneOf": branches,
+    }
+
+
+# -- the per-index runners as the oracle ------------------------------------
+
+degrees = st.fractions(min_value=0, max_value=1, max_denominator=12)
+exponents = st.sampled_from([F(-2), F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def series_texts(draw, unlimited):
+    terms = draw(st.lists(st.tuples(exponents, coefficients), max_size=3))
+    if unlimited:
+        lead = draw(st.sampled_from([F(-2), F(-1), F(-1, 2)]))
+        terms = [t for t in terms if t[0] > lead]
+        terms.append((lead, draw(coefficients.filter(bool))))
+    return str(EpsSeries.from_terms(terms))
+
+
+@st.composite
+def configs(draw):
+    """A loadable scenario config on any backend over a range of up to 10**3."""
+    lo = draw(st.integers(-20, 40))
+    hi = lo + draw(st.integers(1, 1000))
+    near = st.integers(lo - 3, hi + 3)
+    backend_type = draw(st.sampled_from(sorted(BACKENDS)))
+    config = {"name": "drawn", "range": [lo, hi]}
+    if backend_type == "classical_cutoff":
+        params = {"cutoff": draw(near)}
+    elif backend_type == "kleene_penumbra":
+        t1 = draw(near)
+        params = {"t1": t1, "t2": t1 + draw(st.integers(0, hi - lo))}
+    elif backend_type == "fuzzy_membership":
+        indices = sorted(draw(st.sets(near, min_size=2, max_size=4)))
+        params = {"points": [[n, str(draw(degrees))] for n in indices]}
+        if draw(st.booleans()):
+            params["threshold"] = str(draw(degrees))
+    elif backend_type == "superval":
+        params = {"cutoffs": draw(st.lists(near, min_size=1, max_size=5))}
+    else:
+        params = {}
+        if draw(st.booleans()):
+            params["threshold"] = draw(
+                st.one_of(
+                    series_texts(unlimited=True),
+                    series_texts(unlimited=False),
+                    near.map(str),  # a sharp cut inside the range
+                )
+            )
+        config["witnesses"] = draw(st.lists(series_texts(unlimited=True), max_size=3))
+    config["backend"] = {"type": backend_type, "params": params}
+    lengths = [st.none(), st.integers(lo, hi)]
+    if backend_type == "nonstandard":
+        lengths.append(series_texts(unlimited=True))
+    length = draw(st.one_of(lengths))
+    if length is not None:
+        config["chainLength"] = length
+    return config
+
+
+class TestOracle:
+    @given(configs())
+    @settings(max_examples=200, deadline=None)
+    def test_reports_match_per_index_runners(self, config):
+        scenario = scenario_from_dict(config)
+        report, expected = run_scenario(scenario), ref_run_scenario(scenario)
+        assert report.to_text() == expected.to_text()
+        assert report.to_json() == expected.to_json()
+
+    @given(
+        st.lists(st.integers(-10, 10), min_size=1, max_size=6),
+        st.integers(-12, 12),
+    )
+    @settings(max_examples=300)
+    def test_superval_closed_form(self, cutoffs, n):
+        backend = Superval(tuple(cutoffs))
+        atom = lambda k: Atom("S", Index(None, k))
+        assert backend.truth(n) is eval_super(atom(n), cutoffs)
+        step = eval_super(Implies(atom(n), atom(n + 1)), cutoffs)
+        assert backend.step_holds(n) == (step is SuperVerdict.SUPERTRUE)
