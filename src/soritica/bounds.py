@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-__all__ = ["BoundExceeded", "MAX_HEIGHT", "MAX_NESTING", "MAX_POWER"]
+__all__ = [
+    "BoundExceeded",
+    "MAX_DOMAIN",
+    "MAX_HEIGHT",
+    "MAX_NESTING",
+    "MAX_POWER",
+]
 
 
 class BoundExceeded(ValueError):
@@ -11,10 +17,10 @@ class BoundExceeded(ValueError):
 
 #: Deepest nesting of parentheses, prefix operators (unary ``-`` in number
 #: expressions, ``~`` in formulas) and quantifiers that either parser
-#: accepts.  A level of parentheses costs the formula parser six stack
-#: frames and the number parser four; a prefix operator or a quantifier
-#: costs one.  So 100 levels take at most about 600 of Python's default
-#: recursion limit of 1000.
+#: accepts.  A level of parentheses costs the formula parser three stack
+#: frames and the number parser four (measured at 100 levels); a prefix
+#: operator or a quantifier costs one.  So 100 levels take at most about
+#: 400 of Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 #: Tallest formula tree the formula parser builds, a leaf counting 1.  A
@@ -29,3 +35,8 @@ MAX_HEIGHT = 250
 #: Each power is a chain of ``n`` products, and the terms of a power can
 #: grow with ``n``, so the work is bounded here rather than by the caller.
 MAX_POWER = 64
+
+#: Most values a quantifier domain may hold, literal (``1..9``) or named.
+#: The evaluators visit every value of a domain, so its size, not the
+#: length of its text, would otherwise set the work.
+MAX_DOMAIN = 10_000

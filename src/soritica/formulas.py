@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .bounds import MAX_HEIGHT
-from .lexer import Descent, TextError, Token
+from .lexer import Descent, Infix, TextError, Token
 
 __all__ = [
     "Index",
@@ -41,10 +41,18 @@ class FormulaSyntaxError(TextError):
 
 @dataclass(frozen=True)
 class Index:
-    """Index term: a literal, or a bound variable plus an offset."""
+    """Index term: a literal, or a bound variable plus an offset.
+
+    The grammar writes a variable's offset as ``n+k``, so it is refused
+    below 0.  A literal (``var`` of ``None``) may be any integer.
+    """
 
     var: Optional[str]
     offset: int
+
+    def __post_init__(self):
+        if self.var is not None and self.offset < 0:
+            raise ValueError(f"negative offset {self.offset} of {self.var!r}")
 
     def __str__(self) -> str:
         if self.var is None:
@@ -122,12 +130,23 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "in"}
 
+#: The binary connectives, read by the parser and the printer alike.
+#: ``~`` binds tighter than all of them, and quantifiers looser.
+_BINARY = {
+    "<->": Infix(1, False, Iff),
+    "->": Infix(2, True, Implies),
+    "|": Infix(3, False, Or),
+    "&": Infix(4, False, And),
+}
+_SYMBOLS = {infix.meaning: (symbol, infix) for symbol, infix in _BINARY.items()}
+_NOT_LEVEL = 5
+
 
 class _Parser(Descent):
     """Recursive-descent formula parser.
 
     Parentheses, ``~`` and quantifiers nest at most ``MAX_NESTING`` deep,
-    and chains of connectives are read by loops, so the parser's own
+    and chains of connectives are read by one loop, so the parser's own
     recursion is bounded.  Each rule returns a formula and its height (a
     leaf is 1); once the whole text has parsed, a formula taller than
     ``MAX_HEIGHT`` is refused at the first node that crossed the bound.
@@ -180,7 +199,10 @@ class _Parser(Descent):
             self.depth -= 1
             cls = Forall if token.text == "forall" else Exists
             return self.node(token, cls(var_token.text, domain, body), height)
-        return self.parse_iff()
+        return self.parse_infix(self.parse_unary, _BINARY, self.join)
+
+    def join(self, token: Token, cls, left, right) -> Tuple[Formula, int]:
+        return self.node(token, cls(left[0], right[0]), left[1], right[1])
 
     def parse_domain(self) -> Domain:
         token = self.peek()
@@ -197,62 +219,6 @@ class _Parser(Descent):
         if token.kind == "name" and token.text not in _KEYWORDS:
             return self.advance().text
         raise FormulaSyntaxError("expected a finite domain", token.pos)
-
-    def parse_iff(self) -> Tuple[Formula, int]:
-        first = self.parse_implies()
-        if not self.at_op("<->"):
-            return first
-        formula, height = first
-        while self.at_op("<->"):
-            token = self.advance()
-            right, right_height = self.parse_implies()
-            formula, height = self.node(
-                token, Iff(formula, right), height, right_height
-            )
-        return formula, height
-
-    def parse_implies(self) -> Tuple[Formula, int]:
-        """``p -> q -> r`` is ``p -> (q -> r)``: read by a loop, folded right."""
-        last = self.parse_or()
-        if not self.at_op("->"):
-            return last
-        parts, ops = [last], []
-        while self.at_op("->"):
-            ops.append(self.advance())
-            parts.append(self.parse_or())
-        formula, height = parts.pop()
-        while ops:
-            left, left_height = parts.pop()
-            formula, height = self.node(
-                ops.pop(), Implies(left, formula), left_height, height
-            )
-        return formula, height
-
-    def parse_or(self) -> Tuple[Formula, int]:
-        first = self.parse_and()
-        if not self.at_op("|"):
-            return first
-        formula, height = first
-        while self.at_op("|"):
-            token = self.advance()
-            right, right_height = self.parse_and()
-            formula, height = self.node(
-                token, Or(formula, right), height, right_height
-            )
-        return formula, height
-
-    def parse_and(self) -> Tuple[Formula, int]:
-        first = self.parse_unary()
-        if not self.at_op("&"):
-            return first
-        formula, height = first
-        while self.at_op("&"):
-            token = self.advance()
-            right, right_height = self.parse_unary()
-            formula, height = self.node(
-                token, And(formula, right), height, right_height
-            )
-        return formula, height
 
     def parse_unary(self) -> Tuple[Formula, int]:
         token = self.peek()
@@ -308,32 +274,27 @@ def _domain_to_str(domain: Domain) -> str:
     return f"{domain[0]}..{domain[1]}"
 
 
-# precedence levels for minimal-paren printing
-_LEVELS = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-
-
 def formula_to_str(formula: Formula, _level: int = 0) -> str:
+    """``formula`` in the parser's syntax, with the fewest parentheses."""
+    binary = _SYMBOLS.get(type(formula))
+    if binary is not None:
+        symbol, (level, right, _) = binary
+        # An operand of the same level needs parentheses on the side the
+        # connective does not group to.
+        text = (
+            f"{formula_to_str(formula.left, level + right)} {symbol} "
+            f"{formula_to_str(formula.right, level + (not right))}"
+        )
+        return f"({text})" if _level > level else text
     if isinstance(formula, Atom):
         return f"{formula.predicate}({formula.index})"
     if isinstance(formula, PropVar):
         return formula.name
+    if isinstance(formula, Not):
+        return f"~{formula_to_str(formula.body, _NOT_LEVEL)}"
     if isinstance(formula, (Forall, Exists)):
         word = "forall" if isinstance(formula, Forall) else "exists"
         inner = formula_to_str(formula.body, 0)
         text = f"{word} {formula.var} in {_domain_to_str(formula.domain)}. {inner}"
         return f"({text})" if _level > 0 else text
-    if isinstance(formula, Not):
-        return f"~{formula_to_str(formula.body, _LEVELS[Not])}"
-    for cls, symbol in ((Iff, "<->"), (Implies, "->"), (Or, "|"), (And, "&")):
-        if isinstance(formula, cls):
-            level = _LEVELS[cls]
-            # -> is right associative; the other binaries left associative
-            if cls is Implies:
-                left = formula_to_str(formula.left, level + 1)
-                right = formula_to_str(formula.right, level)
-            else:
-                left = formula_to_str(formula.left, level)
-                right = formula_to_str(formula.right, level + 1)
-            text = f"{left} {symbol} {right}"
-            return f"({text})" if _level >= level + 1 else text
     raise TypeError(f"not a formula: {formula!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Type, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Type, Union
 
 from .bounds import MAX_NESTING
 
@@ -31,6 +31,14 @@ class Token(NamedTuple):
     #: A ``num`` token's exact value: an ``int`` when integral, else a
     #: ``Fraction``; ``None`` for a numeral past Python's digit limit.
     value: Optional[Union[int, Fraction]] = None
+
+
+class Infix(NamedTuple):
+    """How an infix operator binds, and what it builds."""
+
+    level: int  # 1 or more; a higher level binds tighter
+    right: bool  # a chain of it groups to the right
+    meaning: Any  # what ``join`` builds from the two operands
 
 
 def _numeral(text: str, pos: int, error: Type[TextError]):
@@ -81,7 +89,7 @@ class Descent:
     A subclass sets ``pattern`` and ``error`` and defines ``parse_root``;
     :meth:`parse` runs it and refuses leftover tokens.  Parentheses and
     prefix operators go through :meth:`descend`, at most ``MAX_NESTING``
-    deep.
+    deep; chains of infix operators go through :meth:`parse_infix`.
     """
 
     pattern: re.Pattern
@@ -124,6 +132,37 @@ class Descent:
                 f"nesting deeper than {MAX_NESTING} levels", token.pos
             )
         self.depth += 1
+
+    def parse_infix(
+        self,
+        operand: Callable[[], Any],
+        table: Mapping[str, Infix],
+        join: Callable[[Token, Any, Any, Any], Any],
+    ):
+        """Operands read by ``operand``, between ops of ``table``, folded.
+
+        ``join(token, meaning, left, right)`` builds the node of one op.
+        The ops wait on an explicit stack, so a chain never recurses, and
+        each node is joined as soon as its right operand is complete: in
+        the order a descent with one rule per level would join them.
+        """
+        values = [operand()]
+        pending: list[tuple[Token, Infix]] = []
+        while True:
+            token = self.tokens[self.index]
+            infix = table.get(token.text) if token.kind == "op" else None
+            # Join the waiting ops that bind at least as tight as this one;
+            # an op that groups right leaves those of its own level waiting.
+            level = 0 if infix is None else infix.level + infix.right
+            while pending and pending[-1][1].level >= level:
+                op, waiting = pending.pop()
+                right = values.pop()
+                values[-1] = join(op, waiting.meaning, values[-1], right)
+            if infix is None:
+                return values[0]
+            self.index += 1
+            pending.append((token, infix))
+            values.append(operand())
 
     def value(self, token: Token):
         """The value of a read ``num`` token.

@@ -1,10 +1,11 @@
 """Evaluation semantics: classical, Kleene three-valued, fuzzy, supervaluation.
 
-The three-valued and fuzzy evaluators share one graded core (strong
-Kleene connectives on rational degrees: ``~x = 1-x``, ``& = min``,
-``| = max``, ``x -> y = max(1-x, y)``, quantifiers min/max over their
-finite domains).  The classical evaluator is a separate boolean walk so
-the conservativity checks compare genuinely independent code paths.
+The three-valued and fuzzy evaluators share one graded core: the strong
+Kleene connectives of ``GRADED`` on rational degrees (``& = min``,
+``| = max``, ``x -> y = max(1-x, y)``), ``~x = 1-x``, and quantifiers
+folded by min/max over their finite domains.  The classical evaluator is
+a separate boolean walk that does not read ``GRADED``, so the
+conservativity checks compare genuinely independent code paths.
 
 The K3 tautology tests do not enumerate all 3^v assignments.  Strong
 Kleene is regular (Kleene 1952): refining a 1/2 to 0 or 1 never changes
@@ -20,7 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .bounds import BoundExceeded
+from .bounds import MAX_DOMAIN, BoundExceeded
 from .formulas import (
     And,
     Atom,
@@ -52,6 +53,7 @@ __all__ = [
     "quasi_tautology_k3",
     "collect_variables",
     "kleene_tables",
+    "GRADED",
 ]
 
 TRUE = Fraction(1)
@@ -86,13 +88,18 @@ def _resolve_index(index: Index, env: Dict[str, int]) -> int:
     return env[index.var] + index.offset
 
 
-def _domain_range(domain, domains: Optional[Domains]):
+def _domain_range(domain, domains: Optional[Domains]) -> range:
+    """The values of a literal or named domain, at most ``MAX_DOMAIN``."""
     if isinstance(domain, tuple):
         lo, hi = domain
     else:
         if not domains or domain not in domains:
             raise UnboundAtom(f"unknown quantifier domain {domain!r}")
         lo, hi = domains[domain]
+    if hi - lo + 1 > MAX_DOMAIN:
+        raise BoundExceeded(
+            f"quantifier domain of {hi - lo + 1} values above {MAX_DOMAIN}"
+        )
     return range(lo, hi + 1)
 
 
@@ -108,6 +115,20 @@ def _restore(env: Dict[str, int], var: str, outer: Optional[int]) -> None:
         env[var] = outer
 
 
+def _implies(x: Fraction, y: Fraction) -> Fraction:
+    return max(1 - x, y)
+
+
+#: The strong-Kleene binary connectives on degrees (Kleene 1952), read by
+#: the graded evaluator and by :func:`kleene_tables`; ``~x`` is ``1 - x``.
+GRADED: Dict[type, Callable[[Fraction, Fraction], Fraction]] = {
+    And: min,
+    Or: max,
+    Implies: _implies,
+    Iff: lambda x, y: min(_implies(x, y), _implies(y, x)),
+}
+
+
 def _eval_graded(
     formula: Formula,
     atoms: AtomFn,
@@ -115,6 +136,12 @@ def _eval_graded(
     domains: Optional[Domains],
     env: Dict[str, int],
 ) -> Fraction:
+    connective = GRADED.get(type(formula))
+    if connective is not None:
+        return connective(
+            _eval_graded(formula.left, atoms, propvars, domains, env),
+            _eval_graded(formula.right, atoms, propvars, domains, env),
+        )
     if isinstance(formula, Atom):
         return atoms(formula.predicate, _resolve_index(formula.index, env))
     if isinstance(formula, PropVar):
@@ -123,57 +150,61 @@ def _eval_graded(
         return propvars[formula.name]
     if isinstance(formula, Not):
         return 1 - _eval_graded(formula.body, atoms, propvars, domains, env)
-    if isinstance(formula, And):
-        return min(
-            _eval_graded(formula.left, atoms, propvars, domains, env),
-            _eval_graded(formula.right, atoms, propvars, domains, env),
-        )
-    if isinstance(formula, Or):
-        return max(
-            _eval_graded(formula.left, atoms, propvars, domains, env),
-            _eval_graded(formula.right, atoms, propvars, domains, env),
-        )
-    if isinstance(formula, Implies):
-        left = _eval_graded(formula.left, atoms, propvars, domains, env)
-        right = _eval_graded(formula.right, atoms, propvars, domains, env)
-        return max(1 - left, right)
-    if isinstance(formula, Iff):
-        left = _eval_graded(formula.left, atoms, propvars, domains, env)
-        right = _eval_graded(formula.right, atoms, propvars, domains, env)
-        return min(max(1 - left, right), max(1 - right, left))
     if isinstance(formula, (Forall, Exists)):
-        values = []
+        fold = min if isinstance(formula, Forall) else max
+        value = None
         outer = env.get(formula.var)
         for n in _domain_range(formula.domain, domains):
             env[formula.var] = n
-            values.append(
-                _eval_graded(formula.body, atoms, propvars, domains, env)
-            )
+            degree = _eval_graded(formula.body, atoms, propvars, domains, env)
+            value = degree if value is None else fold(value, degree)
         _restore(env, formula.var, outer)
-        if not values:
+        if value is None:
             raise UnboundAtom("empty quantifier domain")
-        return min(values) if isinstance(formula, Forall) else max(values)
+        return value
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _checked_k3(fn_or_map, what: str):
-    if callable(fn_or_map):
-        source = fn_or_map
+def _eval_degrees(
+    formula: Formula,
+    atoms,
+    check: Callable[[Fraction], None],
+    propvars: Mapping[str, Fraction],
+    domains: Optional[Domains],
+) -> Fraction:
+    """The graded value of ``formula``.
+
+    ``atoms`` gives the value of ``pred(n)``: a function of ``pred`` and
+    ``n``, or a mapping keyed by ``(pred, n)``.  ``check`` refuses an atom
+    value out of range.
+    """
+    if callable(atoms):
+        source = atoms
     else:
-        mapping = fn_or_map
+        mapping = atoms if atoms is not None else {}
 
         def source(pred, n):
             if (pred, n) not in mapping:
                 raise UnboundAtom(f"unbound atom {pred}({n})")
             return mapping[(pred, n)]
 
-    def checked(pred, n):
+    def atom_fn(pred, n):
         value = Fraction(source(pred, n))
-        if value not in K3_VALUES:
-            raise ValueError(f"{what} value {value} not in {{0, 1/2, 1}}")
+        check(value)
         return value
 
-    return checked
+    propvars = {name: Fraction(v) for name, v in propvars.items()}
+    return _eval_graded(formula, atom_fn, propvars, domains, {})
+
+
+def _check_k3(value: Fraction) -> None:
+    if value not in K3_VALUES:
+        raise ValueError(f"K3 value {value} not in {{0, 1/2, 1}}")
+
+
+def _check_degree(value: Fraction) -> None:
+    if not 0 <= value <= 1:
+        raise ValueError(f"degree {value} outside [0, 1]")
 
 
 def eval_k3(
@@ -186,9 +217,7 @@ def eval_k3(
     for value in propvars.values():
         if Fraction(value) not in K3_VALUES:
             raise ValueError(f"K3 value {value} not in {{0, 1/2, 1}}")
-    atom_fn = _checked_k3(atoms if atoms is not None else {}, "K3")
-    propvars = {name: Fraction(v) for name, v in propvars.items()}
-    return _eval_graded(formula, atom_fn, propvars, domains, {})
+    return _eval_degrees(formula, atoms, _check_k3, propvars, domains)
 
 
 def eval_fuzzy(
@@ -198,25 +227,7 @@ def eval_fuzzy(
     domains: Optional[Domains] = None,
 ) -> Fraction:
     """Degree-valued evaluation with the Kleene-Zadeh connectives."""
-
-    if callable(membership):
-        source = membership
-    else:
-        mapping = membership or {}
-
-        def source(pred, n):
-            if (pred, n) not in mapping:
-                raise UnboundAtom(f"unbound atom {pred}({n})")
-            return mapping[(pred, n)]
-
-    def atom_fn(pred, n):
-        value = Fraction(source(pred, n))
-        if not 0 <= value <= 1:
-            raise ValueError(f"degree {value} outside [0, 1]")
-        return value
-
-    propvars = {name: Fraction(v) for name, v in propvars.items()}
-    return _eval_graded(formula, atom_fn, propvars, domains, {})
+    return _eval_degrees(formula, membership, _check_degree, propvars, domains)
 
 
 def eval_classical(
@@ -255,15 +266,18 @@ def eval_classical(
             formula.left, cutoff, propvars, domains, env
         ) == eval_classical(formula.right, cutoff, propvars, domains, env)
     if isinstance(formula, (Forall, Exists)):
-        results = []
+        # No early exit: a short circuit in the body can leave an error
+        # to a later value, and stopping at the verdict would hide it.
+        forall = isinstance(formula, Forall)
+        verdict = forall
         outer = env.get(formula.var)
         for n in _domain_range(formula.domain, domains):
             env[formula.var] = n
-            results.append(
-                eval_classical(formula.body, cutoff, propvars, domains, env)
-            )
+            body = eval_classical(formula.body, cutoff, propvars, domains, env)
+            if body is not forall:
+                verdict = not forall
         _restore(env, formula.var, outer)
-        return all(results) if isinstance(formula, Forall) else any(results)
+        return verdict
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -359,34 +373,23 @@ def quasi_tautology_k3(formula: Formula, max_vars: int = _VAR_BOUND) -> bool:
     return all(v != FALSE for v in classical)
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
+#: The columns of the binary table: header and connective.
+_TABLE_COLUMNS = (("p|q", Or), ("p&q", And), ("p->q", Implies), ("p<->q", Iff))
 
 
 def kleene_tables() -> str:
     """Fixed-width text rendering of the strong three-valued tables."""
-    unary_rows = (TRUE, FALSE, HALF)
-    binary_rows = [
-        (p, q) for p in (TRUE, FALSE, HALF) for q in (TRUE, FALSE, HALF)
-    ]
     width = 6
-    lines = []
-    lines.append("".join(h.ljust(width) for h in ("p", "~p")).rstrip())
-    for p in unary_rows:
-        lines.append(
-            "".join(_fmt(v).ljust(width) for v in (p, 1 - p)).rstrip()
-        )
+
+    def line(cells) -> str:
+        return "".join(str(cell).ljust(width) for cell in cells).rstrip()
+
+    lines = [line(("p", "~p"))]
+    lines += [line((p, 1 - p)) for p in K3_VALUES]
     lines.append("")
-    headers = ("p", "q", "p|q", "p&q", "p->q", "p<->q")
-    lines.append("".join(h.ljust(width) for h in headers).rstrip())
-    for p, q in binary_rows:
-        row = (
-            p,
-            q,
-            max(p, q),
-            min(p, q),
-            max(1 - p, q),
-            min(max(1 - p, q), max(1 - q, p)),
-        )
-        lines.append("".join(_fmt(v).ljust(width) for v in row).rstrip())
+    lines.append(line(("p", "q", *(header for header, _ in _TABLE_COLUMNS))))
+    for p in K3_VALUES:
+        for q in K3_VALUES:
+            values = (GRADED[cls](p, q) for _, cls in _TABLE_COLUMNS)
+            lines.append(line((p, q, *values)))
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
 from .bounds import MAX_POWER, BoundExceeded
-from .lexer import Descent, TextError, Token
+from .lexer import Descent, Infix, TextError, Token
 
 __all__ = [
     "EpsSeries",
@@ -310,6 +311,17 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>\^|\*|\+|-|\(|\))"
 )
 
+#: ``+`` and ``-`` bind alike, ``*`` tighter; all three group left.
+_INFIX = {
+    "+": Infix(1, False, operator.add),
+    "-": Infix(1, False, operator.sub),
+    "*": Infix(2, False, operator.mul),
+}
+
+
+def _apply(token: Token, meaning, left, right):
+    return meaning(left, right)
+
 
 class ExprParser(Descent):
     """Recursive-descent parser for ``+ - *`` expressions over series.
@@ -341,22 +353,7 @@ class ExprParser(Descent):
     # grammar -------------------------------------------------------------
 
     def parse_root(self):
-        return self.parse_sum()
-
-    def parse_sum(self):
-        value = self.parse_product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_product(self):
-        value = self.parse_factor()
-        while self.at_op("*"):
-            self.advance()
-            value = value * self.parse_factor()
-        return value
+        return self.parse_infix(self.parse_factor, _INFIX, _apply)
 
     def parse_factor(self):
         token = self.peek()
@@ -376,7 +373,7 @@ class ExprParser(Descent):
             return self.parse_name(token)
         if token.kind == "op" and token.text == "(":
             self.descend(token)
-            value = self.parse_sum()
+            value = self.parse_root()
             self.expect_op(")")
             self.depth -= 1
             return value

@@ -80,6 +80,16 @@ formulas = st.recursive(
 )
 
 
+class TestIndex:
+    def test_negative_offset_refused(self):
+        with pytest.raises(ValueError, match="negative offset"):
+            Index("n", -1)
+
+    def test_literal_may_be_negative(self):
+        # A literal is an index value, not an offset; evaluators take any.
+        assert semantics.eval_classical(Atom("S", Index(None, -2)), cutoff=0)
+
+
 class TestPrinting:
     @given(formulas)
     def test_round_trip(self, formula):

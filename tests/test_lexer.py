@@ -1,12 +1,18 @@
 """The shared front end: fuzzed texts and round trips through ``str``."""
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from soritica.bounds import MAX_HEIGHT
 from soritica.formulas import FormulaSyntaxError, parse_formula
+from soritica.lexer import TextError
 from soritica.neutrix import ExternalNumber, Kind, Neutrix, parse_external
 from soritica.series import EpsSeries, ParseError, parse_series
+
+from reference_parsers import ref_parse_external, ref_parse_formula, ref_parse_series
 
 #: Stray characters neither grammar has, and whitespace of several kinds.
 STRAY = ["@", "$", "é", "٣", "\t", "\n", " ", "/", "-", "<", ">", "=", "."]
@@ -80,3 +86,67 @@ class TestRoundTrip:
     def test_large_rationals(self, numerator, denominator):
         x = EpsSeries.from_rational(Fraction(numerator, denominator))
         assert parse_series(str(x)) == x
+
+
+def outcome(parse, text):
+    """The parsed value, or the error's type, message and offset."""
+    try:
+        return parse(text)
+    except TextError as exc:
+        return type(exc), exc.message, exc.position
+
+
+PARSERS = {
+    "formula": (parse_formula, ref_parse_formula),
+    "series": (parse_series, ref_parse_series),
+    "external": (parse_external, ref_parse_external),
+}
+
+
+class TestAgainstReference:
+    """The precedence loop folds as the one-rule-per-level descent did."""
+
+    @settings(max_examples=500)
+    @given(texts(FORMULA_PIECES))
+    def test_formula(self, text):
+        assert outcome(parse_formula, text) == outcome(ref_parse_formula, text)
+
+    @settings(max_examples=500)
+    @given(texts(NUMBER_PIECES), st.sampled_from(["series", "external"]))
+    def test_numbers(self, text, grammar):
+        parse, reference = PARSERS[grammar]
+        assert outcome(parse, text) == outcome(reference, text)
+
+    @pytest.mark.parametrize(
+        "ops", list(itertools.permutations(["<->", "->", "|", "&"], 2))
+    )
+    @pytest.mark.parametrize("operand", ["p", "~p", "(p)"])
+    def test_mixed_chains_at_the_height_bound(self, ops, operand):
+        def text(operands):
+            cycle = itertools.cycle(ops)
+            parts = [operand]
+            for _ in range(operands - 1):
+                parts += [next(cycle), operand]
+            return " ".join(parts)
+
+        def fits(operands):
+            return not isinstance(outcome(ref_parse_formula, text(operands)), tuple)
+
+        lo, hi = 1, 2 * MAX_HEIGHT + 2  # fits(lo), not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        at, past = text(lo), text(hi)
+        assert parse_formula(at) == ref_parse_formula(at)
+        expected = outcome(ref_parse_formula, past)
+        assert expected[1] == f"formula taller than {MAX_HEIGHT} levels"
+        assert outcome(parse_formula, past) == expected
+
+
+class TestLongChains:
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    @pytest.mark.parametrize("grammar", ["series", "external"])
+    def test_number_chain(self, op, grammar):
+        parse, reference = PARSERS[grammar]
+        text = f" {op} ".join(["e"] * 10**4)
+        assert parse(text) == reference(text)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from soritica.formulas import (
     And,
     Atom,
+    Exists,
     Iff,
     Implies,
     Index,
@@ -33,6 +34,8 @@ from soritica.semantics import (
     kleene_tables,
     quasi_tautology_k3,
 )
+
+from soritica.bounds import MAX_DOMAIN
 
 from reference_semantics import ref_is_tautology_k3, ref_quasi_tautology_k3
 
@@ -341,3 +344,50 @@ class TestReboundVariable:
         degrees = {("S", 1): F(9, 10), ("S", 2): F(3, 5), ("S", 3): F(1, 5)}
         # n = 3: max(min(9/10, 3/5), 1/5) = 3/5 is the least disjunct.
         assert eval_fuzzy(f, degrees) == eval_fuzzy(g, degrees) == F(3, 5)
+
+
+class TestDomainBound:
+    EVALUATORS = {
+        "classical": lambda f, domains: eval_classical(f, 5, domains=domains),
+        "k3": lambda f, domains: eval_k3(f, lambda p, n: HALF, domains=domains),
+        "fuzzy": lambda f, domains: eval_fuzzy(
+            f, lambda p, n: F(1, 3), domains=domains
+        ),
+    }
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize("named", [False, True])
+    def test_at_and_past_the_bound(self, evaluator, named):
+        evaluate = self.EVALUATORS[evaluator]
+        for size, fits in ((MAX_DOMAIN, True), (MAX_DOMAIN + 1, False)):
+            domain = (7, 7 + size - 1)
+            if named:
+                formula, domains = parse_formula("exists n in D. S(n)"), {"D": domain}
+            else:
+                formula, domains = Exists("n", domain, Atom("S", Index("n", 0))), None
+            if fits:
+                evaluate(formula, domains)
+            else:
+                with pytest.raises(BoundExceeded, match=str(MAX_DOMAIN)):
+                    evaluate(formula, domains)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_huge_literal_domain(self, evaluator):
+        formula = parse_formula("exists n in 1..99999999999999999999. S(n)")
+        with pytest.raises(BoundExceeded):
+            self.EVALUATORS[evaluator](formula, None)
+
+    def test_k3_atom_missing_late_in_the_domain(self):
+        # The minimum is 0 from the first value on; S(3) is still asked for.
+        formula = parse_formula("forall n in 1..3. S(n)")
+        with pytest.raises(UnboundAtom, match=r"S\(3\)"):
+            eval_k3(formula, {("S", 1): FALSE, ("S", 2): FALSE})
+
+    def test_classical_error_after_the_verdict(self):
+        # S(1) makes the exists true at n = 1, but at n = 2 the body reaches
+        # the unknown domain D.
+        formula = parse_formula(
+            "exists n in 1..3. S(n) | (~S(n) & (exists m in D. p))"
+        )
+        with pytest.raises(UnboundAtom, match="unknown quantifier domain"):
+            eval_classical(formula, 2, {"p": True})
