@@ -88,17 +88,23 @@ def _resolve_index(index: Index, env: Dict[str, int]) -> int:
     return env[index.var] + index.offset
 
 
-def _domain_range(domain, domains: Optional[Domains]) -> range:
-    """The values of a literal or named domain, at most ``MAX_DOMAIN``."""
+def _domain_range(domain, domains: Optional[Domains], scale: int) -> range:
+    """The values of a literal or named domain.
+
+    ``scale`` is the product of the sizes of the enclosing quantifiers'
+    domains, so the body is evaluated ``scale`` times the size of this one
+    in all; that product may be at most ``MAX_DOMAIN``.
+    """
     if isinstance(domain, tuple):
         lo, hi = domain
     else:
         if not domains or domain not in domains:
             raise UnboundAtom(f"unknown quantifier domain {domain!r}")
         lo, hi = domains[domain]
-    if hi - lo + 1 > MAX_DOMAIN:
+    if (hi - lo + 1) * scale > MAX_DOMAIN:
+        nested = f" times {scale} enclosing" if scale > 1 else ""
         raise BoundExceeded(
-            f"quantifier domain of {hi - lo + 1} values above {MAX_DOMAIN}"
+            f"quantifier domain of {hi - lo + 1} values{nested} above {MAX_DOMAIN}"
         )
     return range(lo, hi + 1)
 
@@ -135,12 +141,13 @@ def _eval_graded(
     propvars: Mapping[str, Fraction],
     domains: Optional[Domains],
     env: Dict[str, int],
+    scale: int = 1,
 ) -> Fraction:
     connective = GRADED.get(type(formula))
     if connective is not None:
         return connective(
-            _eval_graded(formula.left, atoms, propvars, domains, env),
-            _eval_graded(formula.right, atoms, propvars, domains, env),
+            _eval_graded(formula.left, atoms, propvars, domains, env, scale),
+            _eval_graded(formula.right, atoms, propvars, domains, env, scale),
         )
     if isinstance(formula, Atom):
         return atoms(formula.predicate, _resolve_index(formula.index, env))
@@ -149,14 +156,17 @@ def _eval_graded(
             raise UnboundAtom(f"unbound variable {formula.name!r}")
         return propvars[formula.name]
     if isinstance(formula, Not):
-        return 1 - _eval_graded(formula.body, atoms, propvars, domains, env)
+        return 1 - _eval_graded(formula.body, atoms, propvars, domains, env, scale)
     if isinstance(formula, (Forall, Exists)):
         fold = min if isinstance(formula, Forall) else max
         value = None
         outer = env.get(formula.var)
-        for n in _domain_range(formula.domain, domains):
+        values = _domain_range(formula.domain, domains, scale)
+        for n in values:
             env[formula.var] = n
-            degree = _eval_graded(formula.body, atoms, propvars, domains, env)
+            degree = _eval_graded(
+                formula.body, atoms, propvars, domains, env, scale * len(values)
+            )
             value = degree if value is None else fold(value, degree)
         _restore(env, formula.var, outer)
         if value is None:
@@ -236,6 +246,7 @@ def eval_classical(
     propvars: Mapping[str, bool] = {},
     domains: Optional[Domains] = None,
     _env: Optional[Dict[str, int]] = None,
+    _scale: int = 1,
 ) -> bool:
     """Two-valued evaluation; soritical atoms hold below the cutoff."""
     env = _env if _env is not None else {}
@@ -248,32 +259,35 @@ def eval_classical(
             raise UnboundAtom(f"unbound variable {formula.name!r}")
         return bool(propvars[formula.name])
     if isinstance(formula, Not):
-        return not eval_classical(formula.body, cutoff, propvars, domains, env)
+        return not eval_classical(formula.body, cutoff, propvars, domains, env, _scale)
     if isinstance(formula, And):
         return eval_classical(
-            formula.left, cutoff, propvars, domains, env
-        ) and eval_classical(formula.right, cutoff, propvars, domains, env)
+            formula.left, cutoff, propvars, domains, env, _scale
+        ) and eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
     if isinstance(formula, Or):
         return eval_classical(
-            formula.left, cutoff, propvars, domains, env
-        ) or eval_classical(formula.right, cutoff, propvars, domains, env)
+            formula.left, cutoff, propvars, domains, env, _scale
+        ) or eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
     if isinstance(formula, Implies):
         return (
-            not eval_classical(formula.left, cutoff, propvars, domains, env)
-        ) or eval_classical(formula.right, cutoff, propvars, domains, env)
+            not eval_classical(formula.left, cutoff, propvars, domains, env, _scale)
+        ) or eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
     if isinstance(formula, Iff):
         return eval_classical(
-            formula.left, cutoff, propvars, domains, env
-        ) == eval_classical(formula.right, cutoff, propvars, domains, env)
+            formula.left, cutoff, propvars, domains, env, _scale
+        ) == eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
     if isinstance(formula, (Forall, Exists)):
         # No early exit: a short circuit in the body can leave an error
         # to a later value, and stopping at the verdict would hide it.
         forall = isinstance(formula, Forall)
         verdict = forall
         outer = env.get(formula.var)
-        for n in _domain_range(formula.domain, domains):
+        values = _domain_range(formula.domain, domains, _scale)
+        for n in values:
             env[formula.var] = n
-            body = eval_classical(formula.body, cutoff, propvars, domains, env)
+            body = eval_classical(
+                formula.body, cutoff, propvars, domains, env, _scale * len(values)
+            )
             if body is not forall:
                 verdict = not forall
         _restore(env, formula.var, outer)

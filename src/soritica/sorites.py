@@ -6,6 +6,12 @@ precisification family, or the nonstandard order-of-magnitude model) and
 optional infinitely-large witness indices.  The runners check the three
 soritical constraints, the induction and conditional argument schemata,
 and the doubling analysis, producing deterministic reports.
+
+The runners do not walk the range.  Each backend names its change points,
+``change_points(lo, stop)``: the indices in ``lo .. stop-1``, ``lo`` always
+among them, where a designation flip, a failing step or a weakest fuzzy link
+can first occur.  The runners test only those, so a run costs the same on a
+range of ten indices as on one of 10**12.
 """
 
 from __future__ import annotations
@@ -103,6 +109,9 @@ class ClassicalCutoff:
     def step_holds(self, n: int) -> bool:
         return n + 1 != self.cutoff
 
+    def change_points(self, lo: int, stop: int) -> List[int]:
+        return _clip((self.cutoff - 1,), lo, stop)
+
     def describe(self) -> str:
         return f"classical cutoff at {self.cutoff}"
 
@@ -136,6 +145,9 @@ class KleenePenumbra:
 
     def step_holds(self, n: int) -> bool:
         return n + 1 != self.t1
+
+    def change_points(self, lo: int, stop: int) -> List[int]:
+        return _clip((self.t1 - 1, self.t2), lo, stop)
 
     def describe(self) -> str:
         return f"three-valued penumbra on {self.t1}..{self.t2}"
@@ -187,6 +199,29 @@ class FuzzyMembership:
     def step_holds(self, n: int) -> bool:
         return self.implication(n) >= self.threshold
 
+    def change_points(self, lo: int, stop: int) -> List[int]:
+        # S(n) and S(n+1) are both constant below the first breakpoint and
+        # from the last on, and both linear on each piece x0..x1-1 between.
+        # On a piece, a designation or step test changes only next to where
+        # one of them crosses threshold or 1 - threshold, and the weakest
+        # link max(1 - S(n), S(n+1)) lies at an end or next to where its two
+        # sides meet.  The range cuts a piece at lo and at stop - 1.
+        points = [stop - 1]
+        for x, _ in self.points:
+            points += (x - 1, x)
+        levels = (self.threshold, 1 - self.threshold)
+        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+            slope = Fraction(y1 - y0, x1 - x0)
+            if not slope:
+                continue
+            crossings = [
+                x0 + (v - y0) / slope - shift for v in levels for shift in (0, 1)
+            ]
+            crossings.append(x0 + ((1 - 2 * y0) / slope - 1) / 2)
+            for c in crossings:
+                points += (c // 1, c // 1 + 1)
+        return _clip(points, lo, stop)
+
     def describe(self) -> str:
         pts = ", ".join(f"({n}, {d})" for n, d in self.points)
         return f"fuzzy membership through {pts}"
@@ -226,6 +261,9 @@ class Superval:
         # The step fails on the precisification at cutoff k exactly when k == n + 1.
         return n + 1 not in self.cutoffs
 
+    def change_points(self, lo: int, stop: int) -> List[int]:
+        return _clip([k - 1 for k in self.cutoffs], lo, stop)
+
     def describe(self) -> str:
         return f"supervaluation over cutoffs {list(self.cutoffs)}"
 
@@ -260,6 +298,13 @@ class Nonstandard:
     def step_holds(self, n: int) -> bool:
         return not self.truth(n) or self.truth(n + 1)
 
+    def change_points(self, lo: int, stop: int) -> List[int]:
+        if self.bound is None:
+            return _clip((), lo, stop)  # limited + 1 stays limited: no edge
+        # S(n) holds exactly below the least naive n >= bound.
+        edge = _least(lambda n: not self.truth(n), lo, stop)
+        return _clip((edge - 1, edge), lo, stop)
+
     def describe(self) -> str:
         if self.bound is None:
             return "nonstandard: S(x) iff x is limited"
@@ -269,6 +314,28 @@ class Nonstandard:
 Backend = Union[
     ClassicalCutoff, KleenePenumbra, FuzzyMembership, Superval, Nonstandard
 ]
+
+
+def _clip(points, lo: int, stop: int) -> List[int]:
+    """``lo`` and those of ``points`` in ``lo .. stop-1``, sorted; [] if stop <= lo."""
+    if stop <= lo:
+        return []
+    return sorted({lo, *(n for n in points if lo < n < stop)})
+
+
+def _least(pred, lo: int, hi: int) -> int:
+    """The least ``n`` in ``lo .. hi`` with ``pred(n)``, or ``hi + 1`` if none.
+
+    ``pred`` must be monotone: false up to some index, true from it on.
+    """
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -285,9 +352,6 @@ class SoritesScenario:
             raise ValueError("range must contain at least two indices")
         if self.witnesses and not isinstance(self.backend, Nonstandard):
             raise BackendUnsupported("witnesses apply to the nonstandard backend")
-
-    def naive_indices(self) -> range:
-        return range(self.lo, self.hi + 1)
 
 
 # -- report fragments ------------------------------------------------------
@@ -446,7 +510,7 @@ def barnes_check(scenario: SoritesScenario) -> BarnesResult:
         evidence.append(f"S(a_{scenario.hi}) designated-false: {c2}")
 
     c3 = True
-    for n in range(scenario.lo, scenario.hi):
+    for n in backend.change_points(scenario.lo, scenario.hi):
         if backend.designated_true(n) and backend.designated_false(n + 1):
             c3 = False
             evidence.append(
@@ -465,12 +529,14 @@ def barnes_check(scenario: SoritesScenario) -> BarnesResult:
 
 def _first_failing_step(backend: Backend, lo: int, stop: int) -> Optional[int]:
     """The least ``n`` in ``lo .. stop-1`` whose step S(n) -> S(n+1) fails."""
-    return next((n for n in range(lo, stop) if not backend.step_holds(n)), None)
+    points = backend.change_points(lo, stop)
+    return next((n for n in points if not backend.step_holds(n)), None)
 
 
 def _min_link(backend: FuzzyMembership, lo: int, stop: int) -> Fraction:
     """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
-    return min((backend.implication(n) for n in range(lo, stop)), default=Fraction(1))
+    points = backend.change_points(lo, stop)
+    return min((backend.implication(n) for n in points), default=Fraction(1))
 
 
 def run_induction(scenario: SoritesScenario) -> InductionResult:
@@ -577,9 +643,15 @@ def doubling_analysis(scenario: SoritesScenario) -> DoublingResult:
         raise BackendUnsupported(
             "doubling analysis is defined only for the nonstandard backend"
         )
-    samples: List[EpsSeries] = [
-        EpsSeries.from_rational(n) for n in scenario.naive_indices()
-    ]
+    samples: List[EpsSeries] = []
+    if backend.bound is not None:
+        # S(2n) fails exactly from the least naive n with 2n >= bound on.
+        # No smaller n is a witness, and a larger one only if this one is,
+        # since S(n) too fails from some n on.  (A limited n doubles to a
+        # limited 2n, so for `limited` no naive n is a witness.)
+        n = _least(lambda n: not backend.truth(2 * n), scenario.lo, scenario.hi)
+        if n <= scenario.hi:
+            samples.append(EpsSeries.from_rational(n))
     samples.extend(w.series for w in scenario.witnesses)
     if backend.bound is not None:
         samples.append(backend.bound * Fraction(1, 2))

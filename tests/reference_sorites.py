@@ -1,11 +1,12 @@
-"""Reference Sorites runners that the step-rule runners are tested against.
+"""Reference Sorites runners that the change-point runners are tested against.
 
-These are the per-index versions the one-scan runners replaced: every
-induction step and every chain link asks the backend whether ``S(n)`` is
-designated true and whether ``S(n+1)`` is, and a supervaluation backend
-evaluates ``S(n)`` and ``S(n) -> S(n+1)`` on every precisification with
-``eval_super``.  They share no code with ``step_holds``, the closed-form
-``Superval.truth`` or ``_first_failing_step``.
+These are the per-index versions the change-point runners replaced: every
+index of the range is visited, every induction step and every chain link
+asks the backend whether ``S(n)`` is designated true and whether ``S(n+1)``
+is, a supervaluation backend evaluates ``S(n)`` and ``S(n) -> S(n+1)`` on
+every precisification with ``eval_super``, and the doubling analysis samples
+every naive index.  They share no code with ``change_points``,
+``step_holds``, the closed-form ``Superval.truth`` or ``_first_failing_step``.
 """
 
 from fractions import Fraction
@@ -212,7 +213,7 @@ def ref_doubling_analysis(scenario):
         raise BackendUnsupported(
             "doubling analysis is defined only for the nonstandard backend"
         )
-    samples = [EpsSeries.from_rational(n) for n in scenario.naive_indices()]
+    samples = [EpsSeries.from_rational(n) for n in range(scenario.lo, scenario.hi + 1)]
     samples.extend(w.series for w in scenario.witnesses)
     if backend.bound is not None:
         samples.append(backend.bound * Fraction(1, 2))

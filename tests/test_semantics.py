@@ -372,6 +372,34 @@ class TestDomainBound:
                     evaluate(formula, domains)
 
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_nested_product_at_and_past_the_bound(self, evaluator):
+        # 100 * 100 == MAX_DOMAIN; 73 * 137 == MAX_DOMAIN + 1.
+        evaluate = self.EVALUATORS[evaluator]
+        text = "exists a in 1..{}. exists b in D. S(a) | S(b)"
+        evaluate(parse_formula(text.format(100)), {"D": (1, 100)})
+        message = f"137 values times 73 enclosing above {MAX_DOMAIN}"
+        with pytest.raises(BoundExceeded, match=message):
+            evaluate(parse_formula(text.format(73)), {"D": (1, 137)})
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_nested_domains_refused_on_entry(self, evaluator):
+        # Each domain fits; the product of 10**6 is refused before any of
+        # the inner values is visited.
+        formula = parse_formula("forall a in 1..1000. forall b in 1..1000. S(a) | S(b)")
+        with pytest.raises(BoundExceeded):
+            self.EVALUATORS[evaluator](formula, None)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_nested_bound_keeps_the_error_order(self, evaluator):
+        # The walk meets the unbound x before it enters the inner quantifier,
+        # so a bound checked up front would report the wrong error.
+        formula = parse_formula(
+            "forall a in 1..1000. (S(x) & (forall b in 1..1000. S(b)))"
+        )
+        with pytest.raises(UnboundAtom, match="unbound index variable 'x'"):
+            self.EVALUATORS[evaluator](formula, None)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
     def test_huge_literal_domain(self, evaluator):
         formula = parse_formula("exists n in 1..99999999999999999999. S(n)")
         with pytest.raises(BoundExceeded):

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_sorites import ref_run_scenario
+from soritica.cli import main
 from soritica.formulas import Atom, Implies, Index
 from soritica.semantics import SuperVerdict, eval_super
 from soritica.series import EpsSeries, parse_series
@@ -135,6 +137,13 @@ class TestConditional:
             value = result.conclusion.split(";")[0].removeprefix(prefix)
             degrees.append(F(value))
         assert degrees == sorted(degrees, reverse=True)
+
+    def test_fuzzy_chain_weakest_at_its_last_link(self):
+        # Up to the middle of the range the weakest link so far is the last.
+        result = run_conditional(fuzzy_linear(), 30)
+        assert result.conclusion == (
+            "degree of S(a_30) = 70/99; minimum link degree = 70/99"
+        )
 
     def test_chain_outside_range(self):
         with pytest.raises(ValueError):
@@ -415,6 +424,7 @@ class TestBackendTable:
             assert name in vars(cls)
         assert cls.id == backend_type
         assert callable(cls.describe) and callable(cls.step_holds)
+        assert callable(cls.change_points)
 
     def test_five_backends(self):
         classes = {entry[0] for entry in BACKENDS.values()}
@@ -490,10 +500,15 @@ def configs(draw):
         t1 = draw(near)
         params = {"t1": t1, "t2": t1 + draw(st.integers(0, hi - lo))}
     elif backend_type == "fuzzy_membership":
-        indices = sorted(draw(st.sets(near, min_size=2, max_size=4)))
-        params = {"points": [[n, str(draw(degrees))] for n in indices]}
-        if draw(st.booleans()):
-            params["threshold"] = str(draw(degrees))
+        indices = sorted(draw(st.sets(near, min_size=2, max_size=6)))
+        points = tuple((n, draw(degrees)) for n in indices)
+        params = {"points": [[n, str(d)] for n, d in points]}
+        # A threshold S(m) or 1 - S(m) makes the crossing land on m itself.
+        m = draw(st.integers(indices[0], indices[-1]))
+        level = FuzzyMembership(points).truth(m)
+        threshold = draw(st.sampled_from([None, level, 1 - level, draw(degrees)]))
+        if threshold is not None:
+            params["threshold"] = str(threshold)
     elif backend_type == "superval":
         params = {"cutoffs": draw(st.lists(near, min_size=1, max_size=5))}
     else:
@@ -504,6 +519,11 @@ def configs(draw):
                     series_texts(unlimited=True),
                     series_texts(unlimited=False),
                     near.map(str),  # a sharp cut inside the range
+                    # A standard part k inside the range and a tail that
+                    # puts the edge of S right at or after k.
+                    st.builds(
+                        "{}{}".format, near, st.sampled_from([" + e", " - e^2", " + 1/2"])
+                    ),
                 )
             )
         config["witnesses"] = draw(st.lists(series_texts(unlimited=True), max_size=3))
@@ -537,3 +557,136 @@ class TestOracle:
         assert backend.truth(n) is eval_super(atom(n), cutoffs)
         step = eval_super(Implies(atom(n), atom(n + 1)), cutoffs)
         assert backend.step_holds(n) == (step is SuperVerdict.SUPERTRUE)
+
+
+# -- ranges of 10**12: change points, not indices ---------------------------
+
+WIDE = 10**12
+FLIP = (
+    "adjacent flip: S(a_{0}) designated-true, S(a_{1}) designated-false (witness {0})"
+)
+SMOOTH = "no adjacent designated-true -> designated-false step"
+
+#: (backend, extra config, flip evidence, induction step, conditional, doubling),
+#: worked out by hand from the backend parameters.
+WIDE_CASES = {
+    "classical": (
+        {"type": "classical_cutoff", "params": {"cutoff": 300_000_000_000}},
+        {},
+        FLIP.format(299_999_999_999, 300_000_000_000),
+        (False, 299_999_999_999, "step fails at n=299999999999"),
+        (False, 299_999_999_999, "chain stops at link 299999999999 -> 300000000000"),
+        None,
+    ),
+    "kleene": (
+        {
+            "type": "kleene_penumbra",
+            "params": {"t1": 300_000_000_000, "t2": 700_000_000_000},
+        },
+        {},
+        SMOOTH,
+        (False, 299_999_999_999, "step fails at n=299999999999"),
+        (False, 299_999_999_999, "chain stops at link 299999999999 -> 300000000000"),
+        None,
+    ),
+    "fuzzy": (
+        # Degree 1 up to 2*10**11, then down to 0 at 10**12.  The weakest
+        # link of the whole range is 1/2, where 1 - S(n) meets S(n+1) near
+        # 6*10**11; a chain cut at 5*10**11 is weakest at its last link.
+        {
+            "type": "fuzzy_membership",
+            "params": {
+                "points": [[0, "1"], [200_000_000_000, "1"], [WIDE, "0"]],
+                "threshold": "3/4",
+            },
+        },
+        {"chainLength": 500_000_000_000},
+        SMOOTH,
+        (False, None, "minimum step-implication degree = 1/2"),
+        (
+            True,
+            None,
+            "degree of S(a_500000000000) = 5/8; minimum link degree = 5/8",
+        ),
+        None,
+    ),
+    "superval": (
+        {"type": "superval", "params": {"cutoffs": [600_000_000_000, 200_000_000_000]}},
+        {"chainLength": 150_000_000_000},
+        SMOOTH,
+        (
+            False,
+            199_999_999_999,
+            "step instance not supertrue at n=199999999999 "
+            "(some precisification cuts there)",
+        ),
+        (True, None, "S(a_150000000000) designated-true: True"),
+        None,
+    ),
+    "limited": (
+        {"type": "nonstandard", "params": {"threshold": "limited"}},
+        {"witnesses": ["e^(-1)"]},
+        "no representable adjacent flip: limited + 1 stays limited",
+        (True, None, Nonstandard.step_wording[0].format(lo=0, hi=WIDE)),
+        (True, None, "S(a_1000000000000) designated-true: True"),
+        (True, None),
+    ),
+    "cut": (
+        # S(n) iff n < 4*10**11 + e: the edge is 4*10**11 + 1, and the least
+        # n with 2n >= 4*10**11 + e is 2*10**11 + 1.
+        {"type": "nonstandard", "params": {"threshold": "400000000000 + e"}},
+        {"witnesses": ["e^(-1)"]},
+        FLIP.format(400_000_000_000, 400_000_000_001),
+        (False, 400_000_000_000, Nonstandard.step_wording[1].format(lo=0, hi=WIDE)),
+        (False, 400_000_000_000, "chain stops at link 400000000000 -> 400000000001"),
+        (False, "200000000001"),
+    ),
+}
+
+
+def wide_config(case):
+    backend, extra = WIDE_CASES[case][:2]
+    return {"name": f"wide_{case}", "range": [0, WIDE], "backend": backend, **extra}
+
+
+class TestWideRange:
+    """Ranges of 10**12 run in milliseconds; 2 s is a generous budget."""
+
+    @pytest.mark.parametrize("case", sorted(WIDE_CASES))
+    def test_range_of_10_12(self, case):
+        _, _, flip, step, link, doubling = WIDE_CASES[case]
+        start = time.monotonic()
+        report = run_scenario(scenario_from_dict(wide_config(case)))
+        elapsed = time.monotonic() - start
+        assert elapsed < 2, f"{case} took {elapsed:.2f}s"
+        barnes, induction = report.barnes, report.induction
+        assert (barnes.c1, barnes.c2) == (True, True)
+        assert barnes.c3 == (not flip.startswith("adjacent flip"))
+        assert barnes.evidence[-1] == flip
+        assert induction.basis
+        assert (
+            induction.step_holds,
+            induction.step_counterexample,
+            induction.step_detail,
+        ) == step
+        conditional = report.conditional
+        assert (
+            conditional.completed,
+            conditional.failing_link,
+            conditional.conclusion,
+        ) == link
+        if doubling is None:
+            assert report.doubling is None
+        else:
+            assert (report.doubling.invariant, report.doubling.witness) == doubling
+
+    def test_cli_run(self, capsys, tmp_path):
+        path = tmp_path / "wide_cut.json"
+        path.write_text(json.dumps(wide_config("cut")))
+        start = time.monotonic()
+        code = main(["sorites", "run", str(path)])
+        elapsed = time.monotonic() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        assert elapsed < 2, f"the CLI run took {elapsed:.2f}s"
+        assert "  witness: 200000000001" in out
