@@ -44,7 +44,8 @@ class Index:
     """Index term: a literal, or a bound variable plus an offset.
 
     The grammar writes a variable's offset as ``n+k``, so it is refused
-    below 0.  A literal (``var`` of ``None``) may be any integer.
+    below 0.  A literal (``var`` of ``None``) may be any integer, written
+    with an optional ``-``: ``S(-2)``.
     """
 
     var: Optional[str]
@@ -125,7 +126,7 @@ Formula = Union[Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists]
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><->|->|\.\.|[~&|().+,])"
+    r"|(?P<op><->|->|\.\.|[~&|().+,-])"
 )
 
 _KEYWORDS = {"forall", "exists", "in"}
@@ -247,8 +248,8 @@ class _Parser(Descent):
 
     def parse_index(self) -> Index:
         token = self.peek()
-        if token.kind == "num":
-            return Index(None, self.value(self.advance()))
+        if token.kind == "num" or self.at_op("-"):
+            return Index(None, self.parse_signed_rational("an index term"))
         if token.kind == "name" and token.text not in _KEYWORDS:
             var = self.advance().text
             offset = 0

@@ -25,7 +25,7 @@ from .neutrix import (
     n_scale,
     regular_inverse,
 )
-from .sampling import samples_within, strict_subset_witness
+from .sampling import _below, _entry, samples_within, strict_subset_witness
 from .series import OMEGA, EpsSeries, Rational, rational
 
 __all__ = ["Law", "LawResult", "LAWS", "LAW_NAMES", "run_law_suite"]
@@ -46,7 +46,9 @@ class LawResult:
 # That makes the same ``rng`` calls, in the same order, as drawing a
 # numerator and then a denominator with ``randint`` over the table's
 # ranges, so the draws and the generator state afterwards are those of
-# building each ``Fraction`` from two ``randint`` calls.
+# building each ``Fraction`` from two ``randint`` calls.  The draws go
+# through ``sampling._below``, which makes the ``getrandbits`` calls of
+# ``choice`` and ``randint`` directly.
 
 
 def _table(numerators, denominators):
@@ -68,13 +70,16 @@ _SCALARS = _table((-9, -5, -1, 1, 2, 5, 9), range(1, 5))
 
 
 def _rand_exponent(rng: random.Random) -> Rational:
-    return rng.choice(rng.choice(_EXPONENTS))
+    return _entry(rng.getrandbits, _EXPONENTS)
 
 
 def rand_series(rng: random.Random, max_terms: int = 3) -> EpsSeries:
+    if max_terms < 0:
+        raise ValueError("max_terms must be >= 0")
+    getrandbits = rng.getrandbits
     terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        coeff = rng.choice(rng.choice(_COEFFICIENTS))
+    for _ in range(_below(getrandbits, max_terms + 1)):
+        coeff = _entry(getrandbits, _COEFFICIENTS)
         terms.append((_rand_exponent(rng), coeff))
     return EpsSeries.from_terms(terms)
 
@@ -101,7 +106,7 @@ def rand_invertible_external(rng: random.Random) -> ExternalNumber:
     while True:
         neutrix = rand_neutrix(rng)
         if neutrix.is_zero:
-            coeff = rng.choice(rng.choice(_UNIT_COEFFICIENTS))
+            coeff = _entry(rng.getrandbits, _UNIT_COEFFICIENTS)
             if rng.random() < 0.5:
                 coeff = -coeff
             rep = EpsSeries.monomial(_rand_exponent(rng), coeff)
@@ -220,7 +225,7 @@ def _check_no_zero_divisors(instance, rng):
 
 def _draw_appreciable_scale(rng):
     neutrix = rand_neutrix(rng)
-    return rng.choice(rng.choice(_SCALARS)), neutrix
+    return _entry(rng.getrandbits, _SCALARS), neutrix
 
 
 def _draw_integer_scale(rng):

@@ -3,17 +3,18 @@
 External sets are not finitely enumerable, so set-level claims are
 checked by drawing concrete series members of each side and testing
 membership in the other.  The oracle is independent of the canonical
-arithmetic: membership only uses valuations of differences.
+arithmetic: membership only uses truncations of differences at a cut.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from itertools import repeat
+from typing import Callable, Iterator, List, Optional
 
 from .neutrix import ExternalNumber, Kind, Neutrix
-from .series import EpsSeries, Rational, rational
+from .series import Cut, EpsSeries, Rational, Terms, rational
 
 __all__ = [
     "neutrix_samples",
@@ -37,10 +38,90 @@ _COEFFICIENTS = tuple(
 _OFFSETS = tuple(
     tuple(rational(Fraction(a, b)) for b in range(1, 4)) for a in range(1, 5)
 )
+#: ``_SHIFTS[4*cell + step]``: how far above ``q`` a sample term sits,
+#: ``step`` powers of ``e`` above the start of its cell.  Cell 0 starts at
+#: ``q`` itself, for ``L(q)``; cell ``1 + 3*(a - 1) + (b - 1)`` starts at
+#: the offset ``a/b`` of ``o(q)``.  Step 0 is the first term.
+_SHIFTS = tuple(
+    rational(start + step)
+    for start in (0, *(offset for row in _OFFSETS for offset in row))
+    for step in range(4)
+)
 
 
-def _rand_coeff(rng: random.Random) -> Rational:
-    return rng.choice(rng.choice(_COEFFICIENTS))
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform index in ``range(n)``, ``n > 0``, drawn as ``random`` does.
+
+    This is ``Random._randbelow(n)``, the draw behind ``rng.choice`` of a
+    length-``n`` sequence and behind ``rng.randint(a, a + n - 1)``, given
+    the bound method ``rng.getrandbits``: the same calls, the same index.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _entry(getrandbits: Callable[[int], int], table):
+    """``rng.choice(rng.choice(table))``: a row, then an entry of that row."""
+    row = table[_below(getrandbits, len(table))]
+    return row[_below(getrandbits, len(row))]
+
+
+class _Exponents(dict):
+    """Per-call memo from ``4*cell + step`` to ``(exponent, kept)``.
+
+    The exponent is ``q + _SHIFTS[4*cell + step]``; ``kept`` is true when
+    ``cut`` does not absorb it, and always when there is no cut.  With at
+    most 13 cells and 4 steps, each pair is computed at most once per
+    call, so the per-sample loop does no ``Fraction`` arithmetic.
+    """
+
+    def __init__(self, q: Rational, cut: Optional[Cut]):
+        super().__init__()
+        self.q, self.cut = q, cut
+
+    def __missing__(self, key: int):
+        exponent = rational(self.q + _SHIFTS[key])
+        kept = True
+        if self.cut is not None:
+            edge, closed = self.cut
+            kept = exponent < edge if closed else exponent <= edge
+        self[key] = exponent, kept
+        return exponent, kept
+
+
+def _sample_terms(
+    neutrix: Neutrix, count: int, rng: random.Random, cut: Optional[Cut]
+) -> Iterator[Terms]:
+    """The terms of ``count`` samples of ``neutrix``, less what ``cut`` absorbs.
+
+    A sample's draws, in order: for ``o(q)`` the offset ``a/b`` of its
+    first exponent above ``q`` (``a``, then ``b``); its first coefficient
+    (numerator row, then denominator); ``rng.random() < 0.4``; and only
+    then the second term's step of 1 to 3 powers of ``e`` and its
+    coefficient.  The zero group has one sample, 0, and draws nothing.
+    """
+    if neutrix.is_zero:
+        yield from repeat((), count)
+        return
+    getrandbits, roll = rng.getrandbits, rng.random
+    exponents = _Exponents(neutrix.exponent, cut)
+    osl = neutrix.kind is Kind.OSL
+    for _ in range(count):
+        key = 0
+        if osl:
+            key = 4 * (1 + 3 * _below(getrandbits, 4) + _below(getrandbits, 3))
+        exponent, kept = exponents[key]
+        coeff = _entry(getrandbits, _COEFFICIENTS)
+        terms = ((exponent, coeff),) if kept and coeff else ()
+        if roll() < 0.4:
+            exponent, kept = exponents[key + 1 + _below(getrandbits, 3)]
+            coeff = _entry(getrandbits, _COEFFICIENTS)
+            if kept and coeff:
+                terms += ((exponent, coeff),)
+        yield terms
 
 
 def neutrix_samples(
@@ -50,25 +131,15 @@ def neutrix_samples(
 
     Each sample is one term at the group's exponent (``L(q)``) or just
     above it (``o(q)``), plus, four times in ten, a second term one to
-    three powers of ``e`` higher; zero coefficients are dropped.
+    three powers of ``e`` higher; zero coefficients are dropped.  The
+    draws per sample, in order: the ``o(q)`` offset, the first
+    coefficient, the four-in-ten roll, then the step and coefficient of
+    the second term.  :func:`samples_within` makes the same draws but
+    builds no series: it matches each sample ``s`` truncated at the other
+    side's cut against one target, since truncation is linear and so
+    ``a + s`` lies in ``b + B`` iff ``s.truncate(cut) == (b - a).truncate(cut)``.
     """
-    if neutrix.is_zero:
-        return [EpsSeries()] * count
-    q = neutrix.exponent
-    samples = []
-    for _ in range(count):
-        if neutrix.kind is Kind.LIM:
-            exp = q
-        else:
-            exp = rational(q + rng.choice(rng.choice(_OFFSETS)))
-        first = (exp, _rand_coeff(rng))
-        terms = (first,) if first[1] else ()
-        if rng.random() < 0.4:
-            second = (exp + rng.randint(1, 3), _rand_coeff(rng))
-            if second[1]:
-                terms += (second,)
-        samples.append(EpsSeries(terms))
-    return samples
+    return [EpsSeries(terms) for terms in _sample_terms(neutrix, count, rng, None)]
 
 
 def en_member(x: EpsSeries, alpha: ExternalNumber) -> bool:
@@ -91,15 +162,21 @@ def samples_within(
     """Whether ``count`` sampled members of ``left`` all lie in ``right``.
 
     A member ``left.rep + s`` lies in ``right`` iff ``right.neutrix``
-    contains ``(left.rep + s) - right.rep``, which is exactly
-    ``s + gap`` for the one difference ``gap = left.rep - right.rep``.
-    The verdict and the draws from ``rng`` are those of testing
-    :func:`en_member` on each of :func:`en_samples`.
+    contains ``left.rep + s - right.rep``, that is iff that difference
+    truncated at the neutrix's cut is 0.  Truncation is linear, so this
+    holds exactly when ``s.truncate(cut) == want`` for the one target
+    ``want = (right.rep - left.rep).truncate(cut)``; the zero neutrix
+    truncates nothing.  Each sample is thus matched by one comparison of
+    term tuples, with no series built.  All ``count`` samples are drawn,
+    in the order :func:`neutrix_samples` draws them, even once one has
+    failed: the verdict and the state of ``rng`` afterwards are those of
+    testing :func:`en_member` on each of :func:`en_samples`.
     """
-    gap = left.rep - right.rep
+    cut = right.neutrix.cut
+    gap = right.rep - left.rep
+    want = (gap if cut is None else gap.truncate(cut)).terms
     return all(
-        right.neutrix.contains(s + gap)
-        for s in neutrix_samples(left.neutrix, count, rng)
+        [terms == want for terms in _sample_terms(left.neutrix, count, rng, cut)]
     )
 
 

@@ -65,7 +65,7 @@ class TestParsing:
 formulas = st.recursive(
     st.one_of(
         st.sampled_from([PropVar("p"), PropVar("q"), PropVar("r")]),
-        st.integers(min_value=0, max_value=9).map(
+        st.integers(min_value=-9, max_value=9).map(
             lambda n: Atom("S", Index(None, n))
         ),
     ),
@@ -88,6 +88,12 @@ class TestIndex:
     def test_literal_may_be_negative(self):
         # A literal is an index value, not an offset; evaluators take any.
         assert semantics.eval_classical(Atom("S", Index(None, -2)), cutoff=0)
+
+    def test_variable_offset_below_zero_refused(self):
+        # Only a literal takes a sign: ``n-1`` is not an index term.
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula("S(n-1)")
+        assert info.value.position == 3
 
 
 class TestPrinting:

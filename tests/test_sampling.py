@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from soritica.neutrix import ExternalNumber, Kind, Neutrix
 from soritica.sampling import (
+    _below,
     en_samples,
     mutual_membership_check,
     neutrix_samples,
@@ -49,6 +50,21 @@ pairs = st.one_of(
 seeds = st.integers(min_value=0, max_value=2**32)
 
 
+class TestDrawHelper:
+    def test_below_matches_choice_and_randint(self):
+        # Every table length the samplers and the law suite draw from, and
+        # the two ``randint`` ranges they replace; a change to how
+        # ``random`` turns ``getrandbits`` into an index fails here first.
+        for seed in range(500):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                for n in (3, 4, 7, 9, 19):
+                    assert _below(rng.getrandbits, n) == ref_rng.choice(range(n))
+                assert _below(rng.getrandbits, 4) == ref_rng.randint(0, 3)
+                assert 1 + _below(rng.getrandbits, 3) == ref_rng.randint(1, 3)
+            assert rng.getstate() == ref_rng.getstate()
+
+
 class TestSamples:
     @given(neutrices, st.integers(min_value=0, max_value=60), seeds)
     def test_neutrix_samples_match_reference_draw(self, neutrix, count, seed):
@@ -65,7 +81,7 @@ class TestSamples:
 
 
 class TestOneDifferencePerSide:
-    @given(pairs, seeds, st.sampled_from((1, 10, 50)))
+    @given(pairs, seeds, st.sampled_from((0, 1, 10, 50)))
     @settings(max_examples=200)
     def test_samples_within_matches_oracle(self, pair, seed, count):
         left, right = pair
@@ -103,3 +119,40 @@ class TestOneDifferencePerSide:
             assert got == ref_samples_within(left, right, random.Random(seed), 1)
             verdicts.add(got)
         assert verdicts == {True, False}
+
+    @given(series_values, externals, seeds, st.sampled_from((0, 1, 50)))
+    def test_zero_neutrix_left_draws_nothing(self, rep, right, seed, count):
+        # The zero group's one sample is 0: left is a single series, in
+        # right or not, and no sample draws from ``rng``.
+        left = ExternalNumber.make(rep)
+        for target in (right, ExternalNumber.make(rep + right.rep, right.neutrix)):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = samples_within(left, target, rng, count)
+            assert got == ref_samples_within(left, target, ref_rng, count)
+            assert rng.getstate() == ref_rng.getstate() == random.Random(seed).getstate()
+
+    def test_two_term_target(self):
+        # Right is built around the first sample a seed draws from o(0).
+        # With the open cut o(e2) at the sample's second exponent, want,
+        # the gap truncated at that cut, has both of the sample's terms,
+        # so only a sample matching both is a member: a right side whose
+        # first or second coefficient differs by 1 holds no sample of that
+        # seed.  The closed cut L(e2) absorbs the second term instead.
+        left = ExternalNumber.make(EpsSeries.from_terms([(0, 3), (-1, 2)]), Neutrix.osl(0))
+        verdicts = []
+        for seed in range(100):
+            (sample,) = ref_neutrix_samples(left.neutrix, 1, random.Random(seed))
+            if len(sample.terms) != 2:
+                continue
+            (e1, c1), (e2, c2) = sample.terms
+            for neutrix in (Neutrix.osl(e2), Neutrix.lim(e2)):
+                for d1, d2 in ((0, 0), (1, 0), (0, 1)):
+                    shifted = EpsSeries.from_terms([(e1, c1 + d1), (e2, c2 + d2)])
+                    right = ExternalNumber.make(left.rep + shifted, neutrix)
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    got = samples_within(left, right, rng, 1)
+                    assert got == ref_samples_within(left, right, ref_rng, 1)
+                    assert rng.getstate() == ref_rng.getstate()
+                    assert got == (d1 == 0 and (d2 == 0 or neutrix.kind is Kind.LIM))
+                    verdicts.append(got)
+        assert verdicts.count(True) >= 10
