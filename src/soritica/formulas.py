@@ -4,8 +4,8 @@ Surface syntax (ASCII): ``~ & | -> <->``, bounded quantifiers
 ``forall n in 1..9. ...`` / ``exists n in D. ...``, soritical atoms
 ``S(n)``, ``S(n+1)``, ``S(3)``, and bare propositional variables.
 Precedence: ``~`` binds tightest, then ``& | -> <->``; quantifiers bind
-loosest.  Quantifier domains are finite and explicit; named domains are
-resolved at evaluation time.
+loosest.  Quantifier domains are finite and explicit, with signed bounds
+(``-3..3``); named domains are resolved at evaluation time.
 """
 
 from __future__ import annotations
@@ -207,15 +207,10 @@ class _Parser(Descent):
 
     def parse_domain(self) -> Domain:
         token = self.peek()
-        if token.kind == "num":
-            lo = self.value(self.advance())
+        if token.kind == "num" or self.at_op("-"):
+            lo = self.parse_signed_rational("a finite domain")
             self.expect_op("..")
-            hi_token = self.peek()
-            if hi_token.kind != "num":
-                raise FormulaSyntaxError(
-                    "expected the domain upper bound", hi_token.pos
-                )
-            hi = self.value(self.advance())
+            hi = self.parse_signed_rational("the domain upper bound")
             return (lo, hi)
         if token.kind == "name" and token.text not in _KEYWORDS:
             return self.advance().text

@@ -1,11 +1,15 @@
 """Evaluation semantics: classical, Kleene three-valued, fuzzy, supervaluation.
 
 The three-valued and fuzzy evaluators share one graded core: the strong
-Kleene connectives of ``GRADED`` on rational degrees (``& = min``,
-``| = max``, ``x -> y = max(1-x, y)``), ``~x = 1-x``, and quantifiers
-folded by min/max over their finite domains.  The classical evaluator is
-a separate boolean walk that does not read ``GRADED``, so the
-conservativity checks compare genuinely independent code paths.
+Kleene connectives of ``GRADED`` on degrees over a top value ``top``
+(``& = min``, ``| = max``, ``x -> y = max(top-x, y)``), ``~x = top-x``,
+and quantifiers folded by min/max over their finite domains.  Fuzzy
+degrees are ``Fraction``s over ``top = 1``; K3 values are integer halves,
+0, 1 and 2 over ``top = 2``, so a K3 walk does no ``Fraction``
+arithmetic.  Each evaluation asks for every distinct atom ``(pred, n)``
+once and checks it once.  The classical evaluator is a separate boolean
+walk that does not read ``GRADED``, so the conservativity checks compare
+genuinely independent code paths.
 
 The K3 tautology tests do not enumerate all 3^v assignments.  Strong
 Kleene is regular (Kleene 1952): refining a 1/2 to 0 or 1 never changes
@@ -19,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .bounds import MAX_DOMAIN, BoundExceeded
@@ -77,7 +82,7 @@ class SuperVerdict(enum.Enum):
 
 
 Domains = Mapping[str, Tuple[int, int]]
-AtomFn = Callable[[str, int], Fraction]
+AtomFn = Callable[[str, int], Rational]
 
 
 def _resolve_index(index: Index, env: Dict[str, int]) -> int:
@@ -121,51 +126,62 @@ def _restore(env: Dict[str, int], var: str, outer: Optional[int]) -> None:
         env[var] = outer
 
 
-def _implies(x: Fraction, y: Fraction) -> Fraction:
-    return max(1 - x, y)
+def _and(x, y, top=1):
+    return y if y < x else x
 
 
-#: The strong-Kleene binary connectives on degrees (Kleene 1952), read by
-#: the graded evaluator and by :func:`kleene_tables`; ``~x`` is ``1 - x``.
-GRADED: Dict[type, Callable[[Fraction, Fraction], Fraction]] = {
-    And: min,
-    Or: max,
+def _or(x, y, top=1):
+    return y if y > x else x
+
+
+def _implies(x, y, top=1):
+    return _or(top - x, y)
+
+
+#: The strong-Kleene binary connectives on degrees over ``top`` (Kleene
+#: 1952), read by the graded evaluator and by :func:`kleene_tables`;
+#: ``~x`` is ``top - x``.  ``&`` and ``|`` are ``min`` and ``max``.
+GRADED: Dict[type, Callable[..., Rational]] = {
+    And: _and,
+    Or: _or,
     Implies: _implies,
-    Iff: lambda x, y: min(_implies(x, y), _implies(y, x)),
+    Iff: lambda x, y, top=1: _and(_implies(x, y, top), _implies(y, x, top)),
 }
 
 
 def _eval_graded(
     formula: Formula,
-    atoms: AtomFn,
-    propvars: Mapping[str, Fraction],
+    atom: AtomFn,
+    propvars: Mapping[str, Rational],
     domains: Optional[Domains],
     env: Dict[str, int],
+    top: Rational,
     scale: int = 1,
-) -> Fraction:
+) -> Rational:
     connective = GRADED.get(type(formula))
     if connective is not None:
         return connective(
-            _eval_graded(formula.left, atoms, propvars, domains, env, scale),
-            _eval_graded(formula.right, atoms, propvars, domains, env, scale),
+            _eval_graded(formula.left, atom, propvars, domains, env, top, scale),
+            _eval_graded(formula.right, atom, propvars, domains, env, top, scale),
+            top,
         )
     if isinstance(formula, Atom):
-        return atoms(formula.predicate, _resolve_index(formula.index, env))
+        return atom(formula.predicate, _resolve_index(formula.index, env))
     if isinstance(formula, PropVar):
         if formula.name not in propvars:
             raise UnboundAtom(f"unbound variable {formula.name!r}")
         return propvars[formula.name]
     if isinstance(formula, Not):
-        return 1 - _eval_graded(formula.body, atoms, propvars, domains, env, scale)
+        return top - _eval_graded(formula.body, atom, propvars, domains, env, top, scale)
     if isinstance(formula, (Forall, Exists)):
-        fold = min if isinstance(formula, Forall) else max
+        fold = _and if isinstance(formula, Forall) else _or
         value = None
         outer = env.get(formula.var)
         values = _domain_range(formula.domain, domains, scale)
         for n in values:
             env[formula.var] = n
             degree = _eval_graded(
-                formula.body, atoms, propvars, domains, env, scale * len(values)
+                formula.body, atom, propvars, domains, env, top, scale * len(values)
             )
             value = degree if value is None else fold(value, degree)
         _restore(env, formula.var, outer)
@@ -178,15 +194,19 @@ def _eval_graded(
 def _eval_degrees(
     formula: Formula,
     atoms,
-    check: Callable[[Fraction], None],
-    propvars: Mapping[str, Fraction],
+    convert: Callable[[object], Rational],
+    propvars: Mapping[str, object],
     domains: Optional[Domains],
-) -> Fraction:
-    """The graded value of ``formula``.
+    top: Rational,
+) -> Rational:
+    """The graded value of ``formula`` over ``top``.
 
     ``atoms`` gives the value of ``pred(n)``: a function of ``pred`` and
-    ``n``, or a mapping keyed by ``(pred, n)``.  ``check`` refuses an atom
-    value out of range.
+    ``n``, or a mapping keyed by ``(pred, n)``.  ``convert`` checks a given
+    value and returns the degree the walk uses.  Every variable is
+    converted before the walk; an atom is asked for, converted and stored
+    the first time the walk meets it, so a value that fails stops the walk
+    at that first meeting, and no value outlives the call.
     """
     if callable(atoms):
         source = atoms
@@ -198,23 +218,42 @@ def _eval_degrees(
                 raise UnboundAtom(f"unbound atom {pred}({n})")
             return mapping[(pred, n)]
 
-    def atom_fn(pred, n):
-        value = Fraction(source(pred, n))
-        check(value)
+    memo: Dict[Tuple[str, int], Rational] = {}
+
+    def atom(pred, n):
+        value = memo.get((pred, n))
+        if value is None:
+            value = memo[pred, n] = convert(source(pred, n))
         return value
 
-    propvars = {name: Fraction(v) for name, v in propvars.items()}
-    return _eval_graded(formula, atom_fn, propvars, domains, {})
+    propvars = {name: convert(v) for name, v in propvars.items()}
+    return _eval_graded(formula, atom, propvars, domains, {}, top)
 
 
-def _check_k3(value: Fraction) -> None:
-    if value not in K3_VALUES:
+def _rational(value) -> Rational:
+    """``value`` if it is exact; a float or a string is refused."""
+    if not isinstance(value, Rational):
+        raise ValueError(f"value {value!r} is not an exact rational")
+    return value
+
+
+#: The K3 values by their integer halves over ``top = 2``, and back.
+_FROM_HALVES = (FALSE, HALF, TRUE)
+_HALVES = {value: halves for halves, value in enumerate(_FROM_HALVES)}
+
+
+def _k3_halves(value) -> int:
+    halves = _HALVES.get(_rational(value))
+    if halves is None:
         raise ValueError(f"K3 value {value} not in {{0, 1/2, 1}}")
+    return halves
 
 
-def _check_degree(value: Fraction) -> None:
+def _degree(value) -> Fraction:
+    value = Fraction(_rational(value))
     if not 0 <= value <= 1:
         raise ValueError(f"degree {value} outside [0, 1]")
+    return value
 
 
 def eval_k3(
@@ -223,11 +262,12 @@ def eval_k3(
     propvars: Mapping[str, Fraction] = {},
     domains: Optional[Domains] = None,
 ) -> Fraction:
-    """Strong-Kleene evaluation; all values must lie in {0, 1/2, 1}."""
-    for value in propvars.values():
-        if Fraction(value) not in K3_VALUES:
-            raise ValueError(f"K3 value {value} not in {{0, 1/2, 1}}")
-    return _eval_degrees(formula, atoms, _check_k3, propvars, domains)
+    """Strong-Kleene evaluation; all values must lie in {0, 1/2, 1}.
+
+    The value is one of ``FALSE``, ``HALF`` and ``TRUE``.
+    """
+    halves = _eval_degrees(formula, atoms, _k3_halves, propvars, domains, 2)
+    return _FROM_HALVES[halves]
 
 
 def eval_fuzzy(
@@ -236,8 +276,11 @@ def eval_fuzzy(
     propvars: Mapping[str, Fraction] = {},
     domains: Optional[Domains] = None,
 ) -> Fraction:
-    """Degree-valued evaluation with the Kleene-Zadeh connectives."""
-    return _eval_degrees(formula, membership, _check_degree, propvars, domains)
+    """Degree-valued evaluation with the Kleene-Zadeh connectives.
+
+    Every degree, of an atom or a variable, must be a rational in [0, 1].
+    """
+    return _eval_degrees(formula, membership, _degree, propvars, domains, 1)
 
 
 def eval_classical(

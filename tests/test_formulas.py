@@ -62,11 +62,14 @@ class TestParsing:
             parse_formula("p -> ")
 
 
+small_ints = st.integers(min_value=-9, max_value=9)
+domains = st.one_of(st.tuples(small_ints, small_ints), st.just("D"))
 formulas = st.recursive(
     st.one_of(
         st.sampled_from([PropVar("p"), PropVar("q"), PropVar("r")]),
-        st.integers(min_value=-9, max_value=9).map(
-            lambda n: Atom("S", Index(None, n))
+        small_ints.map(lambda n: Atom("S", Index(None, n))),
+        st.builds(Index, st.sampled_from(["n", "m"]), st.integers(0, 9)).map(
+            lambda index: Atom("S", index)
         ),
     ),
     lambda children: st.one_of(
@@ -75,6 +78,8 @@ formulas = st.recursive(
         st.builds(Or, children, children),
         st.builds(Implies, children, children),
         st.builds(Iff, children, children),
+        st.builds(Forall, st.sampled_from(["n", "m"]), domains, children),
+        st.builds(Exists, st.sampled_from(["n", "m"]), domains, children),
     ),
     max_leaves=10,
 )
@@ -106,6 +111,26 @@ class TestPrinting:
         formula = parse_formula(text)
         assert formula_to_str(formula) == text
         assert parse_formula(formula_to_str(formula)) == formula
+
+    def test_negative_domain_bounds(self):
+        text = "forall n in -3..3. exists m in -9..-4. S(n) | S(m)"
+        formula = parse_formula(text)
+        assert formula.domain == (-3, 3)
+        assert formula.body.domain == (-9, -4)
+        assert formula_to_str(formula) == text
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("forall n in -x..3. p", 13, "expected a finite domain"),
+            ("forall n in 1..-. p", 16, "expected the domain upper bound"),
+            ("forall n in 1..q. p", 15, "expected the domain upper bound"),
+        ],
+    )
+    def test_domain_bound_errors(self, text, position, message):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        assert (info.value.position, info.value.message) == (position, message)
 
 
 class TestNestingLimit:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from soritica.formulas import (
     And,
     Atom,
     Exists,
+    Forall,
     Iff,
     Implies,
     Index,
@@ -37,7 +39,12 @@ from soritica.semantics import (
 
 from soritica.bounds import MAX_DOMAIN
 
-from reference_semantics import ref_is_tautology_k3, ref_quasi_tautology_k3
+from reference_semantics import (
+    ref_eval_fuzzy,
+    ref_eval_k3,
+    ref_is_tautology_k3,
+    ref_quasi_tautology_k3,
+)
 
 F = Fraction
 
@@ -191,6 +198,47 @@ class TestFuzzy:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             eval_fuzzy(Atom("S", Index(None, 1)), lambda p, n: F(3, 2))
+
+    @pytest.mark.parametrize("formula", [P, Not(P)])
+    @pytest.mark.parametrize("value", [5, -3, F(3, 2)])
+    def test_variable_out_of_range(self, formula, value):
+        with pytest.raises(ValueError, match=rf"^degree {value} outside \[0, 1\]$"):
+            eval_fuzzy(formula, propvars={"p": value})
+
+    def test_variable_checked_before_the_walk(self):
+        # The unused q is refused although the walk would never read it.
+        with pytest.raises(ValueError, match="degree 2 outside"):
+            eval_fuzzy(P, propvars={"p": HALF, "q": 2})
+
+
+class TestExactValues:
+    """Degrees and K3 values are exact: a float or a string is refused."""
+
+    EVALUATORS = {"k3": eval_k3, "fuzzy": eval_fuzzy}
+    INEXACT = [0.1, 0.5, 1.0, "1/2", "1", None]
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize("value", INEXACT)
+    def test_atom_refused(self, evaluator, value):
+        with pytest.raises(ValueError, match=rf"^value {value!r} is not an exact rational$"):
+            self.EVALUATORS[evaluator](Atom("S", Index(None, 1)), lambda p, n: value)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize("value", INEXACT)
+    def test_variable_refused(self, evaluator, value):
+        with pytest.raises(ValueError, match=rf"^value {value!r} is not an exact rational$"):
+            self.EVALUATORS[evaluator](P, propvars={"p": value})
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize(
+        "value, expected", [(True, TRUE), (False, FALSE), (1, TRUE), (0, FALSE), (HALF, HALF)]
+    )
+    def test_bool_int_and_fraction_accepted(self, evaluator, value, expected):
+        evaluate = self.EVALUATORS[evaluator]
+        got = evaluate(Atom("S", Index(None, 1)), lambda p, n: value)
+        assert got == expected and type(got) is Fraction
+        got = evaluate(P, propvars={"p": value})
+        assert got == expected and type(got) is Fraction
 
 
 class TestClassical:
@@ -419,3 +467,155 @@ class TestDomainBound:
         )
         with pytest.raises(UnboundAtom, match="unknown quantifier domain"):
             eval_classical(formula, 2, {"p": True})
+
+
+# -- the graded evaluators against the plain per-node walker ----------------
+
+#: Named domains: ``E`` is unknown, ``W`` nests twice within the bound and
+#: three times past it, ``BIG`` alone is past it.
+ORACLE_DOMAINS = {"D": (0, 2), "W": (1, 30), "BIG": (1, MAX_DOMAIN + 1)}
+oracle_vars = st.sampled_from(["n", "m", "k"])
+oracle_domains = st.one_of(
+    st.builds(
+        lambda lo, size: (lo, lo + size - 1),
+        st.integers(-3, 3),
+        st.integers(0, 4),
+    ),
+    st.sampled_from(["D", "D", "W", "E", "BIG"]),
+)
+oracle_formulas = st.recursive(
+    st.one_of(
+        st.sampled_from([P, Q, PropVar("r")]),
+        st.builds(
+            Atom,
+            st.sampled_from(["S", "T"]),
+            st.builds(Index, st.none(), st.integers(-3, 6)),
+        ),
+        st.builds(
+            Atom,
+            st.sampled_from(["S", "T"]),
+            st.builds(Index, oracle_vars, st.integers(0, 2)),
+        ),
+    ),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Implies, children, children),
+        st.builds(Iff, children, children),
+        st.builds(Forall, oracle_vars, oracle_domains, children),
+        st.builds(Exists, oracle_vars, oracle_domains, children),
+    ),
+    max_leaves=10,
+)
+
+
+def mostly(good, bad):
+    """``good`` nine times in ten, else ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 5 else good)
+
+
+# Values in range, now and then one out of range or inexact.
+k3_values = mostly(
+    st.sampled_from([TRUE, FALSE, HALF, True, False, 1, 0]),
+    st.sampled_from([F(1, 3), 2, -1, 0.5, "1/2"]),
+)
+fuzzy_values = mostly(
+    st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.sampled_from([True, 0, 1]),
+    ),
+    st.sampled_from([F(3, 2), -1, 0.25, "1/2"]),
+)
+
+
+def valuations(values):
+    """``p`` and ``q`` always, ``r`` sometimes: an unbound variable now and then."""
+    return st.fixed_dictionaries({"p": values, "q": values}, optional={"r": values})
+
+
+def outcome(evaluate, *args):
+    """The value of ``evaluate(*args)``, or its error's type and message."""
+    try:
+        return evaluate(*args)
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+
+
+class TestGradedAgainstReference:
+    """``eval_k3`` and ``eval_fuzzy`` give the per-node walker's value or
+    its first error, and ask each distinct atom once."""
+
+    CASES = {
+        "k3": (eval_k3, ref_eval_k3, k3_values),
+        "fuzzy": (eval_fuzzy, ref_eval_fuzzy, fuzzy_values),
+    }
+
+    @pytest.mark.parametrize("evaluator", sorted(CASES))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_function_atoms(self, evaluator, data):
+        fast, reference, values = self.CASES[evaluator]
+        formula = data.draw(oracle_formulas)
+        table = data.draw(st.lists(values, min_size=1, max_size=5))
+        propvars = data.draw(valuations(values))
+        asked = Counter()
+
+        def atoms(pred, n):
+            return table[(ord(pred) + 3 * n) % len(table)]
+
+        def counted(pred, n):
+            asked[pred, n] += 1
+            return atoms(pred, n)
+
+        got = outcome(fast, formula, counted, propvars, ORACLE_DOMAINS)
+        want = outcome(reference, formula, atoms, propvars, ORACLE_DOMAINS)
+        assert got == want
+        assert type(got) is type(want)
+        assert max(asked.values(), default=1) == 1
+
+    @pytest.mark.parametrize("evaluator", sorted(CASES))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mapping_atoms(self, evaluator, data):
+        fast, reference, values = self.CASES[evaluator]
+        formula = data.draw(oracle_formulas)
+        keys = st.tuples(st.sampled_from(["S", "T"]), st.integers(-3, 38))
+        atoms = data.draw(st.dictionaries(keys, values, max_size=60))
+        propvars = data.draw(valuations(values))
+        got = outcome(fast, formula, atoms, propvars, ORACLE_DOMAINS)
+        assert got == outcome(reference, formula, atoms, propvars, ORACLE_DOMAINS)
+
+
+class TestAtomAskedOnce:
+    @pytest.mark.parametrize("evaluate", [eval_k3, eval_fuzzy])
+    def test_induction_step(self, evaluate):
+        asked = Counter()
+
+        def atoms(pred, n):
+            asked[pred, n] += 1
+            return HALF
+
+        formula = parse_formula("forall n in 1..9. forall m in 1..3. S(n) -> S(n+1)")
+        assert evaluate(formula, atoms) == HALF
+        assert asked == Counter({("S", n): 1 for n in range(1, 11)})
+
+    def test_fresh_memo_per_call(self):
+        asked = Counter()
+
+        def atoms(pred, n):
+            asked[pred, n] += 1
+            return TRUE
+
+        formula = parse_formula("S(1) & S(1)")
+        eval_k3(formula, atoms)
+        eval_k3(formula, atoms)
+        assert asked == Counter({("S", 1): 2})
+
+    def test_failing_value_is_not_stored(self):
+        # The first S(2) fails; a second call asks for it again.
+        replies = iter([TRUE, F(1, 3), TRUE, TRUE])
+        formula = parse_formula("S(1) & S(2)")
+        with pytest.raises(ValueError, match="K3 value 1/3"):
+            eval_k3(formula, lambda p, n: next(replies))
+        assert eval_k3(formula, lambda p, n: next(replies)) == TRUE
