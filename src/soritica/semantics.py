@@ -283,16 +283,38 @@ def eval_fuzzy(
     return _eval_degrees(formula, membership, _degree, propvars, domains, 1)
 
 
+def _classical_inputs(cutoffs, propvars: Mapping[str, bool]) -> None:
+    """Refuse a cutoff that is not an ``int`` or a variable that is not a ``bool``."""
+    for cutoff in cutoffs:
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool):
+            raise ValueError(f"cutoff {cutoff!r} is not an integer")
+    for name, value in propvars.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"variable {name!r} is {value!r}, not a bool")
+
+
 def eval_classical(
     formula: Formula,
     cutoff: Optional[int] = None,
     propvars: Mapping[str, bool] = {},
     domains: Optional[Domains] = None,
-    _env: Optional[Dict[str, int]] = None,
-    _scale: int = 1,
 ) -> bool:
-    """Two-valued evaluation; soritical atoms hold below the cutoff."""
-    env = _env if _env is not None else {}
+    """Two-valued evaluation; soritical atoms hold below the cutoff.
+
+    The cutoff must be an ``int`` and every variable a ``bool``.
+    """
+    _classical_inputs(() if cutoff is None else (cutoff,), propvars)
+    return _classical(formula, cutoff, propvars, domains, {}, 1)
+
+
+def _classical(
+    formula: Formula,
+    cutoff: Optional[int],
+    propvars: Mapping[str, bool],
+    domains: Optional[Domains],
+    env: Dict[str, int],
+    scale: int,
+) -> bool:
     if isinstance(formula, Atom):
         if cutoff is None:
             raise UnboundAtom("no cutoff supplied for soritical atoms")
@@ -300,36 +322,36 @@ def eval_classical(
     if isinstance(formula, PropVar):
         if formula.name not in propvars:
             raise UnboundAtom(f"unbound variable {formula.name!r}")
-        return bool(propvars[formula.name])
+        return propvars[formula.name]
     if isinstance(formula, Not):
-        return not eval_classical(formula.body, cutoff, propvars, domains, env, _scale)
+        return not _classical(formula.body, cutoff, propvars, domains, env, scale)
     if isinstance(formula, And):
-        return eval_classical(
-            formula.left, cutoff, propvars, domains, env, _scale
-        ) and eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
+        return _classical(
+            formula.left, cutoff, propvars, domains, env, scale
+        ) and _classical(formula.right, cutoff, propvars, domains, env, scale)
     if isinstance(formula, Or):
-        return eval_classical(
-            formula.left, cutoff, propvars, domains, env, _scale
-        ) or eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
+        return _classical(
+            formula.left, cutoff, propvars, domains, env, scale
+        ) or _classical(formula.right, cutoff, propvars, domains, env, scale)
     if isinstance(formula, Implies):
         return (
-            not eval_classical(formula.left, cutoff, propvars, domains, env, _scale)
-        ) or eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
+            not _classical(formula.left, cutoff, propvars, domains, env, scale)
+        ) or _classical(formula.right, cutoff, propvars, domains, env, scale)
     if isinstance(formula, Iff):
-        return eval_classical(
-            formula.left, cutoff, propvars, domains, env, _scale
-        ) == eval_classical(formula.right, cutoff, propvars, domains, env, _scale)
+        return _classical(
+            formula.left, cutoff, propvars, domains, env, scale
+        ) == _classical(formula.right, cutoff, propvars, domains, env, scale)
     if isinstance(formula, (Forall, Exists)):
         # No early exit: a short circuit in the body can leave an error
         # to a later value, and stopping at the verdict would hide it.
         forall = isinstance(formula, Forall)
         verdict = forall
         outer = env.get(formula.var)
-        values = _domain_range(formula.domain, domains, _scale)
+        values = _domain_range(formula.domain, domains, scale)
         for n in values:
             env[formula.var] = n
-            body = eval_classical(
-                formula.body, cutoff, propvars, domains, env, _scale * len(values)
+            body = _classical(
+                formula.body, cutoff, propvars, domains, env, scale * len(values)
             )
             if body is not forall:
                 verdict = not forall
@@ -344,13 +366,16 @@ def eval_super(
     propvars: Mapping[str, bool] = {},
     domains: Optional[Domains] = None,
 ) -> SuperVerdict:
-    """Supervaluation over a family of classical cutoff precisifications."""
+    """Supervaluation over a family of classical cutoff precisifications.
+
+    Every cutoff must be an ``int`` and every variable a ``bool``.
+    """
     cutoffs = list(cutoffs)
     if not cutoffs:
         raise EmptyFamily("a precisification family must be nonempty")
+    _classical_inputs(cutoffs, propvars)
     verdicts = [
-        eval_classical(formula, cutoff, propvars, domains)
-        for cutoff in cutoffs
+        _classical(formula, cutoff, propvars, domains, {}, 1) for cutoff in cutoffs
     ]
     if all(verdicts):
         return SuperVerdict.SUPERTRUE

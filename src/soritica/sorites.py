@@ -17,8 +17,9 @@ range of ten indices as on one of 10**12.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import __version__
@@ -27,7 +28,6 @@ from .semantics import HALF, TRUE, FALSE, SuperVerdict
 from .series import EpsSeries, ParseError, parse_series
 
 __all__ = [
-    "Naive",
     "Witness",
     "ClassicalCutoff",
     "KleenePenumbra",
@@ -65,13 +65,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Naive:
-    """A plain finite natural: reachable from zero by adding one."""
-
-    value: int
-
-
-@dataclass(frozen=True)
 class Witness:
     """An infinitely large index, given as a series of negative valuation."""
 
@@ -82,20 +75,68 @@ class Witness:
             raise ValueError(f"witness {self.series} is not unlimited")
 
 
-ModelInteger = Union[Naive, Witness]
-
 # -- backends --------------------------------------------------------------
 
 
+class Backend:
+    """What the runners ask of a backend, answered as a sharp backend does.
+
+    ``FuzzyMembership`` reports the weakest link instead of the first failing
+    step, and ``Nonstandard`` reads unlimited indices.  Each backend defines
+    ``truth``, ``designated_true`` and ``designated_false`` in its own body.
+    """
+
+    #: Whether indices may be unlimited: witnesses, a witness chain length
+    #: and the doubling analysis apply only then.
+    unlimited = False
+    #: Step detail when all steps over ``{lo}..{hi}`` hold, and when step ``{n}`` fails.
+    step_wording = ("step designated-true for every sampled n", "step fails at n={n}")
+    #: Evidence for c3, after the generic line, when no adjacent flip exists.
+    no_flip_evidence: Tuple[str, ...] = ()
+    #: Notes that end every report on this backend.
+    notes: Tuple[str, ...] = ()
+
+    def first_failing_step(self, lo: int, stop: int) -> Optional[int]:
+        """The least ``n`` in ``lo .. stop-1`` whose step S(n) -> S(n+1) fails."""
+        points = self.change_points(lo, stop)
+        return next((n for n in points if not self.step_holds(n)), None)
+
+    def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
+        basis = self.designated_true(lo)
+        n = self.first_failing_step(lo, hi)
+        return InductionResult(
+            basis=basis,
+            basis_detail=f"S(a_{lo}) designated-true: {basis}",
+            step_holds=n is None,
+            step_counterexample=n,
+            step_detail=self.step_wording[n is not None].format(lo=lo, hi=hi, n=n),
+            witness_details=witness_details,
+        )
+
+    def chain(self, lo: int, target: int) -> ConditionalResult:
+        n = self.first_failing_step(lo, target)
+        return ConditionalResult(
+            completed=n is None,
+            chain_length=str(target),
+            failing_link=n,
+            conclusion=(
+                f"S(a_{target}) designated-true: {self.designated_true(target)}"
+                if n is None
+                else f"chain stops at link {n} -> {n + 1}"
+            ),
+        )
+
+
 @dataclass(frozen=True)
-class ClassicalCutoff:
+class ClassicalCutoff(Backend):
     """Hidden sharp boundary: S(a_n) holds exactly below the cutoff."""
 
     cutoff: int
 
     id = "classical_cutoff"
-    #: Step detail when all steps over ``{lo}..{hi}`` hold, and when step ``{n}`` fails.
-    step_wording = ("step designated-true for every sampled n", "step fails at n={n}")
+
+    def __post_init__(self):
+        _integer(self.cutoff)
 
     def truth(self, n: int) -> bool:
         return n < self.cutoff
@@ -117,17 +158,16 @@ class ClassicalCutoff:
 
 
 @dataclass(frozen=True)
-class KleenePenumbra:
+class KleenePenumbra(Backend):
     """Three-valued: true below t1, undefined on t1..t2, false above t2."""
 
     t1: int
     t2: int
 
     id = "kleene_penumbra"
-    step_wording = ClassicalCutoff.step_wording
 
     def __post_init__(self):
-        if self.t1 > self.t2:
+        if _integer(self.t1) > _integer(self.t2):
             raise ValueError("penumbra bounds must satisfy t1 <= t2")
 
     def truth(self, n: int) -> Fraction:
@@ -154,7 +194,7 @@ class KleenePenumbra:
 
 
 @dataclass(frozen=True)
-class FuzzyMembership:
+class FuzzyMembership(Backend):
     """Piecewise-linear degree function over the index range.
 
     ``points`` are (index, degree) breakpoints with increasing indices;
@@ -169,12 +209,13 @@ class FuzzyMembership:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValueError("need at least two breakpoints")
-        indices = [n for n, _ in self.points]
+        indices = [_integer(n) for n, _ in self.points]
         if indices != sorted(set(indices)):
             raise ValueError("breakpoint indices must be strictly increasing")
         for _, degree in self.points:
-            if not 0 <= degree <= 1:
+            if not 0 <= _exact(degree) <= 1:
                 raise ValueError("degrees must lie in [0, 1]")
+        _exact(self.threshold)
 
     def truth(self, n: int) -> Fraction:
         points = self.points
@@ -198,6 +239,33 @@ class FuzzyMembership:
 
     def step_holds(self, n: int) -> bool:
         return self.implication(n) >= self.threshold
+
+    def weakest_link(self, lo: int, stop: int) -> Fraction:
+        """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
+        points = self.change_points(lo, stop)
+        return min((self.implication(n) for n in points), default=Fraction(1))
+
+    def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
+        weakest = self.weakest_link(lo, hi)
+        return InductionResult(
+            basis=self.designated_true(lo),
+            basis_detail=f"degree of S(a_{lo}) = {self.truth(lo)}",
+            step_holds=weakest >= self.threshold,
+            step_counterexample=None,
+            step_detail=f"minimum step-implication degree = {weakest}",
+            witness_details=witness_details,
+        )
+
+    def chain(self, lo: int, target: int) -> ConditionalResult:
+        return ConditionalResult(
+            completed=True,
+            chain_length=str(target),
+            failing_link=None,
+            conclusion=(
+                f"degree of S(a_{target}) = {self.truth(target)}; "
+                f"minimum link degree = {self.weakest_link(lo, target)}"
+            ),
+        )
 
     def change_points(self, lo: int, stop: int) -> List[int]:
         # S(n) and S(n+1) are both constant below the first breakpoint and
@@ -228,7 +296,7 @@ class FuzzyMembership:
 
 
 @dataclass(frozen=True)
-class Superval:
+class Superval(Backend):
     """Family of classical cutoff precisifications."""
 
     cutoffs: Tuple[int, ...]
@@ -242,6 +310,8 @@ class Superval:
     def __post_init__(self):
         if not self.cutoffs:
             raise ValueError("precisification family must be nonempty")
+        for k in self.cutoffs:
+            _integer(k)
 
     def truth(self, n: int) -> SuperVerdict:
         # S(n) holds on the precisification at cutoff k exactly when n < k.
@@ -269,17 +339,28 @@ class Superval:
 
 
 @dataclass(frozen=True)
-class Nonstandard:
+class Nonstandard(Backend):
     """Order-of-magnitude predicate: membership in the limited numbers,
     or position below an explicit series bound."""
 
     bound: Optional[EpsSeries] = None  # None: S(x) iff x is limited
 
     id = "nonstandard"
+    unlimited = True
     step_wording = (
         "demonstrated on naive samples {lo}..{hi}; external induction covers "
         "exactly the naive numbers",
     ) * 2
+    notes = (
+        "nonstandard step checking is a sampling-based demonstration, "
+        "not a proof: external induction is an axiom schema",
+    )
+
+    @property
+    def no_flip_evidence(self) -> Tuple[str, ...]:
+        if self.bound is None:
+            return ("no representable adjacent flip: limited + 1 stays limited",)
+        return ()
 
     def holds(self, x: EpsSeries) -> bool:
         if self.bound is None:
@@ -305,15 +386,36 @@ class Nonstandard:
         edge = _least(lambda n: not self.truth(n), lo, stop)
         return _clip((edge - 1, edge), lo, stop)
 
+    def doubling(self, lo: int, hi: int, witnesses) -> DoublingResult:
+        samples: List[EpsSeries] = []
+        if self.bound is not None:
+            # S(2n) fails exactly from the least naive n with 2n >= bound on.
+            # No smaller n is a witness, and a larger one only if this one is,
+            # since S(n) too fails from some n on.  (A limited n doubles to a
+            # limited 2n, so for `limited` no naive n is a witness.)
+            n = _least(lambda n: not self.truth(2 * n), lo, hi)
+            if n <= hi:
+                samples.append(EpsSeries.from_rational(n))
+        samples.extend(w.series for w in witnesses)
+        if self.bound is not None:
+            samples.append(self.bound * Fraction(1, 2))
+        for x in samples:
+            if self.holds(x) and not self.holds(x * 2):
+                return DoublingResult(
+                    invariant=False,
+                    witness=str(x),
+                    detail=f"S({x}) holds but S({x * 2}) fails",
+                )
+        return DoublingResult(
+            invariant=True,
+            witness=None,
+            detail="S(x) implies S(2x) on every sample",
+        )
+
     def describe(self) -> str:
         if self.bound is None:
             return "nonstandard: S(x) iff x is limited"
         return f"nonstandard cut: S(x) iff x < {self.bound}"
-
-
-Backend = Union[
-    ClassicalCutoff, KleenePenumbra, FuzzyMembership, Superval, Nonstandard
-]
 
 
 def _clip(points, lo: int, stop: int) -> List[int]:
@@ -345,13 +447,24 @@ class SoritesScenario:
     hi: int
     backend: Backend
     witnesses: Tuple[Witness, ...] = ()
-    chain_length: Optional[ModelInteger] = None
+    chain_length: Union[int, Witness, None] = None  # None: a chain to hi
 
     def __post_init__(self):
-        if self.lo >= self.hi:
+        if _integer(self.lo) >= _integer(self.hi):
             raise ValueError("range must contain at least two indices")
-        if self.witnesses and not isinstance(self.backend, Nonstandard):
+        if self.witnesses and not self.backend.unlimited:
             raise BackendUnsupported("witnesses apply to the nonstandard backend")
+        length = self.chain_length
+        if isinstance(length, Witness):
+            # On an unlimited backend run_conditional refuses it: ChainThroughWitness.
+            if not self.backend.unlimited:
+                raise ValueError(
+                    "witness chain lengths apply to the nonstandard backend"
+                )
+        elif length is not None and not self.lo <= _integer(length) <= self.hi:
+            raise ValueError(
+                f"chain length {length} outside range {self.lo}..{self.hi}"
+            )
 
 
 # -- report fragments ------------------------------------------------------
@@ -520,153 +633,44 @@ def barnes_check(scenario: SoritesScenario) -> BarnesResult:
             break
     if c3:
         evidence.append("no adjacent designated-true -> designated-false step")
-        if isinstance(backend, Nonstandard) and backend.bound is None:
-            evidence.append(
-                "no representable adjacent flip: limited + 1 stays limited"
-            )
+        evidence.extend(backend.no_flip_evidence)
     return BarnesResult(c1, c2, c3, tuple(evidence))
-
-
-def _first_failing_step(backend: Backend, lo: int, stop: int) -> Optional[int]:
-    """The least ``n`` in ``lo .. stop-1`` whose step S(n) -> S(n+1) fails."""
-    points = backend.change_points(lo, stop)
-    return next((n for n in points if not backend.step_holds(n)), None)
-
-
-def _min_link(backend: FuzzyMembership, lo: int, stop: int) -> Fraction:
-    """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
-    points = backend.change_points(lo, stop)
-    return min((backend.implication(n) for n in points), default=Fraction(1))
 
 
 def run_induction(scenario: SoritesScenario) -> InductionResult:
     backend = scenario.backend
-    basis = backend.designated_true(scenario.lo)
-
-    if isinstance(backend, FuzzyMembership):
-        basis_degree = backend.truth(scenario.lo)
-        min_step = _min_link(backend, scenario.lo, scenario.hi)
-        return InductionResult(
-            basis=basis,
-            basis_detail=f"degree of S(a_{scenario.lo}) = {basis_degree}",
-            step_holds=min_step >= backend.threshold,
-            step_counterexample=None,
-            step_detail=f"minimum step-implication degree = {min_step}",
-            witness_details=(),
-        )
-
-    counterexample = _first_failing_step(backend, scenario.lo, scenario.hi)
-    wording = backend.step_wording[counterexample is not None]
-    return InductionResult(
-        basis=basis,
-        basis_detail=f"S(a_{scenario.lo}) designated-true: {basis}",
-        step_holds=counterexample is None,
-        step_counterexample=counterexample,
-        step_detail=wording.format(lo=scenario.lo, hi=scenario.hi, n=counterexample),
-        witness_details=tuple(
-            f"~S({w.series}): {not backend.holds(w.series)} "
-            f"(classified {classify(ExternalNumber.make(w.series)).value})"
-            for w in scenario.witnesses
-        ),
+    witness_details = tuple(
+        f"~S({w.series}): {not backend.holds(w.series)} "
+        f"(classified {classify(ExternalNumber.make(w.series)).value})"
+        for w in scenario.witnesses
     )
-
-
-def _check_chain_length(scenario: SoritesScenario, length: ModelInteger):
-    """Raise ValueError unless ``length`` can bound a chain in ``scenario``.
-
-    A witness on the nonstandard backend passes: the conditional runner
-    refuses it with :class:`ChainThroughWitness`, a result of the model.
-    """
-    if isinstance(length, Witness):
-        if not isinstance(scenario.backend, Nonstandard):
-            raise ValueError(
-                "witness chain lengths apply to the nonstandard backend"
-            )
-    elif not scenario.lo <= length.value <= scenario.hi:
-        raise ValueError(
-            f"chain length {length.value} outside range "
-            f"{scenario.lo}..{scenario.hi}"
-        )
+    return backend.induction(scenario.lo, scenario.hi, witness_details)
 
 
 def run_conditional(
     scenario: SoritesScenario,
-    chain_length: Optional[ModelInteger] = None,
+    chain_length: Union[int, Witness, None] = None,
 ) -> ConditionalResult:
     """Apply modus ponens link by link from the first premise."""
-    backend = scenario.backend
-    length = chain_length if chain_length is not None else scenario.chain_length
-    if length is None:
-        length = Naive(scenario.hi)
-    if isinstance(length, int):
-        length = Naive(length)
-
-    if isinstance(length, Witness) and isinstance(backend, Nonstandard):
+    if chain_length is not None:  # checked as the scenario's own
+        scenario = replace(scenario, chain_length=chain_length)
+    length = scenario.chain_length
+    if isinstance(length, Witness):  # only an unlimited backend gets here
         raise ChainThroughWitness(
             f"chain length {length.series} is not naive: modus ponens "
             "may only be iterated a naive number of times"
         )
-    _check_chain_length(scenario, length)
-
-    target = length.value
-
-    if isinstance(backend, FuzzyMembership):
-        final = backend.truth(target)
-        min_link = _min_link(backend, scenario.lo, target)
-        return ConditionalResult(
-            completed=True,
-            chain_length=str(target),
-            failing_link=None,
-            conclusion=(
-                f"degree of S(a_{target}) = {final}; "
-                f"minimum link degree = {min_link}"
-            ),
-        )
-
-    n = _first_failing_step(backend, scenario.lo, target)
-    return ConditionalResult(
-        completed=n is None,
-        chain_length=str(target),
-        failing_link=n,
-        conclusion=(
-            f"S(a_{target}) designated-true: {backend.designated_true(target)}"
-            if n is None
-            else f"chain stops at link {n} -> {n + 1}"
-        ),
-    )
+    target = scenario.hi if length is None else length
+    return scenario.backend.chain(scenario.lo, target)
 
 
 def doubling_analysis(scenario: SoritesScenario) -> DoublingResult:
     """Invariance of the predicate under doubling, for the nonstandard model."""
-    backend = scenario.backend
-    if not isinstance(backend, Nonstandard):
+    if not scenario.backend.unlimited:
         raise BackendUnsupported(
             "doubling analysis is defined only for the nonstandard backend"
         )
-    samples: List[EpsSeries] = []
-    if backend.bound is not None:
-        # S(2n) fails exactly from the least naive n with 2n >= bound on.
-        # No smaller n is a witness, and a larger one only if this one is,
-        # since S(n) too fails from some n on.  (A limited n doubles to a
-        # limited 2n, so for `limited` no naive n is a witness.)
-        n = _least(lambda n: not backend.truth(2 * n), scenario.lo, scenario.hi)
-        if n <= scenario.hi:
-            samples.append(EpsSeries.from_rational(n))
-    samples.extend(w.series for w in scenario.witnesses)
-    if backend.bound is not None:
-        samples.append(backend.bound * Fraction(1, 2))
-    for x in samples:
-        if backend.holds(x) and not backend.holds(x * 2):
-            return DoublingResult(
-                invariant=False,
-                witness=str(x),
-                detail=f"S({x}) holds but S({x * 2}) fails",
-            )
-    return DoublingResult(
-        invariant=True,
-        witness=None,
-        detail="S(x) implies S(2x) on every sample",
-    )
+    return scenario.backend.doubling(scenario.lo, scenario.hi, scenario.witnesses)
 
 
 def run_scenario(scenario: SoritesScenario) -> SoritesReport:
@@ -682,16 +686,6 @@ def run_scenario(scenario: SoritesScenario) -> SoritesReport:
         conditional = None
         notes.append(f"conditional chain refused: {exc}")
 
-    doubling: Optional[DoublingResult]
-    if isinstance(backend, Nonstandard):
-        doubling = doubling_analysis(scenario)
-        notes.append(
-            "nonstandard step checking is a sampling-based demonstration, "
-            "not a proof: external induction is an axiom schema"
-        )
-    else:
-        doubling = None
-
     return SoritesReport(
         scenario=scenario.name,
         backend_id=backend.id,
@@ -699,8 +693,8 @@ def run_scenario(scenario: SoritesScenario) -> SoritesReport:
         barnes=barnes,
         induction=induction,
         conditional=conditional,
-        doubling=doubling,
-        notes=tuple(notes),
+        doubling=doubling_analysis(scenario) if backend.unlimited else None,
+        notes=(*notes, *backend.notes),
     )
 
 
@@ -715,6 +709,12 @@ def _is_integer(value) -> bool:
 def _integer(value) -> int:
     if not _is_integer(value):
         raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _exact(value) -> Rational:
+    if not isinstance(value, Rational) or isinstance(value, bool):
+        raise ValueError(f"expected an exact rational, got {value!r}")
     return value
 
 
@@ -802,7 +802,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
         for i, text in enumerate(config.get("witnesses", []))
     ]
 
-    chain_length: Optional[ModelInteger] = None
+    chain_length: Union[int, Witness, None] = None
     if "chainLength" in config:
         raw_length = config["chainLength"]
         if isinstance(raw_length, bool):
@@ -810,7 +810,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
                 "/chainLength", "chainLength must be an integer or a series"
             )
         if isinstance(raw_length, int):
-            chain_length = Naive(raw_length)
+            chain_length = raw_length
         else:
             chain_length = _witness(raw_length, "/chainLength")
 
@@ -821,18 +821,17 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
             hi=raw_range[1],
             backend=backend,
             witnesses=tuple(witnesses),
-            chain_length=chain_length,
         )
     except BackendUnsupported as exc:
         raise ConfigError("/witnesses", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError("/range", str(exc)) from exc
-    if chain_length is not None:
-        try:
-            _check_chain_length(scenario, chain_length)
-        except ValueError as exc:
-            raise ConfigError("/chainLength", str(exc)) from exc
-    return scenario
+    if chain_length is None:
+        return scenario
+    try:  # after the range and the witnesses, as run_conditional sets it
+        return replace(scenario, chain_length=chain_length)
+    except ValueError as exc:
+        raise ConfigError("/chainLength", str(exc)) from exc
 
 
 def load_scenario(path) -> SoritesScenario:

@@ -23,7 +23,6 @@ from soritica.sorites import (
     DoublingResult,
     FuzzyMembership,
     InductionResult,
-    Naive,
     Nonstandard,
     SoritesReport,
     Superval,
@@ -156,7 +155,7 @@ def ref_run_conditional(scenario):
     backend = scenario.backend
     length = scenario.chain_length
     if length is None:
-        length = Naive(scenario.hi)
+        length = scenario.hi
 
     if isinstance(length, Witness):
         if isinstance(backend, Nonstandard):
@@ -165,13 +164,13 @@ def ref_run_conditional(scenario):
                 "may only be iterated a naive number of times"
             )
         raise ValueError("witness chain lengths apply to the nonstandard backend")
-    if not scenario.lo <= length.value <= scenario.hi:
+    if not scenario.lo <= length <= scenario.hi:
         raise ValueError(
-            f"chain length {length.value} outside range "
+            f"chain length {length} outside range "
             f"{scenario.lo}..{scenario.hi}"
         )
 
-    target = length.value
+    target = length
 
     if isinstance(backend, FuzzyMembership):
         final = backend.truth(target)

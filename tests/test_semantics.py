@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -304,6 +305,48 @@ class TestSuper:
     def test_empty_family(self):
         with pytest.raises(EmptyFamily):
             eval_super(P, [], propvars={"p": True})
+
+
+class TestClassicalInputs:
+    """A classical variable is a bool and a cutoff an int; else ValueError."""
+
+    S1 = Atom("S", Index(None, 1))
+
+    @pytest.mark.parametrize("value", ["False", "no", 0.5, 1, 0, None, HALF])
+    def test_variable_refused(self, value):
+        message = rf"^variable 'p' is {re.escape(repr(value))}, not a bool$"
+        with pytest.raises(ValueError, match=message):
+            eval_classical(P, propvars={"p": value})
+        with pytest.raises(ValueError, match=message):
+            eval_super(P, [1], propvars={"p": value})
+
+    @pytest.mark.parametrize("cutoff", [1.5, True, False, "1", F(1)])
+    def test_cutoff_refused(self, cutoff):
+        message = rf"^cutoff {re.escape(repr(cutoff))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            eval_classical(self.S1, cutoff=cutoff)
+        with pytest.raises(ValueError, match=message):
+            eval_super(self.S1, [cutoff])
+        with pytest.raises(ValueError, match=message):
+            eval_super(self.S1, [2, cutoff])
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: eval_classical(Q, propvars={"p": "x", "q": True}),
+            lambda: eval_classical(Q, cutoff=0.5, propvars={"q": True}),
+            lambda: eval_super(Q, [1, 0.5], propvars={"q": True}),
+        ],
+        ids=["unused variable", "unused cutoff", "unused family member"],
+    )
+    def test_checked_before_the_walk(self, evaluate):
+        with pytest.raises(ValueError):
+            evaluate()
+
+    def test_bools_and_ints_accepted(self):
+        assert eval_classical(And(P, self.S1), cutoff=2, propvars={"p": True})
+        assert not eval_classical(P, propvars={"p": False})
+        assert eval_super(Or(P, self.S1), [1, 2], {"p": False}) is SuperVerdict.INDETERMINATE
 
 
 formulas = st.recursive(

@@ -19,7 +19,6 @@ from soritica.sorites import (
     ConfigError,
     FuzzyMembership,
     KleenePenumbra,
-    Naive,
     Nonstandard,
     SoritesScenario,
     Superval,
@@ -271,7 +270,7 @@ class TestConfig:
         for length in (1, 10):
             config = self.good()
             config["chainLength"] = length
-            assert scenario_from_dict(config).chain_length == Naive(length)
+            assert scenario_from_dict(config).chain_length == length
 
     @pytest.mark.parametrize(
         "backend",
@@ -362,6 +361,86 @@ class TestWitnessesBackend:
             scenario_from_dict(config)
         assert info.value.pointer == "/range"
 
+    @pytest.mark.parametrize(
+        "extra, pointer",
+        [
+            ({"range": [10, 1], "chainLength": 99}, "/range"),
+            ({"witnesses": ["e^(-1)"], "chainLength": 99}, "/witnesses"),
+            ({"witnesses": ["e^(-1)"], "chainLength": "e^(-1)"}, "/witnesses"),
+        ],
+    )
+    def test_chain_length_reported_last(self, extra, pointer):
+        config = {**TestConfig().good(), **extra}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == pointer
+
+
+class TestBuiltValues:
+    """Values built in Python are checked where the scenario is built."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ClassicalCutoff(1.5),
+            lambda: ClassicalCutoff(True),
+            lambda: KleenePenumbra(2.5, 7),
+            lambda: KleenePenumbra(2, F(7)),
+            lambda: Superval((0.5,)),
+            lambda: Superval((2, False)),
+            lambda: FuzzyMembership(((0, 1.0), (10, 0.0))),
+            lambda: FuzzyMembership(((0.5, F(1)), (10, F(0)))),
+            lambda: FuzzyMembership(((0, F(1)), (10, True))),
+            lambda: FuzzyMembership(((0, F(1)), (10, F(0))), 0.5),
+            lambda: SoritesScenario("x", 0, 10.5, ClassicalCutoff(5)),
+            lambda: SoritesScenario("x", False, True, ClassicalCutoff(5)),
+            lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=99),
+            lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=-1),
+            lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=5.0),
+            lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=True),
+            lambda: run_conditional(classical(), True),
+            lambda: run_conditional(classical(), 7.0),
+        ],
+        ids=[
+            "cutoff float",
+            "cutoff bool",
+            "penumbra float",
+            "penumbra Fraction",
+            "superval float",
+            "superval bool",
+            "fuzzy float degrees",
+            "fuzzy float index",
+            "fuzzy bool degree",
+            "fuzzy float threshold",
+            "scenario float hi",
+            "scenario bool range",
+            "chain length above range",
+            "chain length below range",
+            "chain length float",
+            "chain length bool",
+            "run_conditional bool",
+            "run_conditional float",
+        ],
+    )
+    def test_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_exact_values_accepted(self):
+        backend = FuzzyMembership(((0, 1), (4, F(1, 2)), (10, 0)), F(3, 4))
+        scenario = SoritesScenario("x", 0, 10, backend, chain_length=10)
+        assert run_scenario(scenario).induction.basis
+
+
+#: Loadable params for each backend type.
+SAMPLE_PARAMS = {
+    "classical_cutoff": {"cutoff": 5},
+    "kleene_penumbra": {"t1": 4, "t2": 7},
+    "fuzzy_membership": {"points": [[1, "1"], [10, "0"]]},
+    "superval": {"cutoffs": [2, 6]},
+    "nonstandard": {},
+}
+
 
 class TestBackendTable:
     @pytest.mark.parametrize("backend_type", [[], {}, 5, None, True])
@@ -425,6 +504,19 @@ class TestBackendTable:
         assert cls.id == backend_type
         assert callable(cls.describe) and callable(cls.step_holds)
         assert callable(cls.change_points)
+        # The runners ask the backend, not its class, how it reports a step,
+        # whether it reads unlimited indices, and what evidence and notes it adds.
+        assert callable(cls.induction) and callable(cls.chain)
+        assert callable(cls.first_failing_step)
+        assert isinstance(cls.unlimited, bool)
+        assert len(cls.step_wording) == 2
+        assert all(isinstance(w, str) for w in cls.step_wording)
+        assert isinstance(cls.notes, tuple)
+        config = TestConfig().good()
+        config["backend"] = {"type": backend_type, "params": SAMPLE_PARAMS[backend_type]}
+        assert isinstance(scenario_from_dict(config).backend.no_flip_evidence, tuple)
+        if cls.unlimited:
+            assert callable(cls.holds) and callable(cls.doubling)
 
     def test_five_backends(self):
         classes = {entry[0] for entry in BACKENDS.values()}
