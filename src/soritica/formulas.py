@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .bounds import MAX_HEIGHT
-from .lexer import Descent, Infix, TextError, Token
+from .lexer import Descent, Infix, TextError
 
 __all__ = [
     "Index",
@@ -124,12 +124,18 @@ Formula = Union[Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists]
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><->|->|\.\.|[~&|().+,-])"
+    r"\d+"  # numeral
+    r"|[A-Za-z_][A-Za-z_0-9]*"  # name
+    r"|<->|->|\.\.|[~&|().+,-]"  # operator
 )
 
 _KEYWORDS = {"forall", "exists", "in"}
+
+
+def _is_name(token: str) -> bool:
+    # Of the formula tokens, only a name is an identifier.
+    return token.isidentifier() and token not in _KEYWORDS
+
 
 #: The binary connectives, read by the parser and the printer alike.
 #: ``~`` binds tighter than all of them, and quantifiers looser.
@@ -158,106 +164,98 @@ class _Parser(Descent):
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.too_tall: Optional[Token] = None
+        self.too_tall: Optional[int] = None
 
     def parse(self) -> Formula:
         formula, _ = super().parse()
         if self.too_tall is not None:
-            raise FormulaSyntaxError(
-                f"formula taller than {MAX_HEIGHT} levels", self.too_tall.pos
-            )
+            raise self.fail(f"formula taller than {MAX_HEIGHT} levels", self.too_tall)
         return formula
 
     def parse_root(self) -> Tuple[Formula, int]:
         return self.parse_formula()
 
-    def node(self, token: Token, formula: Formula, height: int, other=0):
-        """``formula``, built at ``token`` on parts ``height`` and ``other``
-        tall, and its own height."""
+    def node(self, index: int, formula: Formula, height: int, other=0):
+        """``formula``, built at token ``index`` on parts ``height`` and
+        ``other`` tall, and its own height."""
         height = (height if height > other else other) + 1
         if height > MAX_HEIGHT and self.too_tall is None:
-            self.too_tall = token
+            self.too_tall = index
         return formula, height
 
     def parse_formula(self) -> Tuple[Formula, int]:
-        token = self.peek()
-        if token.kind == "name" and token.text in ("forall", "exists"):
-            self.advance()
-            self.descend(token)
-            var_token = self.peek()
-            if var_token.kind != "name" or var_token.text in _KEYWORDS:
-                raise FormulaSyntaxError(
-                    "expected a quantifier variable", var_token.pos
-                )
-            self.advance()
-            in_token = self.peek()
-            if in_token.kind != "name" or in_token.text != "in":
-                raise FormulaSyntaxError("expected 'in'", in_token.pos)
-            self.advance()
+        tokens = self.tokens
+        start = self.index
+        word = tokens[start]
+        if word == "forall" or word == "exists":
+            self.enter()
+            var = tokens[self.index]
+            if not _is_name(var):
+                raise self.fail("expected a quantifier variable")
+            self.index += 1
+            self.expect("in")
             domain = self.parse_domain()
-            self.expect_op(".")
+            self.expect(".")
             body, height = self.parse_formula()
             self.depth -= 1
-            cls = Forall if token.text == "forall" else Exists
-            return self.node(token, cls(var_token.text, domain, body), height)
+            cls = Forall if word == "forall" else Exists
+            return self.node(start, cls(var, domain, body), height)
         return self.parse_infix(self.parse_unary, _BINARY, self.join)
 
-    def join(self, token: Token, cls, left, right) -> Tuple[Formula, int]:
-        return self.node(token, cls(left[0], right[0]), left[1], right[1])
+    def join(self, index: int, cls, left, right) -> Tuple[Formula, int]:
+        return self.node(index, cls(left[0], right[0]), left[1], right[1])
 
     def parse_domain(self) -> Domain:
-        token = self.peek()
-        if token.kind == "num" or self.at_op("-"):
+        token = self.tokens[self.index]
+        if token[:1].isdecimal() or token == "-":
             lo = self.parse_signed_rational("a finite domain")
-            self.expect_op("..")
+            self.expect("..")
             hi = self.parse_signed_rational("the domain upper bound")
             return (lo, hi)
-        if token.kind == "name" and token.text not in _KEYWORDS:
-            return self.advance().text
-        raise FormulaSyntaxError("expected a finite domain", token.pos)
+        if _is_name(token):
+            self.index += 1
+            return token
+        raise self.fail("expected a finite domain")
 
     def parse_unary(self) -> Tuple[Formula, int]:
-        token = self.peek()
-        if self.at_op("~"):
-            self.advance()
-            self.descend(token)
+        tokens = self.tokens
+        start = self.index
+        token = tokens[start]
+        if token == "~":
+            self.enter()
             body, height = self.parse_unary()
             self.depth -= 1
-            return self.node(token, Not(body), height)
-        if self.at_op("("):
-            self.advance()
-            self.descend(token)
+            return self.node(start, Not(body), height)
+        if token == "(":
+            self.enter()
             formula = self.parse_formula()
-            self.expect_op(")")
+            self.expect(")")
             self.depth -= 1
             return formula
-        if token.kind == "name" and token.text not in _KEYWORDS:
-            self.advance()
-            if self.at_op("("):
-                self.advance()
+        if _is_name(token):
+            self.index += 1
+            if tokens[self.index] == "(":
+                self.index += 1
                 index = self.parse_index()
-                self.expect_op(")")
-                return Atom(token.text, index), 1
-            return PropVar(token.text), 1
-        raise FormulaSyntaxError("expected a formula", token.pos)
+                self.expect(")")
+                return Atom(token, index), 1
+            return PropVar(token), 1
+        raise self.fail("expected a formula")
 
     def parse_index(self) -> Index:
-        token = self.peek()
-        if token.kind == "num" or self.at_op("-"):
+        token = self.tokens[self.index]
+        if token[:1].isdecimal() or token == "-":
             return Index(None, self.parse_signed_rational("an index term"))
-        if token.kind == "name" and token.text not in _KEYWORDS:
-            var = self.advance().text
+        if _is_name(token):
+            self.index += 1
             offset = 0
-            if self.at_op("+"):
-                self.advance()
-                num_token = self.peek()
-                if num_token.kind != "num":
-                    raise FormulaSyntaxError(
-                        "expected an offset", num_token.pos
-                    )
-                offset = self.value(self.advance())
-            return Index(var, offset)
-        raise FormulaSyntaxError("expected an index term", token.pos)
+            if self.tokens[self.index] == "+":
+                self.index += 1
+                if not self.tokens[self.index][:1].isdecimal():
+                    raise self.fail("expected an offset")
+                offset = self.numeral()
+            return Index(token, offset)
+        raise self.fail("expected an index term")
 
 
 def parse_formula(text: str) -> Formula:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .bounds import MAX_POWER, BoundExceeded
-from .lexer import Token
 from .series import (
     ONE,
     ZERO,
@@ -441,19 +440,18 @@ class _ExternalExprParser(ExprParser):
     def make_eps_power(self, exponent: Rational):
         return ExternalNumber.make(EpsSeries.monomial(exponent))
 
-    def parse_name(self, token: Token):
-        name = token.text
+    def parse_name(self, name: str):
         if name in ("L", "o"):
-            self.expect_op("(")
+            self.expect("(")
             exponent = self.parse_signed_rational("a rational")
-            self.expect_op(")")
+            self.expect(")")
             kind = Kind.LIM if name == "L" else Kind.OSL
             return ExternalNumber.make(ZERO, Neutrix(exponent, kind))
         if name in ("osl", "⊘"):
             return ExternalNumber.make(ZERO, Neutrix.osl(0))
         if name in ("lim", "£"):
             return ExternalNumber.make(ZERO, Neutrix.lim(0))
-        return super().parse_name(token)
+        return super().parse_name(name)
 
 
 def parse_external(text: str) -> ExternalNumber:

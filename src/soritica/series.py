@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
 from .bounds import MAX_POWER, BoundExceeded
-from .lexer import Descent, Infix, TextError, Token
+from .lexer import Descent, Infix, TextError
 
 __all__ = [
     "EpsSeries",
@@ -306,9 +306,9 @@ OMEGA = EpsSeries.monomial(-1)
 # -- expression parsing ----------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_£⊘][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|\*|\+|-|\(|\))"
+    r"\d+(?:/\d+)?"  # numeral
+    r"|[A-Za-z_£⊘][A-Za-z_0-9]*"  # name
+    r"|[-^*+()]"  # operator
 )
 
 #: ``+`` and ``-`` bind alike, ``*`` tighter; all three group left.
@@ -318,8 +318,11 @@ _INFIX = {
     "*": Infix(2, False, operator.mul),
 }
 
+#: The tokens that are not names: the operators and the end marker.
+_NOT_NAMES = frozenset(["^", "*", "+", "-", "(", ")", ""])
 
-def _apply(token: Token, meaning, left, right):
+
+def _apply(index: int, meaning, left, right):
     return meaning(left, right)
 
 
@@ -342,13 +345,14 @@ class ExprParser(Descent):
     def make_eps_power(self, exponent: Rational):
         return EpsSeries.monomial(exponent)
 
-    def parse_name(self, token: Token):
-        if token.text == "e":
-            if self.at_op("^"):
-                self.advance()
+    def parse_name(self, name: str):
+        """The value of ``name``, the token just taken."""
+        if name == "e":
+            if self.tokens[self.index] == "^":
+                self.index += 1
                 return self.make_eps_power(self.parse_exponent())
             return self.make_eps_power(1)
-        raise ParseError(f"unknown symbol {token.text!r}", token.pos)
+        raise self.fail(f"unknown symbol {name!r}", self.index - 1)
 
     # grammar -------------------------------------------------------------
 
@@ -356,37 +360,36 @@ class ExprParser(Descent):
         return self.parse_infix(self.parse_factor, _INFIX, _apply)
 
     def parse_factor(self):
-        token = self.peek()
-        if self.at_op("-"):
-            self.advance()
-            self.descend(token)
+        if self.tokens[self.index] == "-":
+            self.enter()
             value = -self.parse_factor()
             self.depth -= 1
             return value
         return self.parse_primary()
 
     def parse_primary(self):
-        token = self.advance()
-        if token.kind == "num":
-            return self.from_rational(self.value(token))
-        if token.kind == "name":
+        token = self.tokens[self.index]
+        if token[:1].isdecimal():
+            return self.from_rational(self.numeral())
+        if token not in _NOT_NAMES:
+            self.index += 1
             return self.parse_name(token)
-        if token.kind == "op" and token.text == "(":
-            self.descend(token)
+        if token == "(":
+            self.enter()
             value = self.parse_root()
-            self.expect_op(")")
+            self.expect(")")
             self.depth -= 1
             return value
-        raise ParseError("expected a value", token.pos)
+        raise self.fail("expected a value")
 
     def parse_exponent(self) -> Rational:
         """A signed rational, optionally in parentheses: ``2``, ``(-1/2)``."""
-        parenthesized = self.at_op("(")
+        parenthesized = self.tokens[self.index] == "("
         if parenthesized:
-            self.advance()
+            self.index += 1
         value = self.parse_signed_rational("an exponent")
         if parenthesized:
-            self.expect_op(")")
+            self.expect(")")
         return value
 
 

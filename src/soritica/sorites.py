@@ -71,6 +71,8 @@ class Witness:
     series: EpsSeries
 
     def __post_init__(self):
+        if not isinstance(self.series, EpsSeries):
+            raise TypeError(f"witness {self.series!r} is not an EpsSeries")
         if not self.series.valuation < 0:
             raise ValueError(f"witness {self.series} is not unlimited")
 
@@ -215,7 +217,8 @@ class FuzzyMembership(Backend):
         for _, degree in self.points:
             if not 0 <= _exact(degree) <= 1:
                 raise ValueError("degrees must lie in [0, 1]")
-        _exact(self.threshold)
+        if not 0 <= _exact(self.threshold) <= 1:
+            raise ValueError(f"threshold {self.threshold} must lie in [0, 1]")
 
     def truth(self, n: int) -> Fraction:
         points = self.points
@@ -452,6 +455,10 @@ class SoritesScenario:
     def __post_init__(self):
         if _integer(self.lo) >= _integer(self.hi):
             raise ValueError("range must contain at least two indices")
+        if not isinstance(self.witnesses, tuple) or not all(
+            isinstance(w, Witness) for w in self.witnesses
+        ):
+            raise TypeError(f"witnesses must be a tuple of Witness, got {self.witnesses!r}")
         if self.witnesses and not self.backend.unlimited:
             raise BackendUnsupported("witnesses apply to the nonstandard backend")
         length = self.chain_length

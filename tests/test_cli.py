@@ -179,6 +179,19 @@ DEEP = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
 
 #: ``(argv, exit code, stream, first line, patch)``; ``{fixtures}`` and
 #: ``{bad}`` name the bundled fixtures and a config with a bad field.
+#: Configs the contract runs, written to a temporary directory by name.
+CONFIGS = {
+    "bad": {"name": "bad", "range": [1, 10], "backend": {"type": "wat"}},
+    "bad_threshold": {
+        "name": "bad_threshold",
+        "range": [1, 10],
+        "backend": {
+            "type": "fuzzy_membership",
+            "params": {"points": [[1, "1"], [10, "0"]], "threshold": "-1"},
+        },
+    },
+}
+
 CONTRACT = [
     (["numbers", "eval", "1 + osl"], 0, "out", "1 + o(0)", None),
     (["numbers", "eval", "--oracle", "1 + osl"], 0, "out", "1 + o(0)", None),
@@ -264,6 +277,13 @@ CONTRACT = [
         "cannot print result: numeral over 4300 digits",
         None,
     ),
+    (
+        ["sorites", "run", "{bad_threshold}"],
+        2,
+        "err",
+        "config error at /backend/params: threshold -1 must lie in [0, 1]",
+        None,
+    ),
 ]
 
 
@@ -271,13 +291,13 @@ CONTRACT = [
 def test_exit_code_contract(
     capsys, monkeypatch, tmp_path, argv, code, stream, first, patch
 ):
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps({"name": "bad", "range": [1, 10], "backend": {"type": "wat"}})
-    )
+    paths = {}
+    for name, config in CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
     if patch is not None:
         patch(monkeypatch)
-    argv = [arg.format(fixtures=FIXTURES, bad=bad) for arg in argv]
+    argv = [arg.format(fixtures=FIXTURES, **paths) for arg in argv]
     try:
         got = main(argv)
     except SystemExit as exc:

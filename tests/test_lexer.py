@@ -12,7 +12,14 @@ from soritica.lexer import TextError
 from soritica.neutrix import ExternalNumber, Kind, Neutrix, parse_external
 from soritica.series import EpsSeries, ParseError, parse_series
 
-from reference_parsers import ref_parse_external, ref_parse_formula, ref_parse_series
+from reference_parsers import (
+    old_parse_external,
+    old_parse_formula,
+    old_parse_series,
+    ref_parse_external,
+    ref_parse_formula,
+    ref_parse_series,
+)
 
 #: Stray characters neither grammar has, and whitespace of several kinds.
 STRAY = ["@", "$", "é", "٣", "\t", "\n", " ", "/", "-", "<", ">", "=", "."]
@@ -94,6 +101,8 @@ def outcome(parse, text):
         return parse(text)
     except TextError as exc:
         return type(exc), exc.message, exc.position
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 PARSERS = {
@@ -141,6 +150,46 @@ class TestAgainstReference:
         expected = outcome(ref_parse_formula, past)
         assert expected[1] == f"formula taller than {MAX_HEIGHT} levels"
         assert outcome(parse_formula, past) == expected
+
+
+#: Pieces where a ``findall`` lexer could part from a character-by-character
+#: scan: a decimal digit beyond ASCII (``\d`` and ``isdecimal`` take it),
+#: a digit that is not decimal (``isdigit`` takes it), a letter no name has,
+#: whitespace beyond ASCII, zero denominators, numerals past the digit
+#: limit, and nesting past the bound.
+EDGE_PIECES = [
+    "٣", "²", "é", " ", "\x1c", "1/0", "(1/00",
+    "9" * 4301, "0" * 4301, "~" * 5000 + "p",
+]
+EDGE_TEXTS = ["", " ", " \x1c\t\n"] + EDGE_PIECES + ["S(٣)", "e^(٣/2)", "1/٠"]
+
+OLD_PARSERS = {
+    "formula": (parse_formula, old_parse_formula),
+    "series": (parse_series, old_parse_series),
+    "external": (parse_external, old_parse_external),
+}
+
+
+class TestAgainstOldFrontEnd:
+    """The ``findall`` lexer and string tokens parse as the sequential scan
+    and ``Token`` cursor did: the same tree or value, or the same error."""
+
+    @settings(max_examples=500)
+    @given(texts(FORMULA_PIECES + EDGE_PIECES))
+    def test_formula(self, text):
+        assert outcome(parse_formula, text) == outcome(old_parse_formula, text)
+
+    @settings(max_examples=500)
+    @given(texts(NUMBER_PIECES + EDGE_PIECES), st.sampled_from(["series", "external"]))
+    def test_numbers(self, text, grammar):
+        parse, old = OLD_PARSERS[grammar]
+        assert outcome(parse, text) == outcome(old, text)
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    @pytest.mark.parametrize("grammar", sorted(OLD_PARSERS))
+    def test_edge_texts(self, grammar, text):
+        parse, old = OLD_PARSERS[grammar]
+        assert outcome(parse, text) == outcome(old, text)
 
 
 class TestLongChains:

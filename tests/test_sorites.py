@@ -197,6 +197,17 @@ class TestRunScenario:
         assert report.conditional is None
         assert any("refused" in note for note in report.notes)
 
+    def test_witness_of_a_non_series(self):
+        with pytest.raises(TypeError, match="witness 5 is not an EpsSeries"):
+            Witness(5)
+
+    def test_witnesses_not_a_tuple(self):
+        w = Witness(parse_series("e^(-1)"))
+        with pytest.raises(TypeError, match="witnesses must be a tuple of Witness"):
+            SoritesScenario("heap", 1, 100, Nonstandard(None), witnesses=[w])
+        with pytest.raises(TypeError, match="witnesses must be a tuple of Witness"):
+            SoritesScenario("heap", 1, 100, Nonstandard(None), witnesses=(w, 5))
+
 
 class TestConfig:
     def good(self):
@@ -479,6 +490,27 @@ class TestBackendTable:
             "params": {"points": [[1, "1"], [10, "0"]]},
         }
         assert scenario_from_dict(config).backend.threshold == 1
+
+    @pytest.mark.parametrize("threshold", ["-1", "3"])
+    def test_fuzzy_threshold_outside_unit_interval(self, threshold):
+        config = TestConfig().good()
+        config["backend"] = {
+            "type": "fuzzy_membership",
+            "params": {"points": [[1, "1"], [10, "0"]], "threshold": threshold},
+        }
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+        assert info.value.message == f"threshold {threshold} must lie in [0, 1]"
+
+    @pytest.mark.parametrize("threshold", ["0", "1/2", "1"])
+    def test_fuzzy_threshold_in_unit_interval(self, threshold):
+        config = TestConfig().good()
+        config["backend"] = {
+            "type": "fuzzy_membership",
+            "params": {"points": [[1, "1"], [10, "0"]], "threshold": threshold},
+        }
+        assert scenario_from_dict(config).backend.threshold == Fraction(threshold)
 
     def test_checks_in_order(self):
         # params must be an object before the type is looked up.
