@@ -67,8 +67,16 @@ class Neutrix:
     kind: Optional[Kind] = None
 
     def __post_init__(self):
-        if (self.exponent is None) != (self.kind is None):
+        exponent, kind = self.exponent, self.kind
+        if (exponent is None) != (kind is None):
             raise ValueError("exponent and kind must be given together")
+        if exponent is not None:
+            if type(exponent) is not int and type(exponent) is not Fraction:
+                raise TypeError(
+                    f"neutrix exponent must be an int or Fraction, got {exponent!r}"
+                )
+            if type(kind) is not Kind:
+                raise TypeError(f"neutrix kind must be a Kind, got {kind!r}")
 
     @staticmethod
     def zero() -> "Neutrix":

@@ -38,6 +38,9 @@ _COEFFICIENTS = tuple(
 _OFFSETS = tuple(
     tuple(rational(Fraction(a, b)) for b in range(1, 4)) for a in range(1, 5)
 )
+#: The second term of a sample sits 1 to ``_STEPS`` powers of ``e`` above
+#: the first.
+_STEPS = 3
 #: ``_SHIFTS[4*cell + step]``: how far above ``q`` a sample term sits,
 #: ``step`` powers of ``e`` above the start of its cell.  Cell 0 starts at
 #: ``q`` itself, for ``L(q)``; cell ``1 + 3*(a - 1) + (b - 1)`` starts at
@@ -45,8 +48,20 @@ _OFFSETS = tuple(
 _SHIFTS = tuple(
     rational(start + step)
     for start in (0, *(offset for row in _OFFSETS for offset in row))
-    for step in range(4)
+    for step in range(_STEPS + 1)
 )
+
+
+#: Bit widths of the index draws: ``Random._randbelow(n)`` draws
+#: ``n.bit_length()`` bits and rejects values ``>= n``.  The rows of each
+#: table all have one length.
+_COEFF_ROWS, _COEFF_COLS = len(_COEFFICIENTS), len(_COEFFICIENTS[0])
+_COEFF_ROW_BITS, _COEFF_COL_BITS = _COEFF_ROWS.bit_length(), _COEFF_COLS.bit_length()
+_OFFSET_ROWS, _OFFSET_COLS = len(_OFFSETS), len(_OFFSETS[0])
+_OFFSET_ROW_BITS, _OFFSET_COL_BITS = _OFFSET_ROWS.bit_length(), _OFFSET_COLS.bit_length()
+_STEP_BITS = _STEPS.bit_length()
+#: The least offset above ``q`` of an ``o(q)`` sample's exponent, 1/3.
+_LEAST_OFFSET = min(offset for row in _OFFSETS for offset in row)
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -102,6 +117,7 @@ def _sample_terms(
     (numerator row, then denominator); ``rng.random() < 0.4``; and only
     then the second term's step of 1 to 3 powers of ``e`` and its
     coefficient.  The zero group has one sample, 0, and draws nothing.
+    Each index is drawn as :func:`_below` draws it, written out inline.
     """
     if neutrix.is_zero:
         yield from repeat((), count)
@@ -109,19 +125,74 @@ def _sample_terms(
     getrandbits, roll = rng.getrandbits, rng.random
     exponents = _Exponents(neutrix.exponent, cut)
     osl = neutrix.kind is Kind.OSL
-    for _ in range(count):
+    for _ in repeat(None, count):
         key = 0
         if osl:
-            key = 4 * (1 + 3 * _below(getrandbits, 4) + _below(getrandbits, 3))
+            a = getrandbits(_OFFSET_ROW_BITS)
+            while a >= _OFFSET_ROWS:
+                a = getrandbits(_OFFSET_ROW_BITS)
+            b = getrandbits(_OFFSET_COL_BITS)
+            while b >= _OFFSET_COLS:
+                b = getrandbits(_OFFSET_COL_BITS)
+            key = 4 * (1 + _OFFSET_COLS * a + b)
+        n = getrandbits(_COEFF_ROW_BITS)
+        while n >= _COEFF_ROWS:
+            n = getrandbits(_COEFF_ROW_BITS)
+        d = getrandbits(_COEFF_COL_BITS)
+        while d >= _COEFF_COLS:
+            d = getrandbits(_COEFF_COL_BITS)
         exponent, kept = exponents[key]
-        coeff = _entry(getrandbits, _COEFFICIENTS)
+        coeff = _COEFFICIENTS[n][d]
         terms = ((exponent, coeff),) if kept and coeff else ()
         if roll() < 0.4:
-            exponent, kept = exponents[key + 1 + _below(getrandbits, 3)]
-            coeff = _entry(getrandbits, _COEFFICIENTS)
+            step = getrandbits(_STEP_BITS)
+            while step >= _STEPS:
+                step = getrandbits(_STEP_BITS)
+            n = getrandbits(_COEFF_ROW_BITS)
+            while n >= _COEFF_ROWS:
+                n = getrandbits(_COEFF_ROW_BITS)
+            d = getrandbits(_COEFF_COL_BITS)
+            while d >= _COEFF_COLS:
+                d = getrandbits(_COEFF_COL_BITS)
+            exponent, kept = exponents[key + 1 + step]
+            coeff = _COEFFICIENTS[n][d]
             if kept and coeff:
                 terms += ((exponent, coeff),)
         yield terms
+
+
+def _skip_samples(neutrix: Neutrix, count: int, rng: random.Random) -> None:
+    """Advance ``rng`` past ``count`` samples of ``neutrix``, building none.
+
+    The same ``getrandbits`` and ``random`` calls, in the same order, as
+    :func:`_sample_terms`; the zero group draws nothing.
+    """
+    if neutrix.is_zero:
+        return
+    getrandbits, roll = rng.getrandbits, rng.random
+    osl = neutrix.kind is Kind.OSL
+    for _ in repeat(None, count):
+        if osl:
+            while getrandbits(_OFFSET_ROW_BITS) >= _OFFSET_ROWS:
+                pass
+            while getrandbits(_OFFSET_COL_BITS) >= _OFFSET_COLS:
+                pass
+        while getrandbits(_COEFF_ROW_BITS) >= _COEFF_ROWS:
+            pass
+        while getrandbits(_COEFF_COL_BITS) >= _COEFF_COLS:
+            pass
+        if roll() < 0.4:
+            while getrandbits(_STEP_BITS) >= _STEPS:
+                pass
+            while getrandbits(_COEFF_ROW_BITS) >= _COEFF_ROWS:
+                pass
+            while getrandbits(_COEFF_COL_BITS) >= _COEFF_COLS:
+                pass
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
 
 
 def neutrix_samples(
@@ -138,7 +209,9 @@ def neutrix_samples(
     builds no series: it matches each sample ``s`` truncated at the other
     side's cut against one target, since truncation is linear and so
     ``a + s`` lies in ``b + B`` iff ``s.truncate(cut) == (b - a).truncate(cut)``.
+    A negative ``count`` is a ``ValueError``.
     """
+    _check_count(count)
     return [EpsSeries(terms) for terms in _sample_terms(neutrix, count, rng, None)]
 
 
@@ -150,6 +223,10 @@ def en_member(x: EpsSeries, alpha: ExternalNumber) -> bool:
 def en_samples(
     alpha: ExternalNumber, count: int, rng: random.Random
 ) -> List[EpsSeries]:
+    """``count`` sampled members ``alpha.rep + s`` of ``alpha``.
+
+    A negative ``count`` is a ``ValueError``.
+    """
     return [alpha.rep + s for s in neutrix_samples(alpha.neutrix, count, rng)]
 
 
@@ -167,16 +244,31 @@ def samples_within(
     holds exactly when ``s.truncate(cut) == want`` for the one target
     ``want = (right.rep - left.rep).truncate(cut)``; the zero neutrix
     truncates nothing.  Each sample is thus matched by one comparison of
-    term tuples, with no series built.  All ``count`` samples are drawn,
-    in the order :func:`neutrix_samples` draws them, even once one has
-    failed: the verdict and the state of ``rng`` afterwards are those of
-    testing :func:`en_member` on each of :func:`en_samples`.
+    term tuples, with no series built.
+
+    No sample is built at all when every one truncates to ``()``: when
+    ``left.neutrix`` is zero, or when the cut absorbs the least exponent a
+    sample can have, ``q`` for ``L(q)`` and ``q + 1/3`` for ``o(q)``.  The
+    verdict is then ``count == 0 or not want``, and ``rng`` still advances
+    by the draws of ``count`` samples.  Either way all ``count`` samples
+    are drawn, in the order :func:`neutrix_samples` draws them, even once
+    one has failed: the verdict and the state of ``rng`` afterwards are
+    those of testing :func:`en_member` on each of :func:`en_samples`.  A
+    negative ``count`` is a ``ValueError``.
     """
-    cut = right.neutrix.cut
+    _check_count(count)
+    sampled, cut = left.neutrix, right.neutrix.cut
     gap = right.rep - left.rep
     want = (gap if cut is None else gap.truncate(cut)).terms
+    if sampled.is_zero or right.neutrix.absorbs(
+        sampled.exponent + _LEAST_OFFSET
+        if sampled.kind is Kind.OSL
+        else sampled.exponent
+    ):
+        _skip_samples(sampled, count, rng)
+        return count == 0 or not want
     return all(
-        [terms == want for terms in _sample_terms(left.neutrix, count, rng, cut)]
+        [terms == want for terms in _sample_terms(sampled, count, rng, cut)]
     )
 
 
@@ -186,7 +278,10 @@ def mutual_membership_check(
     rng: random.Random,
     count: int = 50,
 ) -> bool:
-    """Samples of each side must be members of the other."""
+    """Samples of each side must be members of the other.
+
+    A negative ``count`` is a ``ValueError``.
+    """
     return samples_within(left, right, rng, count) and samples_within(
         right, left, rng, count
     )

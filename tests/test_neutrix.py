@@ -74,6 +74,23 @@ neutrices = st.one_of(
 externals = st.builds(ExternalNumber.make, series_values, neutrices)
 
 
+class TestNeutrixFields:
+    @pytest.mark.parametrize("exponent", [2.25, True, False, "1"])
+    def test_exponent_must_be_int_or_fraction(self, exponent):
+        with pytest.raises(TypeError, match="exponent must be an int or Fraction"):
+            Neutrix(exponent, Kind.LIM)
+
+    @pytest.mark.parametrize("kind", ["L", "o", 0])
+    def test_kind_must_be_a_kind(self, kind):
+        with pytest.raises(TypeError, match="kind must be a Kind"):
+            Neutrix(0, kind)
+
+    def test_rationals_accepted(self):
+        assert str(Neutrix(F(1, 2), Kind.OSL)) == str(Neutrix.osl(F(1, 2)))
+        assert Neutrix(-3, Kind.LIM) == Neutrix.lim(-3)
+        assert Neutrix().is_zero
+
+
 class TestNeutrixLattice:
     def test_max_infinitesimals_vs_limited(self):
         assert n_max(OSLASH, POUND) == POUND

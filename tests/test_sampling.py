@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from soritica import sampling
 from soritica.neutrix import ExternalNumber, Kind, Neutrix
 from soritica.sampling import (
     _below,
@@ -156,3 +159,114 @@ class TestOneDifferencePerSide:
                     assert got == (d1 == 0 and (d2 == 0 or neutrix.kind is Kind.LIM))
                     verdicts.append(got)
         assert verdicts.count(True) >= 10
+
+
+def _same_as_reference(left, right, seed, count):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = samples_within(left, right, rng, count)
+    assert got == ref_samples_within(left, right, ref_rng, count)
+    assert rng.getstate() == ref_rng.getstate()
+    return got
+
+
+class TestAbsorbedSamples:
+    """Cases where the cut absorbs every sample, and cases next to them.
+
+    In the first ``samples_within`` builds no sample and only advances
+    ``rng``; each case is checked against the rebuilt members of the
+    reference.
+    """
+
+    Q = Fraction(1, 2)
+
+    def test_zero_count_is_vacuous_with_a_nonzero_target(self):
+        left = ExternalNumber.make(EpsSeries(), Neutrix.lim(2))
+        right = ExternalNumber.make(EpsSeries.from_rational(1), Neutrix.lim(1))
+        for seed in range(5):
+            assert _same_as_reference(left, right, seed, 0) is True
+            assert not _same_as_reference(left, right, seed, 3)
+        zero_left = ExternalNumber.make(EpsSeries.from_rational(2))
+        assert _same_as_reference(zero_left, right, 0, 0) is True
+
+    def test_zero_left_neutrix(self):
+        right = ExternalNumber.make(EpsSeries(), Neutrix.osl(0))
+        inside = ExternalNumber.make(EpsSeries.monomial(1, 5))
+        outside = ExternalNumber.make(EpsSeries.from_rational(5))
+        for seed in range(5):
+            assert _same_as_reference(inside, right, seed, 50)
+            assert not _same_as_reference(outside, right, seed, 50)
+
+    def test_zero_right_neutrix_has_no_cut(self):
+        # Without a cut nothing is absorbed: a sample lies in the single
+        # series only when it matches the gap term for term.
+        left = ExternalNumber.make(EpsSeries(), Neutrix.lim(self.Q))
+        for rep in (EpsSeries(), EpsSeries.monomial(self.Q, 1)):
+            right = ExternalNumber.make(rep)
+            verdicts = {_same_as_reference(left, right, seed, 1) for seed in range(200)}
+            assert verdicts == {True, False}
+            assert not _same_as_reference(left, right, 0, 50)
+
+    def test_osl_least_exponent_on_a_closed_cut(self):
+        # o(q) samples start at q + 1/3, which L(q + 1/3) absorbs.
+        left = ExternalNumber.make(EpsSeries(), Neutrix.osl(self.Q))
+        right = ExternalNumber.make(EpsSeries(), Neutrix.lim(self.Q + Fraction(1, 3)))
+        for seed in range(20):
+            assert _same_as_reference(left, right, seed, 50)
+        shifted = ExternalNumber.make(EpsSeries.monomial(0, 1), right.neutrix)
+        assert not _same_as_reference(left, shifted, 0, 50)
+
+    def test_osl_least_exponent_on_an_open_cut(self):
+        # o(q + 1/3) keeps q + 1/3, so a sample there is not absorbed.
+        left = ExternalNumber.make(EpsSeries(), Neutrix.osl(self.Q))
+        right = ExternalNumber.make(EpsSeries(), Neutrix.osl(self.Q + Fraction(1, 3)))
+        verdicts = {_same_as_reference(left, right, seed, 1) for seed in range(300)}
+        assert verdicts == {True, False}
+        assert not _same_as_reference(left, right, 0, 50)
+
+    def test_absorbed_cases_build_no_sample(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sample was built")
+
+        monkeypatch.setattr(sampling, "_sample_terms", refuse)
+        q = self.Q
+        for a, b in (
+            (Neutrix.zero(), Neutrix.osl(q)),
+            (Neutrix.lim(q), Neutrix.lim(q)),
+            (Neutrix.osl(q), Neutrix.osl(q)),
+            (Neutrix.osl(q), Neutrix.lim(q + Fraction(1, 3))),
+            (Neutrix.lim(q + 1), Neutrix.osl(q)),
+        ):
+            left = ExternalNumber.make(EpsSeries(), a)
+            right = ExternalNumber.make(EpsSeries(), b)
+            assert _same_as_reference(left, right, 1, 50)
+
+    def test_lim_against_osl_at_the_same_exponent(self):
+        # o(q) keeps the exponent q of every L(q) sample's first term.
+        left = ExternalNumber.make(EpsSeries(), Neutrix.lim(self.Q))
+        right = ExternalNumber.make(EpsSeries(), Neutrix.osl(self.Q))
+        verdicts = {_same_as_reference(left, right, seed, 1) for seed in range(300)}
+        assert verdicts == {True, False}
+        assert _same_as_reference(right, left, 0, 50)
+
+
+_OSL = ExternalNumber.make(EpsSeries(), Neutrix.osl(0))
+_LIM = ExternalNumber.make(EpsSeries(), Neutrix.lim(0))
+
+
+class TestNegativeCount:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rng: samples_within(_OSL, _LIM, rng, -1),
+            lambda rng: samples_within(_LIM, _OSL, rng, -1),
+            lambda rng: neutrix_samples(Neutrix.lim(0), -1, rng),
+            lambda rng: neutrix_samples(Neutrix.zero(), -1, rng),
+            lambda rng: en_samples(_OSL, -1, rng),
+            lambda rng: mutual_membership_check(_OSL, _LIM, rng, -1),
+        ],
+    )
+    def test_refused_before_any_draw(self, call):
+        rng = random.Random(3)
+        with pytest.raises(ValueError, match="sample count must be >= 0, got -1"):
+            call(rng)
+        assert rng.getstate() == random.Random(3).getstate()
