@@ -58,6 +58,8 @@ def _table(numerators, denominators):
     )
 
 
+#: A random series has ``randint(0, _MAX_TERMS)`` terms.
+_MAX_TERMS = 3
 #: Exponents ``n/d``: ``n = randint(-4, 4)``, ``d = choice((1, 1, 2))``.
 _EXPONENTS = _table(range(-4, 5), (1, 1, 2))
 #: Series coefficients: ``randint(-9, 9)`` over ``randint(1, 3)``.
@@ -73,12 +75,10 @@ def _rand_exponent(rng: random.Random) -> Rational:
     return _entry(rng.getrandbits, _EXPONENTS)
 
 
-def rand_series(rng: random.Random, max_terms: int = 3) -> EpsSeries:
-    if max_terms < 0:
-        raise ValueError("max_terms must be >= 0")
+def rand_series(rng: random.Random) -> EpsSeries:
     getrandbits = rng.getrandbits
     terms = []
-    for _ in range(_below(getrandbits, max_terms + 1)):
+    for _ in range(_below(getrandbits, _MAX_TERMS + 1)):
         coeff = _entry(getrandbits, _COEFFICIENTS)
         terms.append((_rand_exponent(rng), coeff))
     return EpsSeries.from_terms(terms)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 from .neutrix import ExternalNumber, Kind, Neutrix
-from .series import Cut, EpsSeries, Rational, Terms, rational
+from .series import EpsSeries, rational
 
 __all__ = [
     "neutrix_samples",
@@ -41,15 +41,6 @@ _OFFSETS = tuple(
 #: The second term of a sample sits 1 to ``_STEPS`` powers of ``e`` above
 #: the first.
 _STEPS = 3
-#: ``_SHIFTS[4*cell + step]``: how far above ``q`` a sample term sits,
-#: ``step`` powers of ``e`` above the start of its cell.  Cell 0 starts at
-#: ``q`` itself, for ``L(q)``; cell ``1 + 3*(a - 1) + (b - 1)`` starts at
-#: the offset ``a/b`` of ``o(q)``.  Step 0 is the first term.
-_SHIFTS = tuple(
-    rational(start + step)
-    for start in (0, *(offset for row in _OFFSETS for offset in row))
-    for step in range(_STEPS + 1)
-)
 
 
 #: Bit widths of the index draws: ``Random._randbelow(n)`` draws
@@ -84,88 +75,13 @@ def _entry(getrandbits: Callable[[int], int], table):
     return row[_below(getrandbits, len(row))]
 
 
-class _Exponents(dict):
-    """Per-call memo from ``4*cell + step`` to ``(exponent, kept)``.
-
-    The exponent is ``q + _SHIFTS[4*cell + step]``; ``kept`` is true when
-    ``cut`` does not absorb it, and always when there is no cut.  With at
-    most 13 cells and 4 steps, each pair is computed at most once per
-    call, so the per-sample loop does no ``Fraction`` arithmetic.
-    """
-
-    def __init__(self, q: Rational, cut: Optional[Cut]):
-        super().__init__()
-        self.q, self.cut = q, cut
-
-    def __missing__(self, key: int):
-        exponent = rational(self.q + _SHIFTS[key])
-        kept = True
-        if self.cut is not None:
-            edge, closed = self.cut
-            kept = exponent < edge if closed else exponent <= edge
-        self[key] = exponent, kept
-        return exponent, kept
-
-
-def _sample_terms(
-    neutrix: Neutrix, count: int, rng: random.Random, cut: Optional[Cut]
-) -> Iterator[Terms]:
-    """The terms of ``count`` samples of ``neutrix``, less what ``cut`` absorbs.
-
-    A sample's draws, in order: for ``o(q)`` the offset ``a/b`` of its
-    first exponent above ``q`` (``a``, then ``b``); its first coefficient
-    (numerator row, then denominator); ``rng.random() < 0.4``; and only
-    then the second term's step of 1 to 3 powers of ``e`` and its
-    coefficient.  The zero group has one sample, 0, and draws nothing.
-    Each index is drawn as :func:`_below` draws it, written out inline.
-    """
-    if neutrix.is_zero:
-        yield from repeat((), count)
-        return
-    getrandbits, roll = rng.getrandbits, rng.random
-    exponents = _Exponents(neutrix.exponent, cut)
-    osl = neutrix.kind is Kind.OSL
-    for _ in repeat(None, count):
-        key = 0
-        if osl:
-            a = getrandbits(_OFFSET_ROW_BITS)
-            while a >= _OFFSET_ROWS:
-                a = getrandbits(_OFFSET_ROW_BITS)
-            b = getrandbits(_OFFSET_COL_BITS)
-            while b >= _OFFSET_COLS:
-                b = getrandbits(_OFFSET_COL_BITS)
-            key = 4 * (1 + _OFFSET_COLS * a + b)
-        n = getrandbits(_COEFF_ROW_BITS)
-        while n >= _COEFF_ROWS:
-            n = getrandbits(_COEFF_ROW_BITS)
-        d = getrandbits(_COEFF_COL_BITS)
-        while d >= _COEFF_COLS:
-            d = getrandbits(_COEFF_COL_BITS)
-        exponent, kept = exponents[key]
-        coeff = _COEFFICIENTS[n][d]
-        terms = ((exponent, coeff),) if kept and coeff else ()
-        if roll() < 0.4:
-            step = getrandbits(_STEP_BITS)
-            while step >= _STEPS:
-                step = getrandbits(_STEP_BITS)
-            n = getrandbits(_COEFF_ROW_BITS)
-            while n >= _COEFF_ROWS:
-                n = getrandbits(_COEFF_ROW_BITS)
-            d = getrandbits(_COEFF_COL_BITS)
-            while d >= _COEFF_COLS:
-                d = getrandbits(_COEFF_COL_BITS)
-            exponent, kept = exponents[key + 1 + step]
-            coeff = _COEFFICIENTS[n][d]
-            if kept and coeff:
-                terms += ((exponent, coeff),)
-        yield terms
-
-
 def _skip_samples(neutrix: Neutrix, count: int, rng: random.Random) -> None:
     """Advance ``rng`` past ``count`` samples of ``neutrix``, building none.
 
     The same ``getrandbits`` and ``random`` calls, in the same order, as
-    :func:`_sample_terms`; the zero group draws nothing.
+    the ``choice``, ``randint`` and ``random`` calls of
+    :func:`neutrix_samples`, each index drawn as :func:`_below` draws it,
+    written out inline; the zero group draws nothing.
     """
     if neutrix.is_zero:
         return
@@ -205,14 +121,22 @@ def neutrix_samples(
     three powers of ``e`` higher; zero coefficients are dropped.  The
     draws per sample, in order: the ``o(q)`` offset, the first
     coefficient, the four-in-ten roll, then the step and coefficient of
-    the second term.  :func:`samples_within` makes the same draws but
-    builds no series: it matches each sample ``s`` truncated at the other
-    side's cut against one target, since truncation is linear and so
-    ``a + s`` lies in ``b + B`` iff ``s.truncate(cut) == (b - a).truncate(cut)``.
-    A negative ``count`` is a ``ValueError``.
+    the second term.  The zero group has one sample, 0, and draws
+    nothing.  A negative ``count`` is a ``ValueError``.
     """
     _check_count(count)
-    return [EpsSeries(terms) for terms in _sample_terms(neutrix, count, rng, None)]
+    if neutrix.is_zero:
+        return [EpsSeries()] * count
+    q, osl = neutrix.exponent, neutrix.kind is Kind.OSL
+    samples = []
+    for _ in range(count):
+        exponent = q + rng.choice(rng.choice(_OFFSETS)) if osl else q
+        terms = [(exponent, rng.choice(rng.choice(_COEFFICIENTS)))]
+        if rng.random() < 0.4:
+            step = rng.randint(1, _STEPS)
+            terms.append((exponent + step, rng.choice(rng.choice(_COEFFICIENTS))))
+        samples.append(EpsSeries.from_terms(terms))
+    return samples
 
 
 def en_member(x: EpsSeries, alpha: ExternalNumber) -> bool:
@@ -238,37 +162,29 @@ def samples_within(
 ) -> bool:
     """Whether ``count`` sampled members of ``left`` all lie in ``right``.
 
-    A member ``left.rep + s`` lies in ``right`` iff ``right.neutrix``
-    contains ``left.rep + s - right.rep``, that is iff that difference
-    truncated at the neutrix's cut is 0.  Truncation is linear, so this
-    holds exactly when ``s.truncate(cut) == want`` for the one target
-    ``want = (right.rep - left.rep).truncate(cut)``; the zero neutrix
-    truncates nothing.  Each sample is thus matched by one comparison of
-    term tuples, with no series built.
-
-    No sample is built at all when every one truncates to ``()``: when
-    ``left.neutrix`` is zero, or when the cut absorbs the least exponent a
-    sample can have, ``q`` for ``L(q)`` and ``q + 1/3`` for ``o(q)``.  The
-    verdict is then ``count == 0 or not want``, and ``rng`` still advances
-    by the draws of ``count`` samples.  Either way all ``count`` samples
-    are drawn, in the order :func:`neutrix_samples` draws them, even once
-    one has failed: the verdict and the state of ``rng`` afterwards are
-    those of testing :func:`en_member` on each of :func:`en_samples`.  A
-    negative ``count`` is a ``ValueError``.
+    No sample is built when every one is absorbed by ``right``'s cut:
+    when ``left.neutrix`` is zero, or when the cut absorbs the least
+    exponent a sample can have, ``q`` for ``L(q)`` and ``q + 1/3`` for
+    ``o(q)``.  Each member ``left.rep + s`` then lies in ``right`` iff
+    ``left.rep`` does, so that is the verdict, and ``rng`` still advances
+    by the draws of ``count`` samples.  Otherwise each of
+    :func:`neutrix_samples` is tested with :func:`en_member`.  Either way
+    all ``count`` samples are drawn, even once one has failed: the verdict
+    and the state of ``rng`` afterwards are those of testing
+    :func:`en_member` on each of :func:`en_samples`.  A negative ``count``
+    is a ``ValueError``.
     """
     _check_count(count)
-    sampled, cut = left.neutrix, right.neutrix.cut
-    gap = right.rep - left.rep
-    want = (gap if cut is None else gap.truncate(cut)).terms
+    sampled = left.neutrix
     if sampled.is_zero or right.neutrix.absorbs(
         sampled.exponent + _LEAST_OFFSET
         if sampled.kind is Kind.OSL
         else sampled.exponent
     ):
         _skip_samples(sampled, count, rng)
-        return count == 0 or not want
+        return count == 0 or right.neutrix.contains(left.rep - right.rep)
     return all(
-        [terms == want for terms in _sample_terms(sampled, count, rng, cut)]
+        [en_member(left.rep + s, right) for s in neutrix_samples(sampled, count, rng)]
     )
 
 

@@ -421,12 +421,12 @@ def collect_variables(formula: Formula) -> Tuple:
 _VAR_BOUND = 12
 
 
-def _assignment_values(formula: Formula, max_vars: int, values: Tuple):
+def _assignment_values(formula: Formula, values: Tuple):
     """Value of ``formula`` under each assignment drawn from ``values``."""
     variables = collect_variables(formula)
-    if len(variables) > max_vars:
+    if len(variables) > _VAR_BOUND:
         raise BoundExceeded(
-            f"{len(variables)} variables exceed the bound {max_vars}"
+            f"{len(variables)} variables exceed the bound {_VAR_BOUND}"
         )
     for combo in itertools.product(values, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
@@ -435,23 +435,21 @@ def _assignment_values(formula: Formula, max_vars: int, values: Tuple):
         yield eval_k3(formula, atoms, propvars)
 
 
-def is_tautology_k3(formula: Formula, max_vars: int = _VAR_BOUND) -> bool:
+def is_tautology_k3(formula: Formula) -> bool:
     """True when every three-valued assignment yields 1.
 
     By regularity the least-defined assignment, all 1/2, decides it.
     """
-    return all(
-        v == TRUE for v in _assignment_values(formula, max_vars, (HALF,))
-    )
+    return all(v == TRUE for v in _assignment_values(formula, (HALF,)))
 
 
-def quasi_tautology_k3(formula: Formula, max_vars: int = _VAR_BOUND) -> bool:
+def quasi_tautology_k3(formula: Formula) -> bool:
     """True when no three-valued assignment yields 0.
 
     A 0 survives every classical refinement of its assignment, so the
     classical assignments decide it.
     """
-    classical = _assignment_values(formula, max_vars, (TRUE, FALSE))
+    classical = _assignment_values(formula, (TRUE, FALSE))
     return all(v != FALSE for v in classical)
 
 

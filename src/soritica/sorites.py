@@ -795,6 +795,8 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
     if not isinstance(config, dict):
         raise ConfigError("", "scenario config must be an object")
     name = _require(config, "name", "")
+    if not isinstance(name, str):
+        raise ConfigError("/name", "name must be a string")
     raw_range = _require(config, "range", "")
     if (
         not isinstance(raw_range, (list, tuple))
@@ -804,9 +806,11 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
         raise ConfigError("/range", "range must be [lo, hi] integers")
     backend = _parse_backend(_require(config, "backend", ""), "/backend")
 
+    raw_witnesses = config.get("witnesses", [])
+    if not isinstance(raw_witnesses, (list, tuple)):
+        raise ConfigError("/witnesses", "witnesses must be an array")
     witnesses = [
-        _witness(text, f"/witnesses/{i}")
-        for i, text in enumerate(config.get("witnesses", []))
+        _witness(text, f"/witnesses/{i}") for i, text in enumerate(raw_witnesses)
     ]
 
     chain_length: Union[int, Witness, None] = None
@@ -823,7 +827,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
 
     try:
         scenario = SoritesScenario(
-            name=str(name),
+            name=name,
             lo=raw_range[0],
             hi=raw_range[1],
             backend=backend,

@@ -190,6 +190,17 @@ CONFIGS = {
             "params": {"points": [[1, "1"], [10, "0"]], "threshold": "-1"},
         },
     },
+    "bad_witnesses": {
+        "name": "bad_witnesses",
+        "range": [1, 10],
+        "backend": {"type": "nonstandard", "params": {"threshold": "limited"}},
+        "witnesses": 5,
+    },
+    "bad_name": {
+        "name": 7,
+        "range": [1, 10],
+        "backend": {"type": "classical_cutoff", "params": {"cutoff": 5}},
+    },
 }
 
 CONTRACT = [
@@ -282,6 +293,20 @@ CONTRACT = [
         2,
         "err",
         "config error at /backend/params: threshold -1 must lie in [0, 1]",
+        None,
+    ),
+    (
+        ["sorites", "run", "{bad_witnesses}"],
+        2,
+        "err",
+        "config error at /witnesses: witnesses must be an array",
+        None,
+    ),
+    (
+        ["sorites", "run", "{bad_name}"],
+        2,
+        "err",
+        "config error at /name: name must be a string",
         None,
     ),
 ]

@@ -56,11 +56,6 @@ class TestGeneratorsAgainstReference:
     def test_every_law_has_a_reference_draw(self):
         assert laws.LAW_NAMES == list(ref_law_draws)
 
-    def test_negative_term_count_refused(self):
-        # As ``randint(0, -1)`` refused it; an empty range has no index.
-        with pytest.raises(ValueError):
-            laws.rand_series(random.Random(0), -1)
-
 
 def _zero_product(a, b):
     return ExternalNumber.make(0)

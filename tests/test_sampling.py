@@ -227,7 +227,7 @@ class TestAbsorbedSamples:
         def refuse(*args):
             raise AssertionError("a sample was built")
 
-        monkeypatch.setattr(sampling, "_sample_terms", refuse)
+        monkeypatch.setattr(sampling, "neutrix_samples", refuse)
         q = self.Q
         for a, b in (
             (Neutrix.zero(), Neutrix.osl(q)),

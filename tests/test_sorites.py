@@ -243,6 +243,25 @@ class TestConfig:
             scenario_from_dict(config)
         assert info.value.pointer == "/witnesses/0"
 
+    @pytest.mark.parametrize("witnesses", [5, "e^-1", {"e^-1": 1}])
+    def test_witnesses_not_an_array(self, witnesses):
+        config = self.good()
+        config["backend"] = {"type": "nonstandard", "params": {"threshold": "limited"}}
+        config["witnesses"] = witnesses
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/witnesses"
+        assert info.value.message == "witnesses must be an array"
+
+    @pytest.mark.parametrize("name", [7, ["x"]])
+    def test_name_not_a_string(self, name):
+        config = self.good()
+        config["name"] = name
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/name"
+        assert info.value.message == "name must be a string"
+
     def test_chain_length_series(self):
         config = self.good()
         config["backend"] = {
