@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Any, Callable, List, Optional, Tuple
 
 from .neutrix import (
@@ -25,7 +26,7 @@ from .neutrix import (
     n_scale,
     regular_inverse,
 )
-from .sampling import _below, _entry, samples_within, strict_subset_witness
+from .sampling import samples_within, strict_subset_witness
 from .series import OMEGA, EpsSeries, Rational, rational
 
 __all__ = ["Law", "LawResult", "LAWS", "LAW_NAMES", "run_law_suite"]
@@ -41,14 +42,17 @@ class LawResult:
 
 # -- generators ------------------------------------------------------------
 #
-# Each table holds normalised rationals (see ``series.rational``) and is
-# drawn from as ``rng.choice(rng.choice(TABLE))``: a row, then an entry.
+# Each table holds normalised rationals (see ``series.rational``), and a
+# draw from it is ``rng.choice(rng.choice(TABLE))``: a row, then an entry.
 # That makes the same ``rng`` calls, in the same order, as drawing a
 # numerator and then a denominator with ``randint`` over the table's
 # ranges, so the draws and the generator state afterwards are those of
-# building each ``Fraction`` from two ``randint`` calls.  The draws go
-# through ``sampling._below``, which makes the ``getrandbits`` calls of
-# ``choice`` and ``randint`` directly.
+# building each ``Fraction`` from two ``randint`` calls.  ``choice`` and
+# ``randint`` both draw an index below ``n`` as ``Random._randbelow(n)``
+# does: ``n.bit_length()`` bits from ``getrandbits``, drawn again while the
+# value is ``>= n``.  The generators make those ``getrandbits`` calls in
+# loops written out inline, with the widths taken from the tables at
+# import.
 
 
 def _table(numerators, denominators):
@@ -58,30 +62,78 @@ def _table(numerators, denominators):
     )
 
 
+def _widths(table):
+    """``(rows, row bits, columns, column bits)`` of a rectangular table."""
+    rows, columns = len(table), len(table[0])
+    return rows, rows.bit_length(), columns, columns.bit_length()
+
+
 #: A random series has ``randint(0, _MAX_TERMS)`` terms.
 _MAX_TERMS = 3
+_TERM_COUNTS = _MAX_TERMS + 1
+_TERM_BITS = _TERM_COUNTS.bit_length()
 #: Exponents ``n/d``: ``n = randint(-4, 4)``, ``d = choice((1, 1, 2))``.
 _EXPONENTS = _table(range(-4, 5), (1, 1, 2))
+_EXP_ROWS, _EXP_ROW_BITS, _EXP_COLS, _EXP_COL_BITS = _widths(_EXPONENTS)
+#: ``_EXPONENT_ORDER`` lists the distinct exponents in increasing order,
+#: and ``_EXPONENT_RANKS[row][col]`` is the index there of
+#: ``_EXPONENTS[row][col]``: a series' terms sort by these ints.
+_EXPONENT_ORDER = tuple(sorted(set(chain.from_iterable(_EXPONENTS))))
+_EXPONENT_RANKS = tuple(
+    tuple(_EXPONENT_ORDER.index(exponent) for exponent in row) for row in _EXPONENTS
+)
 #: Series coefficients: ``randint(-9, 9)`` over ``randint(1, 3)``.
 _COEFFICIENTS = _table(range(-9, 10), range(1, 4))
+_COEFF_ROWS, _COEFF_ROW_BITS, _COEFF_COLS, _COEFF_COL_BITS = _widths(_COEFFICIENTS)
 #: Invertible monomials' coefficients: ``randint(1, 9)`` over ``randint(1, 3)``.
 _UNIT_COEFFICIENTS = _table(range(1, 10), range(1, 4))
+_UNIT_ROWS, _UNIT_ROW_BITS, _UNIT_COLS, _UNIT_COL_BITS = _widths(_UNIT_COEFFICIENTS)
 #: Appreciable scalars: ``choice((-9, -5, -1, 1, 2, 5, 9))`` over
 #: ``randint(1, 4)``.
 _SCALARS = _table((-9, -5, -1, 1, 2, 5, 9), range(1, 5))
+_SCALAR_ROWS, _SCALAR_ROW_BITS, _SCALAR_COLS, _SCALAR_COL_BITS = _widths(_SCALARS)
 
 
 def _rand_exponent(rng: random.Random) -> Rational:
-    return _entry(rng.getrandbits, _EXPONENTS)
+    getrandbits = rng.getrandbits
+    while (row := getrandbits(_EXP_ROW_BITS)) >= _EXP_ROWS:
+        pass
+    while (col := getrandbits(_EXP_COL_BITS)) >= _EXP_COLS:
+        pass
+    return _EXPONENTS[row][col]
 
 
 def rand_series(rng: random.Random) -> EpsSeries:
+    """``randint(0, _MAX_TERMS)`` terms, each a coefficient, then an exponent.
+
+    The series is built in canonical form directly: the drawn terms are
+    sorted by exponent rank, equal exponents are summed, and zero
+    coefficients are dropped, as :meth:`EpsSeries.from_terms` would.
+    """
     getrandbits = rng.getrandbits
-    terms = []
-    for _ in range(_below(getrandbits, _MAX_TERMS + 1)):
-        coeff = _entry(getrandbits, _COEFFICIENTS)
-        terms.append((_rand_exponent(rng), coeff))
-    return EpsSeries.from_terms(terms)
+    while (count := getrandbits(_TERM_BITS)) >= _TERM_COUNTS:
+        pass
+    drawn = []
+    for _ in repeat(None, count):
+        while (row := getrandbits(_COEFF_ROW_BITS)) >= _COEFF_ROWS:
+            pass
+        while (col := getrandbits(_COEFF_COL_BITS)) >= _COEFF_COLS:
+            pass
+        coeff = _COEFFICIENTS[row][col]
+        while (row := getrandbits(_EXP_ROW_BITS)) >= _EXP_ROWS:
+            pass
+        while (col := getrandbits(_EXP_COL_BITS)) >= _EXP_COLS:
+            pass
+        drawn.append((_EXPONENT_RANKS[row][col], coeff))
+    drawn.sort()
+    summed = []
+    for rank, coeff in drawn:
+        if summed and summed[-1][0] == rank:
+            coeff = rational(summed.pop()[1] + coeff)
+        summed.append((rank, coeff))
+    return EpsSeries(
+        tuple([(_EXPONENT_ORDER[rank], coeff) for rank, coeff in summed if coeff])
+    )
 
 
 def rand_neutrix(rng: random.Random) -> Neutrix:
@@ -106,7 +158,12 @@ def rand_invertible_external(rng: random.Random) -> ExternalNumber:
     while True:
         neutrix = rand_neutrix(rng)
         if neutrix.is_zero:
-            coeff = _entry(rng.getrandbits, _UNIT_COEFFICIENTS)
+            getrandbits = rng.getrandbits
+            while (row := getrandbits(_UNIT_ROW_BITS)) >= _UNIT_ROWS:
+                pass
+            while (col := getrandbits(_UNIT_COL_BITS)) >= _UNIT_COLS:
+                pass
+            coeff = _UNIT_COEFFICIENTS[row][col]
             if rng.random() < 0.5:
                 coeff = -coeff
             rep = EpsSeries.monomial(_rand_exponent(rng), coeff)
@@ -225,7 +282,12 @@ def _check_no_zero_divisors(instance, rng):
 
 def _draw_appreciable_scale(rng):
     neutrix = rand_neutrix(rng)
-    return _entry(rng.getrandbits, _SCALARS), neutrix
+    getrandbits = rng.getrandbits
+    while (row := getrandbits(_SCALAR_ROW_BITS)) >= _SCALAR_ROWS:
+        pass
+    while (col := getrandbits(_SCALAR_COL_BITS)) >= _SCALAR_COLS:
+        pass
+    return _SCALARS[row][col], neutrix
 
 
 def _draw_integer_scale(rng):

@@ -141,6 +141,7 @@ class Neutrix:
 
 OSLASH = Neutrix.osl(0)
 POUND = Neutrix.lim(0)
+_ZERO_GROUP = Neutrix.zero()
 
 
 def n_max(*neutrices: Neutrix) -> Neutrix:
@@ -199,8 +200,9 @@ class ExternalNumber:
     same external set iff they are equal.
 
     A product computes its neutrix first, the largest of ``a*B``, ``b*A``
-    and ``A*B``, and then only the cross terms of ``a*b`` below that
-    neutrix's cut.
+    and ``A*B``, picked from their exponents and kinds so that only that
+    one ``Neutrix`` is built, and then only the cross terms of ``a*b``
+    below its cut.
     """
 
     rep: EpsSeries
@@ -272,12 +274,28 @@ class ExternalNumber:
             return NotImplemented
         a, neutrix_a = self.rep, self.neutrix
         b, neutrix_b = other.rep, other.neutrix
-        product_neutrix = n_max(
-            n_scale(a, neutrix_b),
-            n_scale(b, neutrix_a),
-            n_mul(neutrix_a, neutrix_b),
-        )
-        return ExternalNumber(a.__mul__(b, product_neutrix.cut), product_neutrix)
+        # The candidates a*B, b*A and A*B as (exponent, open): a zero
+        # factor drops its candidate, and the least pair is the largest
+        # group, since at one exponent L (open False) contains o.
+        candidates = []
+        if not neutrix_b.is_zero:
+            open_b = neutrix_b.kind is Kind.OSL
+            if a.terms:
+                candidates.append((a.terms[0][0] + neutrix_b.exponent, open_b))
+        if not neutrix_a.is_zero:
+            open_a = neutrix_a.kind is Kind.OSL
+            if b.terms:
+                candidates.append((b.terms[0][0] + neutrix_a.exponent, open_a))
+            if not neutrix_b.is_zero:
+                candidates.append(
+                    (neutrix_a.exponent + neutrix_b.exponent, open_a or open_b)
+                )
+        if not candidates:
+            return ExternalNumber(a.__mul__(b), _ZERO_GROUP)
+        exponent, is_open = min(candidates)
+        exponent = rational(exponent)
+        product_neutrix = Neutrix(exponent, Kind.OSL if is_open else Kind.LIM)
+        return ExternalNumber(a.__mul__(b, (exponent, not is_open)), product_neutrix)
 
     __rmul__ = __mul__
 

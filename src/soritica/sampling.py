@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .neutrix import ExternalNumber, Kind, Neutrix
 from .series import EpsSeries, rational
@@ -55,33 +55,14 @@ _STEP_BITS = _STEPS.bit_length()
 _LEAST_OFFSET = min(offset for row in _OFFSETS for offset in row)
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform index in ``range(n)``, ``n > 0``, drawn as ``random`` does.
-
-    This is ``Random._randbelow(n)``, the draw behind ``rng.choice`` of a
-    length-``n`` sequence and behind ``rng.randint(a, a + n - 1)``, given
-    the bound method ``rng.getrandbits``: the same calls, the same index.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _entry(getrandbits: Callable[[int], int], table):
-    """``rng.choice(rng.choice(table))``: a row, then an entry of that row."""
-    row = table[_below(getrandbits, len(table))]
-    return row[_below(getrandbits, len(row))]
-
-
 def _skip_samples(neutrix: Neutrix, count: int, rng: random.Random) -> None:
     """Advance ``rng`` past ``count`` samples of ``neutrix``, building none.
 
     The same ``getrandbits`` and ``random`` calls, in the same order, as
     the ``choice``, ``randint`` and ``random`` calls of
-    :func:`neutrix_samples`, each index drawn as :func:`_below` draws it,
-    written out inline; the zero group draws nothing.
+    :func:`neutrix_samples`, each index drawn in a ``getrandbits`` loop
+    written out inline with the widths above; the zero group draws
+    nothing.
     """
     if neutrix.is_zero:
         return

@@ -731,6 +731,17 @@ def _require(config: dict, key: str, pointer: str):
     return config[key]
 
 
+def _refuse_unknown(config: dict, known, pointer: str) -> None:
+    """A ``ConfigError`` at the first key of ``config`` not in ``known``."""
+    for key in config:
+        if key not in known:
+            token = str(key).replace("~", "~0").replace("/", "~1")
+            raise ConfigError(
+                f"{pointer}/{token}",
+                f"unknown field; expected one of {', '.join(known)}",
+            )
+
+
 def _points(points) -> Tuple[Tuple[int, Fraction], ...]:
     return tuple((_integer(n), Fraction(str(degree))) for n, degree in points)
 
@@ -763,6 +774,7 @@ BACKENDS = {
 def _parse_backend(raw, pointer: str) -> Backend:
     if not isinstance(raw, dict):
         raise ConfigError(pointer, "backend must be an object")
+    _refuse_unknown(raw, ("type", "params"), pointer)
     backend_type = _require(raw, "type", pointer)
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -771,6 +783,7 @@ def _parse_backend(raw, pointer: str) -> Backend:
     if not isinstance(backend_type, str) or backend_type not in BACKENDS:
         raise ConfigError(f"{pointer}/type", f"unknown backend type {backend_type!r}")
     cls, *spec = BACKENDS[backend_type]
+    _refuse_unknown(params, [name for name, _, _ in spec], f"{pointer}/params")
     args = []
     try:
         for name, schema, read in spec:
@@ -791,9 +804,14 @@ def _witness(text, pointer: str) -> Witness:
         raise ConfigError(pointer, str(exc)) from exc
 
 
+#: The fields of a scenario config; any other key is refused.
+SCENARIO_FIELDS = ("name", "range", "backend", "witnesses", "chainLength")
+
+
 def scenario_from_dict(config: dict) -> SoritesScenario:
     if not isinstance(config, dict):
         raise ConfigError("", "scenario config must be an object")
+    _refuse_unknown(config, SCENARIO_FIELDS, "")
     name = _require(config, "name", "")
     if not isinstance(name, str):
         raise ConfigError("/name", "name must be a string")

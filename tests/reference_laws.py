@@ -16,12 +16,17 @@ def ref_rand_exponent(rng):
     return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
 
 
-def ref_rand_series(rng, max_terms=3):
+def ref_rand_terms(rng, max_terms=3):
+    """The drawn ``(exponent, coefficient)`` pairs of one series, as drawn."""
     terms = []
     for _ in range(rng.randint(0, max_terms)):
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         terms.append((ref_rand_exponent(rng), coeff))
-    return EpsSeries.from_terms(terms)
+    return terms
+
+
+def ref_rand_series(rng, max_terms=3):
+    return EpsSeries.from_terms(ref_rand_terms(rng, max_terms))
 
 
 def ref_rand_neutrix(rng):

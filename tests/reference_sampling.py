@@ -5,7 +5,9 @@ as a sum of monomials with fresh ``Fraction`` coefficients and exponents,
 and each sampled member ``left.rep + s`` of the left side is rebuilt and
 tested against the right side on its own, by subtracting ``right.rep``.
 They share no code with the coefficient tables or the one-difference
-check.
+check.  ``_below`` and ``_entry`` are the index draw that the sampler
+and the law-suite generators write out inline: the ``getrandbits`` calls
+of ``choice`` and ``randint``, pinned against ``random`` itself.
 """
 
 from fractions import Fraction
@@ -13,6 +15,26 @@ from fractions import Fraction
 from soritica.neutrix import Kind
 from soritica.sampling import en_member
 from soritica.series import EpsSeries
+
+
+def _below(getrandbits, n):
+    """A uniform index in ``range(n)``, ``n > 0``, drawn as ``random`` does.
+
+    This is ``Random._randbelow(n)``, the draw behind ``rng.choice`` of a
+    length-``n`` sequence and behind ``rng.randint(a, a + n - 1)``, given
+    the bound method ``rng.getrandbits``: the same calls, the same index.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _entry(getrandbits, table):
+    """``rng.choice(rng.choice(table))``: a row, then an entry of that row."""
+    row = table[_below(getrandbits, len(table))]
+    return row[_below(getrandbits, len(row))]
 
 
 def _ref_coeff(rng):

@@ -201,6 +201,20 @@ CONFIGS = {
         "range": [1, 10],
         "backend": {"type": "classical_cutoff", "params": {"cutoff": 5}},
     },
+    "unknown_field": {
+        "name": "unknown_field",
+        "range": [1, 10],
+        "backend": {"type": "classical_cutoff", "params": {"cutoff": 5}},
+        "chainlength": 5,
+    },
+    "unknown_param": {
+        "name": "unknown_param",
+        "range": [1, 10],
+        "backend": {
+            "type": "fuzzy_membership",
+            "params": {"points": [[1, "1"], [10, "0"]], "thresold": "1/2"},
+        },
+    },
 }
 
 CONTRACT = [
@@ -307,6 +321,22 @@ CONTRACT = [
         2,
         "err",
         "config error at /name: name must be a string",
+        None,
+    ),
+    (
+        ["sorites", "run", "{unknown_field}"],
+        2,
+        "err",
+        "config error at /chainlength: unknown field; expected one of"
+        " name, range, backend, witnesses, chainLength",
+        None,
+    ),
+    (
+        ["sorites", "run", "{unknown_param}"],
+        2,
+        "err",
+        "config error at /backend/params/thresold: unknown field;"
+        " expected one of points, threshold",
         None,
     ),
 ]

@@ -16,6 +16,7 @@ from reference_laws import (
     ref_rand_invertible_external,
     ref_rand_neutrix,
     ref_rand_series,
+    ref_rand_terms,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32)
@@ -55,6 +56,59 @@ class TestGeneratorsAgainstReference:
 
     def test_every_law_has_a_reference_draw(self):
         assert laws.LAW_NAMES == list(ref_law_draws)
+
+
+def _shared(terms):
+    """The drawn coefficients of each exponent drawn more than once."""
+    by_exponent = {}
+    for exponent, coeff in terms:
+        by_exponent.setdefault(exponent, []).append(coeff)
+    return [coeffs for coeffs in by_exponent.values() if len(coeffs) > 1]
+
+
+#: The merge edge cases of ``rand_series``, as predicates on the terms one
+#: series draws, in the order drawn.
+MERGE_CASES = {
+    "shared_exponent_cancels": lambda terms: any(
+        all(coeffs) and sum(coeffs) == 0 for coeffs in _shared(terms)
+    ),
+    "shared_exponent_sums": lambda terms: any(
+        all(coeffs) and sum(coeffs) != 0 for coeffs in _shared(terms)
+    ),
+    "shared_fractions_sum_to_an_integer": lambda terms: any(
+        sum(coeffs).denominator == 1 and any(c.denominator > 1 for c in coeffs)
+        for coeffs in _shared(terms)
+    ),
+    "zero_coefficient": lambda terms: any(coeff == 0 for _, coeff in terms),
+    "empty": lambda terms: not terms,
+}
+
+
+def _term_types(series):
+    return [(type(exponent), type(coeff)) for exponent, coeff in series.terms]
+
+
+def _first_seed(case):
+    """The least seed in 0..999 whose first series draws ``case``."""
+    for seed in range(1000):
+        if MERGE_CASES[case](ref_rand_terms(random.Random(seed))):
+            return seed
+    raise AssertionError(f"no seed in 0..999 draws {case}")
+
+
+class TestSeriesMerge:
+    """``rand_series`` sorts, sums and drops terms as ``from_terms`` does."""
+
+    @pytest.mark.parametrize("case", MERGE_CASES)
+    def test_edge_case_matches_reference(self, case):
+        seed = _first_seed(case)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = laws.rand_series(rng), ref_rand_series(ref_rng)
+        assert got.terms == want.terms
+        assert str(got) == str(want)
+        assert rng.getstate() == ref_rng.getstate()
+        # Each value is in the form ``rational`` gives, as in ``from_terms``.
+        assert _term_types(got) == _term_types(want)
 
 
 def _zero_product(a, b):

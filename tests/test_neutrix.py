@@ -253,6 +253,55 @@ class TestAgainstReference:
         assert a * b == ref_external_mul(a, b)
 
 
+#: ``(a, b, a * b)``: products whose candidates ``a·B``, ``b·A`` and
+#: ``A·B`` share an exponent with different kinds, where ``L`` wins, and
+#: products where a zero representative or a zero neutrix on either side
+#: drops its candidates.
+PRODUCT_NEUTRICES = [
+    # b·A = L(0) ties A·B = o(0); the zero representative of L(0) drops a·B
+    ("1 + L(0)", "1 + o(0)", "L(0)"),
+    ("L(0)", "1 + osl", "L(0)"),
+    ("1 + osl", "L(0)", "L(0)"),
+    # all three at exponent 1: a·B = L(1), b·A = o(1), A·B = o(1)
+    ("1 + osl", "e + L(1)", "L(1)"),
+    ("e + L(1)", "1 + osl", "L(1)"),
+    # all three at exponent 0, all o
+    ("1 + osl", "1 + osl", "1 + o(0)"),
+    # a·B = L(0) ties b·A = o(0); A·B = o(1) is smaller
+    ("e^(-1) + osl", "1 + L(1)", "e^(-1) + L(0)"),
+    ("1 + L(1)", "e^(-1) + osl", "e^(-1) + L(0)"),
+    # a zero representative: b·A = L(1) and A·B = o(1) only
+    ("L(1)", "2 + osl", "L(1)"),
+    ("2 + osl", "L(1)", "L(1)"),
+    # both representatives zero: A·B alone
+    ("osl", "L(1)", "o(1)"),
+    # a zero neutrix: a·B alone
+    ("2", "1 + osl", "2 + o(0)"),
+    ("1 + osl", "2", "2 + o(0)"),
+    ("e^(-1)", "2 + e + L(2)", "2*e^(-1) + 1 + L(1)"),
+    # zero neutrices on both sides: no candidate
+    ("1 + e", "2 - e", "2 + e - e^(2)"),
+    ("0", "1 + osl", "0"),
+    ("1 + osl", "0", "0"),
+]
+
+
+class TestProductNeutrix:
+    """``a * b`` builds only the largest of ``a·B``, ``b·A`` and ``A·B``."""
+
+    @pytest.mark.parametrize("a, b, want", PRODUCT_NEUTRICES)
+    def test_winner(self, a, b, want):
+        a, b = en(a), en(b)
+        got = a * b
+        assert str(got) == want
+        assert got == ref_external_mul(a, b)
+        assert got.neutrix == n_max(
+            n_scale(a.rep, b.neutrix),
+            n_scale(b.rep, a.neutrix),
+            n_mul(a.neutrix, b.neutrix),
+        )
+
+
 class TestClassify:
     def test_appreciable(self):
         assert classify(en("2 + e + osl")) is Classification.APPRECIABLE

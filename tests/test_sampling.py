@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from soritica import sampling
 from soritica.neutrix import ExternalNumber, Kind, Neutrix
 from soritica.sampling import (
-    _below,
     en_samples,
     mutual_membership_check,
     neutrix_samples,
@@ -16,6 +15,8 @@ from soritica.sampling import (
 from soritica.series import EpsSeries
 
 from reference_sampling import (
+    _below,
+    _entry,
     ref_en_samples,
     ref_mutual_membership_check,
     ref_neutrix_samples,
@@ -65,6 +66,15 @@ class TestDrawHelper:
                     assert _below(rng.getrandbits, n) == ref_rng.choice(range(n))
                 assert _below(rng.getrandbits, 4) == ref_rng.randint(0, 3)
                 assert 1 + _below(rng.getrandbits, 3) == ref_rng.randint(1, 3)
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_entry_is_a_row_then_an_entry(self):
+        table = tuple(tuple(range(10 * row, 10 * row + 3)) for row in range(7))
+        for seed in range(200):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got = _entry(rng.getrandbits, table)
+                assert got == ref_rng.choice(ref_rng.choice(table))
             assert rng.getstate() == ref_rng.getstate()
 
 

@@ -13,6 +13,7 @@ from soritica.semantics import SuperVerdict, eval_super
 from soritica.series import EpsSeries, parse_series
 from soritica.sorites import (
     BACKENDS,
+    SCENARIO_FIELDS,
     BackendUnsupported,
     ChainThroughWitness,
     ClassicalCutoff,
@@ -261,6 +262,40 @@ class TestConfig:
             scenario_from_dict(config)
         assert info.value.pointer == "/name"
         assert info.value.message == "name must be a string"
+
+    @pytest.mark.parametrize(
+        "path, key, pointer",
+        [
+            ((), "chainlength", "/chainlength"),
+            ((), "witness", "/witness"),
+            (("backend",), "param", "/backend/param"),
+            (("backend", "params"), "cutof", "/backend/params/cutof"),
+            (("backend", "params"), "a/b~c", "/backend/params/a~1b~0c"),
+        ],
+    )
+    def test_unknown_key_refused(self, path, key, pointer):
+        config = self.good()
+        section = config
+        for step in path:
+            section = section[step]
+        section[key] = 5
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == pointer
+        assert info.value.message.startswith("unknown field; expected one of ")
+
+    def test_unknown_param_of_each_backend(self):
+        for backend_type, (_, *spec) in BACKENDS.items():
+            config = self.good()
+            config["backend"] = {
+                "type": backend_type,
+                "params": {**SAMPLE_PARAMS[backend_type], "thresold": "1/2"},
+            }
+            with pytest.raises(ConfigError) as info:
+                scenario_from_dict(config)
+            assert info.value.pointer == "/backend/params/thresold"
+            names = ", ".join(name for name, _, _ in spec)
+            assert info.value.message == f"unknown field; expected one of {names}"
 
     def test_chain_length_series(self):
         config = self.good()
@@ -585,6 +620,8 @@ class TestBackendTable:
             .read_text(encoding="utf-8")
         )
         assert shipped["properties"]["backend"] == backend_schema()
+        assert list(shipped["properties"]) == list(SCENARIO_FIELDS)
+        assert shipped["additionalProperties"] is False
 
 
 def backend_schema():
@@ -594,6 +631,7 @@ def backend_schema():
         params = {
             "type": "object",
             "properties": {name: schema for name, schema, _ in spec},
+            "additionalProperties": False,
         }
         branch = {"properties": {"type": {"const": backend_type}, "params": params}}
         required = [name for name, schema, _ in spec if "default" not in schema]
@@ -608,6 +646,7 @@ def backend_schema():
             "type": {"enum": list(BACKENDS)},
             "params": {"type": "object"},
         },
+        "additionalProperties": False,
         "oneOf": branches,
     }
 
