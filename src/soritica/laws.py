@@ -18,16 +18,19 @@ from itertools import chain, repeat
 from typing import Any, Callable, List, Optional, Tuple
 
 from .neutrix import (
+    _LIM,
+    _OSL,
+    _ZERO_GROUP,
     Classification,
     ExternalNumber,
-    Kind,
     Neutrix,
+    _neutrix,
     classify,
     n_scale,
     regular_inverse,
 )
 from .sampling import samples_within, strict_subset_witness
-from .series import OMEGA, EpsSeries, Rational, rational
+from .series import OMEGA, EpsSeries, Rational, _series, rational
 
 __all__ = ["Law", "LawResult", "LAWS", "LAW_NAMES", "run_law_suite"]
 
@@ -108,7 +111,8 @@ def rand_series(rng: random.Random) -> EpsSeries:
 
     The series is built in canonical form directly: the drawn terms are
     sorted by exponent rank, equal exponents are summed, and zero
-    coefficients are dropped, as :meth:`EpsSeries.from_terms` would.
+    coefficients are dropped, as :meth:`EpsSeries.from_terms` would, so it
+    goes through the unchecked :func:`~soritica.series._series`.
     """
     getrandbits = rng.getrandbits
     while (count := getrandbits(_TERM_BITS)) >= _TERM_COUNTS:
@@ -131,7 +135,7 @@ def rand_series(rng: random.Random) -> EpsSeries:
         if summed and summed[-1][0] == rank:
             coeff = rational(summed.pop()[1] + coeff)
         summed.append((rank, coeff))
-    return EpsSeries(
+    return _series(
         tuple([(_EXPONENT_ORDER[rank], coeff) for rank, coeff in summed if coeff])
     )
 
@@ -139,9 +143,9 @@ def rand_series(rng: random.Random) -> EpsSeries:
 def rand_neutrix(rng: random.Random) -> Neutrix:
     roll = rng.random()
     if roll < 0.25:
-        return Neutrix.zero()
-    kind = Kind.LIM if rng.random() < 0.5 else Kind.OSL
-    return Neutrix(_rand_exponent(rng), kind)
+        return _ZERO_GROUP
+    kind = _LIM if rng.random() < 0.5 else _OSL
+    return _neutrix(_rand_exponent(rng), kind)
 
 
 def rand_external(rng: random.Random) -> ExternalNumber:
@@ -179,7 +183,7 @@ def rand_invertible_external(rng: random.Random) -> ExternalNumber:
 
 def _shrink_series(x: EpsSeries) -> List[EpsSeries]:
     return [
-        EpsSeries(x.terms[:i] + x.terms[i + 1 :]) for i in range(len(x.terms))
+        _series(x.terms[:i] + x.terms[i + 1 :]) for i in range(len(x.terms))
     ]
 
 

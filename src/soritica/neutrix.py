@@ -29,6 +29,7 @@ from .series import (
     EpsSeries,
     ExprParser,
     Rational,
+    _series,
     rational,
 )
 
@@ -59,9 +60,18 @@ class Kind(enum.Enum):
     OSL = "o"
 
 
-@dataclass(frozen=True)
+#: The kinds, read by the hot paths as module constants rather than as
+#: class attributes.
+_LIM, _OSL = Kind.LIM, Kind.OSL
+
+
+@dataclass(frozen=True, slots=True)
 class Neutrix:
-    """Zero, or a scaled limited/infinitesimal group at a rational exponent."""
+    """Zero, or a scaled limited/infinitesimal group at a rational exponent.
+
+    The constructor checks its fields; the arithmetic builds its results
+    through :func:`_neutrix`, which skips the check.
+    """
 
     exponent: Optional[Rational] = None
     kind: Optional[Kind] = None
@@ -80,15 +90,15 @@ class Neutrix:
 
     @staticmethod
     def zero() -> "Neutrix":
-        return Neutrix()
+        return _ZERO_GROUP
 
     @staticmethod
     def lim(exponent=0) -> "Neutrix":
-        return Neutrix(rational(exponent), Kind.LIM)
+        return _neutrix(rational(exponent), _LIM)
 
     @staticmethod
     def osl(exponent=0) -> "Neutrix":
-        return Neutrix(rational(exponent), Kind.OSL)
+        return _neutrix(rational(exponent), _OSL)
 
     @property
     def is_zero(self) -> bool:
@@ -101,17 +111,19 @@ class Neutrix:
         ``L(q)`` absorbs the terms of exponent ``>= q``, ``o(q)`` those of
         exponent ``> q``; see :meth:`EpsSeries.truncate`.
         """
-        if self.is_zero:
+        q = self.exponent
+        if q is None:
             return None
-        return (self.exponent, self.kind is Kind.LIM)
+        return (q, self.kind is _LIM)
 
     def absorbs(self, exponent: Rational) -> bool:
         """True when the group contains the monomials ``c*e^exponent``."""
-        if self.is_zero:
+        q = self.exponent
+        if q is None:
             return False
-        if self.kind is Kind.LIM:
-            return exponent >= self.exponent
-        return exponent > self.exponent
+        if self.kind is _LIM:
+            return exponent >= q
+        return exponent > q
 
     def contains(self, x: EpsSeries) -> bool:
         return x.is_zero or self.absorbs(x.valuation)
@@ -122,13 +134,14 @@ class Neutrix:
         Inclusion is a total order: zero is least, a smaller exponent is a
         larger group, and at equal exponents ``L(q)`` contains ``o(q)``.
         """
-        if other.is_zero:
+        q, other_q = self.exponent, other.exponent
+        if other_q is None:
             return True
-        if self.is_zero:
+        if q is None:
             return False
-        if self.exponent != other.exponent:
-            return self.exponent < other.exponent
-        return self.kind is other.kind or self.kind is Kind.LIM
+        if q != other_q:
+            return q < other_q
+        return self.kind is other.kind or self.kind is _LIM
 
     def strictly_includes(self, other: "Neutrix") -> bool:
         return self != other and self.includes(other)
@@ -139,9 +152,26 @@ class Neutrix:
         return f"{self.kind.value}({self.exponent})"
 
 
+_new = object.__new__
+_set_exponent = Neutrix.exponent.__set__
+_set_kind = Neutrix.kind.__set__
+
+
+def _neutrix(exponent: Rational, kind: Kind) -> Neutrix:
+    """The group ``L(exponent)`` or ``o(exponent)``, built without the check.
+
+    The arithmetic's own constructor: ``exponent`` must already be an
+    ``int`` or a ``Fraction`` and ``kind`` a :class:`Kind`.
+    """
+    neutrix = _new(Neutrix)
+    _set_exponent(neutrix, exponent)
+    _set_kind(neutrix, kind)
+    return neutrix
+
+
+_ZERO_GROUP = Neutrix()
 OSLASH = Neutrix.osl(0)
 POUND = Neutrix.lim(0)
-_ZERO_GROUP = Neutrix.zero()
 
 
 def n_max(*neutrices: Neutrix) -> Neutrix:
@@ -159,17 +189,17 @@ def n_scale(a: EpsSeries, neutrix: Neutrix) -> Neutrix:
     """Group generated by multiplying every member by the series ``a``."""
     if not isinstance(a, EpsSeries):
         a = EpsSeries.from_rational(a)
-    if a.is_zero or neutrix.is_zero:
-        return Neutrix.zero()
-    return Neutrix(rational(neutrix.exponent + a.valuation), neutrix.kind)
+    if a.is_zero or neutrix.exponent is None:
+        return _ZERO_GROUP
+    return _neutrix(rational(neutrix.exponent + a.valuation), neutrix.kind)
 
 
 def n_mul(a: Neutrix, b: Neutrix) -> Neutrix:
     """Group generated by pairwise products of members."""
-    if a.is_zero or b.is_zero:
-        return Neutrix.zero()
-    kind = Kind.LIM if (a.kind is Kind.LIM and b.kind is Kind.LIM) else Kind.OSL
-    return Neutrix(rational(a.exponent + b.exponent), kind)
+    if a.exponent is None or b.exponent is None:
+        return _ZERO_GROUP
+    kind = _LIM if (a.kind is _LIM and b.kind is _LIM) else _OSL
+    return _neutrix(rational(a.exponent + b.exponent), kind)
 
 
 class Classification(enum.Enum):
@@ -188,7 +218,7 @@ class SetRelation(enum.Enum):
     DISJOINT_GREATER = "DisjointGreater"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalNumber:
     """Canonical representative-plus-neutrix pair.
 
@@ -196,8 +226,10 @@ class ExternalNumber:
     representative.  The terms of a series are sorted by exponent, so the
     absorbed ones are a suffix: :meth:`make` cuts it off (``exp >= q``
     for ``L(q)``, ``exp > q`` for ``o(q)``), and the constructor refuses a
-    pair whose last term is absorbed.  Two external numbers denote the
-    same external set iff they are equal.
+    pair whose last term is absorbed, or a field of the wrong type.  The
+    arithmetic builds its results, canonical by construction, through
+    :func:`_external`, which skips the check.  Two external numbers denote
+    the same external set iff they are equal.
 
     A product computes its neutrix first, the largest of ``a*B``, ``b*A``
     and ``A*B``, picked from their exponents and kinds so that only that
@@ -209,6 +241,10 @@ class ExternalNumber:
     neutrix: Neutrix
 
     def __post_init__(self):
+        if not isinstance(self.rep, EpsSeries):
+            raise TypeError(f"representative {self.rep!r} is not an EpsSeries")
+        if not isinstance(self.neutrix, Neutrix):
+            raise TypeError(f"neutrix {self.neutrix!r} is not a Neutrix")
         terms = self.rep.terms
         if terms and self.neutrix.absorbs(terms[-1][0]):
             raise ValueError(
@@ -217,14 +253,20 @@ class ExternalNumber:
             )
 
     @staticmethod
-    def make(rep, neutrix: Neutrix = Neutrix.zero()) -> "ExternalNumber":
-        """The canonical pair: ``rep`` less the terms ``neutrix`` absorbs."""
+    def make(rep, neutrix: Neutrix = _ZERO_GROUP) -> "ExternalNumber":
+        """The canonical pair: ``rep`` less the terms ``neutrix`` absorbs.
+
+        ``rep`` may also be an ``int`` or a ``Fraction``; anything else, or
+        a ``neutrix`` that is not a :class:`Neutrix`, is a ``TypeError``.
+        """
         if not isinstance(rep, EpsSeries):
             rep = EpsSeries.from_rational(rep)
+        if not isinstance(neutrix, Neutrix):
+            raise TypeError(f"neutrix {neutrix!r} is not a Neutrix")
         cut = neutrix.cut
         if cut is not None:
             rep = rep.truncate(cut)
-        return ExternalNumber(rep, neutrix)
+        return _external(rep, neutrix)
 
     @property
     def is_zero(self) -> bool:
@@ -254,7 +296,7 @@ class ExternalNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExternalNumber(-self.rep, self.neutrix)
+        return _external(-self.rep, self.neutrix)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -277,25 +319,24 @@ class ExternalNumber:
         # The candidates a*B, b*A and A*B as (exponent, open): a zero
         # factor drops its candidate, and the least pair is the largest
         # group, since at one exponent L (open False) contains o.
+        q_a, q_b = neutrix_a.exponent, neutrix_b.exponent
         candidates = []
-        if not neutrix_b.is_zero:
-            open_b = neutrix_b.kind is Kind.OSL
+        if q_b is not None:
+            open_b = neutrix_b.kind is _OSL
             if a.terms:
-                candidates.append((a.terms[0][0] + neutrix_b.exponent, open_b))
-        if not neutrix_a.is_zero:
-            open_a = neutrix_a.kind is Kind.OSL
+                candidates.append((a.terms[0][0] + q_b, open_b))
+        if q_a is not None:
+            open_a = neutrix_a.kind is _OSL
             if b.terms:
-                candidates.append((b.terms[0][0] + neutrix_a.exponent, open_a))
-            if not neutrix_b.is_zero:
-                candidates.append(
-                    (neutrix_a.exponent + neutrix_b.exponent, open_a or open_b)
-                )
+                candidates.append((b.terms[0][0] + q_a, open_a))
+            if q_b is not None:
+                candidates.append((q_a + q_b, open_a or open_b))
         if not candidates:
-            return ExternalNumber(a.__mul__(b), _ZERO_GROUP)
+            return _external(a.__mul__(b), _ZERO_GROUP)
         exponent, is_open = min(candidates)
         exponent = rational(exponent)
-        product_neutrix = Neutrix(exponent, Kind.OSL if is_open else Kind.LIM)
-        return ExternalNumber(a.__mul__(b, (exponent, not is_open)), product_neutrix)
+        product_neutrix = _neutrix(exponent, _OSL if is_open else _LIM)
+        return _external(a.__mul__(b, (exponent, not is_open)), product_neutrix)
 
     __rmul__ = __mul__
 
@@ -318,6 +359,22 @@ class ExternalNumber:
 
     def __repr__(self) -> str:
         return f"ExternalNumber({self})"
+
+
+_set_rep = ExternalNumber.rep.__set__
+_set_neutrix = ExternalNumber.neutrix.__set__
+
+
+def _external(rep: EpsSeries, neutrix: Neutrix) -> ExternalNumber:
+    """The pair ``(rep, neutrix)``, which must already be canonical.
+
+    The arithmetic's own constructor: it fills the slots without running
+    the check in ``__post_init__``.
+    """
+    number = _new(ExternalNumber)
+    _set_rep(number, rep)
+    _set_neutrix(number, neutrix)
+    return number
 
 
 def classify(alpha: ExternalNumber) -> Classification:
@@ -436,10 +493,10 @@ def regular_inverse(alpha: ExternalNumber) -> Optional[ExternalNumber]:
         beta = ExternalNumber.make(base)
         return beta if alpha * beta * alpha == alpha else None
     q, kind = alpha.neutrix.exponent, alpha.neutrix.kind
-    inv_neutrix = Neutrix(rational(q - 2 * v), kind)
+    inv_neutrix = _neutrix(rational(q - 2 * v), kind)
     # A remainder term at exponent x gives the quotient term at x - v,
     # which B absorbs exactly when x lies past this cut.
-    cut = (rational(q - v), kind is Kind.LIM)
+    cut = (rational(q - v), kind is _LIM)
     remainder = (ONE - a * base).truncate(cut)
     if not remainder.is_zero and not inv_neutrix.absorbs(
         -v + _INVERSE_MAX_TERMS * remainder.valuation
@@ -453,7 +510,7 @@ def regular_inverse(alpha: ExternalNumber) -> Optional[ExternalNumber]:
         )
         terms.append(term.terms[0])
         remainder = remainder - a.__mul__(term, cut)
-    beta = ExternalNumber(EpsSeries(tuple(terms)), inv_neutrix)
+    beta = _external(_series(tuple(terms)), inv_neutrix)
     return beta if alpha * beta * alpha == alpha else None
 
 

@@ -131,21 +131,54 @@ def _product(xs: Terms, ys: Terms, cut: Optional[Cut]) -> Terms:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpsSeries:
     """A finite formal series in ``e``, kept in canonical form.
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
     increasing exponents and no zero coefficients; the empty tuple is 0.
-    Each exponent and coefficient is in the form :func:`rational` gives.
-    Every operation relies on this invariant and keeps it: a sum merges
-    two sorted tuples, a product merges its shifted rows, and the terms a
-    neutrix absorbs are always a suffix (see :meth:`truncate`).  The
-    constructor does not check it; build from unsorted pairs with
-    :meth:`from_terms`.
+    Each exponent and coefficient is an ``int`` or a ``Fraction``, in the
+    form :func:`rational` gives.  Every operation relies on this invariant
+    and keeps it: a sum merges two sorted tuples, a product merges its
+    shifted rows, and the terms a neutrix absorbs are always a suffix (see
+    :meth:`truncate`).  The constructor checks it, refusing a value that
+    is not an ``int`` or a ``Fraction`` (a ``bool`` included) with
+    ``TypeError`` and a zero coefficient or an unsorted exponent with
+    ``ValueError``; build from unsorted pairs with :meth:`from_terms`.
+    The arithmetic builds its results, canonical by construction, through
+    :func:`_series`, which skips the check.
     """
 
     terms: Terms = ()
+
+    def __post_init__(self):
+        terms = self.terms
+        if type(terms) is not tuple:
+            raise TypeError(f"series terms must be a tuple of pairs, got {terms!r}")
+        previous = None
+        for term in terms:
+            if type(term) is not tuple or len(term) != 2:
+                raise TypeError(
+                    f"series term must be an (exponent, coefficient) pair, got {term!r}"
+                )
+            for value in term:
+                if type(value) is not int and type(value) is not Fraction:
+                    raise TypeError(
+                        f"series exponent and coefficient must be an int or "
+                        f"Fraction, got {value!r}"
+                    )
+            exponent, coefficient = term
+            if not coefficient:
+                raise ValueError(
+                    f"zero coefficient at exponent {exponent}; "
+                    "build it with EpsSeries.from_terms"
+                )
+            if previous is not None and exponent <= previous:
+                raise ValueError(
+                    f"exponents must strictly increase, got {exponent} after "
+                    f"{previous}; build it with EpsSeries.from_terms"
+                )
+            previous = exponent
 
     @staticmethod
     def from_terms(pairs: Iterable[Tuple[Rational, Rational]]) -> "EpsSeries":
@@ -160,21 +193,21 @@ class EpsSeries:
                 summed[-1] = (exp, rational(summed[-1][1] + coeff))
             else:
                 summed.append((exp, coeff))
-        return EpsSeries(tuple([term for term in summed if term[1]]))
+        return _series(tuple([term for term in summed if term[1]]))
 
     @staticmethod
     def from_rational(value) -> "EpsSeries":
         value = rational(value)
         if value == 0:
-            return EpsSeries()
-        return EpsSeries(((0, value),))
+            return ZERO
+        return _series(((0, value),))
 
     @staticmethod
     def monomial(exponent, coefficient=1) -> "EpsSeries":
         coefficient = rational(coefficient)
         if coefficient == 0:
-            return EpsSeries()
-        return EpsSeries(((rational(exponent), coefficient),))
+            return ZERO
+        return _series(((rational(exponent), coefficient),))
 
     # -- structure ---------------------------------------------------------
 
@@ -205,7 +238,7 @@ class EpsSeries:
         kept = _kept(self.terms, cut)
         if kept == len(self.terms):
             return self
-        return EpsSeries(self.terms[:kept])
+        return _series(self.terms[:kept])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -220,18 +253,18 @@ class EpsSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsSeries(_merge(self.terms, other.terms))
+        return _series(_merge(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsSeries(tuple((exp, -coeff) for exp, coeff in self.terms))
+        return _series(tuple([(exp, -coeff) for exp, coeff in self.terms]))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsSeries(_merge(self.terms, (-other).terms))
+        return _series(_merge(self.terms, (-other).terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -248,7 +281,7 @@ class EpsSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EpsSeries(_product(self.terms, other.terms, cut))
+        return _series(_product(self.terms, other.terms, cut))
 
     __rmul__ = __mul__
 
@@ -293,6 +326,22 @@ class EpsSeries:
 
     def __repr__(self) -> str:
         return f"EpsSeries({self})"
+
+
+_new = object.__new__
+_set_terms = EpsSeries.terms.__set__
+
+
+def _series(terms: Terms) -> EpsSeries:
+    """The series of ``terms``, which must already be canonical.
+
+    The arithmetic's own constructor: it fills the slot without running
+    the check in ``__post_init__``, which its results, sorted, zero-free
+    and in :func:`rational` form by construction, would always pass.
+    """
+    series = _new(EpsSeries)
+    _set_terms(series, terms)
+    return series
 
 
 ZERO = EpsSeries()

@@ -1,5 +1,8 @@
+import ast
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,8 +44,10 @@ from soritica.series import (
     parse_series,
 )
 
+import soritica
 from soritica.bounds import MAX_POWER
-from soritica.laws import rand_external, rand_invertible_external
+from soritica.cli import main
+from soritica.laws import rand_external, rand_invertible_external, run_law_suite
 
 from reference_arithmetic import (
     ref_external_mul,
@@ -54,6 +59,7 @@ from reference_arithmetic import (
 )
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 OSLASH = Neutrix.osl(0)
 POUND = Neutrix.lim(0)
 
@@ -232,6 +238,37 @@ class TestCanonicalize:
         got = ExternalNumber.make(EPS, OSLASH)
         assert got == en("osl")
         assert relate(got, en("osl")) is SetRelation.EQUAL
+
+
+class TestExternalFields:
+    @pytest.mark.parametrize(
+        "rep, neutrix",
+        [
+            (EpsSeries(), 5),
+            (ONE, None),
+            (ONE, Kind.LIM),
+            (5, Neutrix.zero()),
+            (((0, 1),), OSLASH),
+        ],
+    )
+    def test_constructor_refuses_types(self, rep, neutrix):
+        with pytest.raises(TypeError):
+            ExternalNumber(rep, neutrix)
+
+    @pytest.mark.parametrize("neutrix", [5, None, Kind.OSL, "osl"])
+    def test_make_refuses_a_non_neutrix(self, neutrix):
+        with pytest.raises(TypeError, match="is not a Neutrix"):
+            ExternalNumber.make(1, neutrix)
+
+    def test_float_series_refused_before_make(self):
+        with pytest.raises(TypeError):
+            ExternalNumber.make(EpsSeries(((0.5, 1.0),)), Neutrix.lim(2))
+
+    def test_zero_group_is_shared(self):
+        assert Neutrix.zero() is Neutrix.zero()
+        assert ExternalNumber.make(ONE).neutrix is Neutrix.zero()
+        assert n_scale(ZERO, POUND) is Neutrix.zero()
+        assert n_mul(POUND, Neutrix.zero()) is Neutrix.zero()
 
 
 class TestAgainstReference:
@@ -528,3 +565,88 @@ class TestParsePrint:
         with pytest.raises(ParseError) as info:
             parse_external(text)
         assert info.value.position == position
+
+
+#: The private constructors that build values without the check, and the
+#: checking public constructor each one stands in for.
+TRUSTED = {"_series": EpsSeries, "_neutrix": Neutrix, "_external": ExternalNumber}
+#: The modules allowed to build values through the trusted constructors.
+TRUSTED_MODULES = ("series", "neutrix", "laws", "sampling")
+
+EXPRESSIONS = [
+    "(2 + osl) * (3 + osl)",
+    "(1 + e^(1/2) + L(2)) * (e^(-1) - 3*e + o(1)) - 2",
+    "-(e^(-2) + 5*e^(1/3) + o(1/2)) * (e + £)",
+    "(1 + osl) * (1 + -1) - (1 + osl) * 1",
+    "(e^(-1) + 7/3 + e^3) * (e^(-1) + 7/3 + e^3) * L(5)",
+]
+
+
+def _law_outcomes():
+    return [run_law_suite(seed, 20) for seed in range(40)]
+
+
+def _parsed_values():
+    values = [parse_external(text) for text in EXPRESSIONS]
+    values.append(regular_inverse(parse_external("2 - e + e^2 + o(3)")))
+    return [repr(value) for value in values]
+
+
+def _check_trusted(monkeypatch):
+    """Make every trusted constructor check; returns its call counts."""
+    calls = dict.fromkeys(TRUSTED, 0)
+
+    def counting(name):
+        build = TRUSTED[name]
+
+        def checked_build(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return checked_build
+
+    for module_name in TRUSTED_MODULES:
+        module = importlib.import_module(f"soritica.{module_name}")
+        for name in TRUSTED:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
+class TestTrustedConstructors:
+    """With every trusted constructor checking, nothing changes or fails.
+
+    The arithmetic builds its results through ``_series``, ``_neutrix``
+    and ``_external``, which skip the checks of the public constructors.
+    Here each is replaced by the public constructor in every module that
+    uses it, so a non-canonical value anywhere on those paths raises.
+    """
+
+    def test_law_suites(self, monkeypatch):
+        want = _law_outcomes()
+        calls = _check_trusted(monkeypatch)
+        assert _law_outcomes() == want
+        assert all(calls.values()), calls
+
+    def test_laws_golden(self, monkeypatch, capsys):
+        calls = _check_trusted(monkeypatch)
+        assert main(["laws", "--seed", "42", "--n", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN / "laws_seed42_n1000.txt").read_bytes()
+        assert all(calls.values()), calls
+
+    def test_parsed_expressions(self, monkeypatch):
+        want = _parsed_values()
+        calls = _check_trusted(monkeypatch)
+        assert _parsed_values() == want
+        assert all(calls.values()), calls
+
+    def test_used_only_by_the_number_core(self):
+        fields = ("id", "attr", "name", "asname")
+        users = set()
+        for path in Path(soritica.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if TRUSTED.keys() & {getattr(node, field, None) for field in fields}:
+                    users.add(path.stem)
+        assert users <= set(TRUSTED_MODULES)
+        assert {"series", "neutrix", "laws"} <= users

@@ -56,6 +56,50 @@ def sampled_equal(x: EpsSeries, y: EpsSeries, k: int = 6) -> bool:
     return abs(lhs - rhs) / scale < 1e-6
 
 
+class TestFields:
+    """The constructor refuses terms that break the canonical form."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ((0.5, 1.0),),
+            ((0, 1.0),),
+            ((True, 1),),
+            ((0, True),),
+            ((0, "1"),),
+            [(0, 1)],
+            ((0, 1, 2),),
+            (0, 1),
+            ([0, 1],),
+            "01",
+        ],
+    )
+    def test_type_refused(self, terms):
+        with pytest.raises(TypeError):
+            EpsSeries(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ((1, 0), (0, 2)),
+            ((0, F(0)),),
+            ((1, 1), (0, 2)),
+            ((0, 1), (0, 2)),
+            ((0, 1), (F(1, 2), 1), (F(1, 2), 3)),
+        ],
+    )
+    def test_value_refused(self, terms):
+        with pytest.raises(ValueError, match="EpsSeries.from_terms"):
+            EpsSeries(terms)
+
+    def test_canonical_accepted(self):
+        assert EpsSeries() == ZERO
+        assert EpsSeries(()).is_zero
+        x = EpsSeries(((-1, F(1, 2)), (0, 3), (F(1, 2), -1)))
+        assert x == EpsSeries.from_terms([(F(1, 2), -1), (0, 3), (-1, F(1, 2))])
+        assert str(x) == "1/2*e^(-1) + 3 - e^(1/2)"
+
+
 class TestArithmetic:
     def test_add_cancellation(self):
         assert (series((0, 1), (1, 1)) + series((0, 2), (1, -1))) == series(
