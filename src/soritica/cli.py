@@ -138,8 +138,12 @@ def _cmd_sorites_run(args) -> int:
         report.to_json() if args.format == "json" else report.to_text()
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0

@@ -12,13 +12,22 @@ The runners do not walk the range.  Each backend names its change points,
 among them, where a designation flip, a failing step or a weakest fuzzy link
 can first occur.  The runners test only those, so a run costs the same on a
 range of ten indices as on one of 10**12.
+
+Each backend derives its boundary from its parameters once, when it is
+built: the nonstandard cut its edge, the least integer at or above the
+bound, in closed form; the fuzzy backend its pieces and the change points
+that do not depend on the range.  A per-index query is then an integer
+comparison or one table lookup, and a run costs O(change points +
+witnesses) on every backend.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import inf
 from numbers import Rational
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -219,17 +228,42 @@ class FuzzyMembership(Backend):
                 raise ValueError("degrees must lie in [0, 1]")
         if not 0 <= _exact(self.threshold) <= 1:
             raise ValueError(f"threshold {self.threshold} must lie in [0, 1]")
+        # Derived once, and not fields: equality, hashing, repr and replace
+        # see only the parameters.  S(n) and S(n+1) are both constant below
+        # the first breakpoint and from the last on, and both linear on each
+        # piece x0..x1-1 between.  On a piece, a designation or step test
+        # changes only next to where one of them crosses threshold or
+        # 1 - threshold, and the weakest link max(1 - S(n), S(n+1)) lies at
+        # an end or next to where its two sides meet.
+        pieces = []
+        fixed = set()
+        levels = (self.threshold, 1 - self.threshold)
+        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+            slope = Fraction(y1 - y0, x1 - x0)
+            pieces.append((x0, y0, slope))
+            fixed.update((x0 - 1, x0))
+            if not slope:
+                continue
+            for v in levels:
+                # S(n) meets v at x0 + (v - y0) / slope, and S(n+1) one before.
+                k = x0 + (v - y0) / slope // 1
+                fixed.update((k - 1, k, k + 1))
+            # 1 - S(n) meets S(n+1) half an index before S(n) meets 1/2.
+            k = x0 + ((1 - 2 * y0) / slope - 1) / 2 // 1
+            fixed.update((k, k + 1))
+        fixed.update((indices[-1] - 1, indices[-1]))
+        object.__setattr__(self, "_indices", tuple(indices))
+        object.__setattr__(self, "_pieces", tuple(pieces))
+        object.__setattr__(self, "_fixed", tuple(sorted(fixed)))
 
     def truth(self, n: int) -> Fraction:
-        points = self.points
-        if n <= points[0][0]:
-            return points[0][1]
-        if n >= points[-1][0]:
-            return points[-1][1]
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            if x0 <= n <= x1:
-                return y0 + (y1 - y0) * Fraction(n - x0, x1 - x0)
-        raise AssertionError("unreachable")
+        indices = self._indices
+        if n <= indices[0]:
+            return self.points[0][1]
+        if n >= indices[-1]:
+            return self.points[-1][1]
+        x0, y0, slope = self._pieces[bisect_right(indices, n) - 1]
+        return y0 + slope * (n - x0)
 
     def designated_true(self, n: int) -> bool:
         return self.truth(n) >= self.threshold
@@ -246,7 +280,11 @@ class FuzzyMembership(Backend):
     def weakest_link(self, lo: int, stop: int) -> Fraction:
         """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
         points = self.change_points(lo, stop)
-        return min((self.implication(n) for n in points), default=Fraction(1))
+        # Adjacent change points share a degree: ask for each one once.
+        degree = {n: self.truth(n) for n in {*points, *(n + 1 for n in points)}}
+        return min(
+            (max(1 - degree[n], degree[n + 1]) for n in points), default=Fraction(1)
+        )
 
     def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
         weakest = self.weakest_link(lo, hi)
@@ -271,27 +309,8 @@ class FuzzyMembership(Backend):
         )
 
     def change_points(self, lo: int, stop: int) -> List[int]:
-        # S(n) and S(n+1) are both constant below the first breakpoint and
-        # from the last on, and both linear on each piece x0..x1-1 between.
-        # On a piece, a designation or step test changes only next to where
-        # one of them crosses threshold or 1 - threshold, and the weakest
-        # link max(1 - S(n), S(n+1)) lies at an end or next to where its two
-        # sides meet.  The range cuts a piece at lo and at stop - 1.
-        points = [stop - 1]
-        for x, _ in self.points:
-            points += (x - 1, x)
-        levels = (self.threshold, 1 - self.threshold)
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            slope = Fraction(y1 - y0, x1 - x0)
-            if not slope:
-                continue
-            crossings = [
-                x0 + (v - y0) / slope - shift for v in levels for shift in (0, 1)
-            ]
-            crossings.append(x0 + ((1 - 2 * y0) / slope - 1) / 2)
-            for c in crossings:
-                points += (c // 1, c // 1 + 1)
-        return _clip(points, lo, stop)
+        # The range cuts a piece at lo and at stop - 1.
+        return _clip((stop - 1, *self._fixed), lo, stop)
 
     def describe(self) -> str:
         pts = ", ".join(f"({n}, {d})" for n, d in self.points)
@@ -365,13 +384,19 @@ class Nonstandard(Backend):
             return ("no representable adjacent flip: limited + 1 stays limited",)
         return ()
 
+    def __post_init__(self):
+        if self.bound is not None and not isinstance(self.bound, EpsSeries):
+            raise TypeError(f"bound {self.bound!r} is not an EpsSeries")
+        # Not a field: equality, hashing, repr and replace see only the bound.
+        object.__setattr__(self, "_edge", _edge_of(self.bound))
+
     def holds(self, x: EpsSeries) -> bool:
         if self.bound is None:
             return x.is_zero or x.valuation >= 0
         return x < self.bound
 
     def truth(self, n: int) -> bool:
-        return self.holds(EpsSeries.from_rational(n))
+        return n < self._edge
 
     def designated_true(self, n: int) -> bool:
         return self.truth(n)
@@ -380,23 +405,23 @@ class Nonstandard(Backend):
         return not self.truth(n)
 
     def step_holds(self, n: int) -> bool:
-        return not self.truth(n) or self.truth(n + 1)
+        return n + 1 != self._edge
 
     def change_points(self, lo: int, stop: int) -> List[int]:
-        if self.bound is None:
-            return _clip((), lo, stop)  # limited + 1 stays limited: no edge
-        # S(n) holds exactly below the least naive n >= bound.
-        edge = _least(lambda n: not self.truth(n), lo, stop)
-        return _clip((edge - 1, edge), lo, stop)
+        # S(n) holds exactly below the edge; for `limited` the edge is +inf,
+        # since limited + 1 stays limited, and no point is kept.
+        return _clip((self._edge - 1, self._edge), lo, stop)
 
     def doubling(self, lo: int, hi: int, witnesses) -> DoublingResult:
         samples: List[EpsSeries] = []
-        if self.bound is not None:
-            # S(2n) fails exactly from the least naive n with 2n >= bound on.
+        edge = self._edge
+        if edge != inf:
+            # S(2n) fails exactly from the least naive n with 2n >= edge on.
             # No smaller n is a witness, and a larger one only if this one is,
             # since S(n) too fails from some n on.  (A limited n doubles to a
-            # limited 2n, so for `limited` no naive n is a witness.)
-            n = _least(lambda n: not self.truth(2 * n), lo, hi)
+            # limited 2n, so for `limited`, whose edge is +inf, no naive n is
+            # a witness.)
+            n = lo if edge == -inf else max(lo, -(-edge // 2))
             if n <= hi:
                 samples.append(EpsSeries.from_rational(n))
         samples.extend(w.series for w in witnesses)
@@ -428,19 +453,26 @@ def _clip(points, lo: int, stop: int) -> List[int]:
     return sorted({lo, *(n for n in points if lo < n < stop)})
 
 
-def _least(pred, lo: int, hi: int) -> int:
-    """The least ``n`` in ``lo .. hi`` with ``pred(n)``, or ``hi + 1`` if none.
+def _edge_of(bound: Optional[EpsSeries]) -> Union[int, float]:
+    """The least integer ``n >= bound``: ``inf`` if none is, ``-inf`` if all are.
 
-    ``pred`` must be monotone: false up to some index, true from it on.
+    ``None`` stands for the limited numbers, which every integer is among.
     """
-    hi += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    if bound is None:
+        return inf
+    if bound.is_zero:
+        return 0
+    (exponent, lead), rest = bound.terms[0], bound.terms[1:]
+    if exponent < 0:  # unlimited: above or below every integer
+        return inf if lead > 0 else -inf
+    if exponent > 0:  # infinitesimal: just above or just below 0
+        return 1 if lead > 0 else 0
+    # A standard part s and an infinitesimal rest: n >= bound iff n > s, or
+    # n == s when s is an integer and the rest is not positive.
+    floor = lead // 1
+    if floor == lead and (not rest or rest[0][1] < 0):
+        return floor
+    return floor + 1
 
 
 @dataclass(frozen=True)
@@ -867,6 +899,9 @@ def load_scenario(path) -> SoritesScenario:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             config = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # Besides a syntax error (JSONDecodeError), bytes that are not UTF-8,
+        # an integer past the int-to-str digit limit (both ValueError) and
+        # nesting past the decoder's recursion limit are invalid JSON.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("", f"invalid JSON: {exc}") from exc
     return scenario_from_dict(config)

@@ -1,12 +1,16 @@
 """Reference Sorites runners that the change-point runners are tested against.
 
 These are the per-index versions the change-point runners replaced: every
-index of the range is visited, every induction step and every chain link
-asks the backend whether ``S(n)`` is designated true and whether ``S(n+1)``
-is, a supervaluation backend evaluates ``S(n)`` and ``S(n) -> S(n+1)`` on
-every precisification with ``eval_super``, and the doubling analysis samples
-every naive index.  They share no code with ``change_points``,
-``step_holds``, the closed-form ``Superval.truth`` or ``_first_failing_step``.
+index of the range is visited, and every induction step and every chain link
+asks whether ``S(n)`` is designated true and whether ``S(n+1)`` is.  They
+answer that without the backends' derived boundaries: a supervaluation
+backend evaluates ``S(n)`` and ``S(n) -> S(n+1)`` on every precisification
+with ``eval_super``, a nonstandard backend compares the series of ``n`` with
+its bound through ``holds``, a fuzzy backend interpolates its breakpoints
+afresh, and the doubling analysis samples every naive index.  They share no
+code with ``change_points``, ``step_holds``, ``first_failing_step``, the
+closed-form ``Superval.truth`` and ``Nonstandard.truth``, or the fuzzy
+pieces.
 """
 
 from fractions import Fraction
@@ -38,15 +42,39 @@ def _step_formula(n):
     return Implies(_atom(n), _atom(n + 1))
 
 
+def ref_degree(points, n):
+    """The degree at ``n`` of the breakpoints ``points``, interpolated exactly."""
+    if n <= points[0][0]:
+        return points[0][1]
+    if n >= points[-1][0]:
+        return points[-1][1]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x0 <= n <= x1:
+            return y0 + (y1 - y0) * Fraction(n - x0, x1 - x0)
+    raise AssertionError("unreachable")
+
+
+def ref_implication(backend, n):
+    return max(1 - ref_degree(backend.points, n), ref_degree(backend.points, n + 1))
+
+
 def ref_designated_true(backend, n):
     if isinstance(backend, Superval):
         return eval_super(_atom(n), backend.cutoffs) is SuperVerdict.SUPERTRUE
+    if isinstance(backend, Nonstandard):
+        return backend.holds(EpsSeries.from_rational(n))
+    if isinstance(backend, FuzzyMembership):
+        return ref_degree(backend.points, n) >= backend.threshold
     return backend.designated_true(n)
 
 
 def ref_designated_false(backend, n):
     if isinstance(backend, Superval):
         return eval_super(_atom(n), backend.cutoffs) is SuperVerdict.SUPERFALSE
+    if isinstance(backend, Nonstandard):
+        return not backend.holds(EpsSeries.from_rational(n))
+    if isinstance(backend, FuzzyMembership):
+        return ref_degree(backend.points, n) <= 1 - backend.threshold
     return backend.designated_false(n)
 
 
@@ -96,9 +124,9 @@ def ref_run_induction(scenario):
     witness_details = []
 
     if isinstance(backend, FuzzyMembership):
-        basis_degree = backend.truth(scenario.lo)
+        basis_degree = ref_degree(backend.points, scenario.lo)
         min_step = min(
-            backend.implication(n) for n in range(scenario.lo, scenario.hi)
+            ref_implication(backend, n) for n in range(scenario.lo, scenario.hi)
         )
         return InductionResult(
             basis=basis,
@@ -173,9 +201,9 @@ def ref_run_conditional(scenario):
     target = length
 
     if isinstance(backend, FuzzyMembership):
-        final = backend.truth(target)
+        final = ref_degree(backend.points, target)
         min_link = (
-            min(backend.implication(n) for n in range(scenario.lo, target))
+            min(ref_implication(backend, n) for n in range(scenario.lo, target))
             if target > scenario.lo
             else Fraction(1)
         )

@@ -127,6 +127,18 @@ class TestSorites:
         code, _, err = run(capsys, "sorites", "run", "/nonexistent.json")
         assert code == 2
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        config = tmp_path / "huge.json"
+        config.write_text(
+            '{"name": "huge", "range": [0, 1], "backend": {"type":'
+            ' "classical_cutoff", "params": {"cutoff": ' + "9" * 5000 + "}}}"
+        )
+        code, out, err = run(capsys, "sorites", "run", str(config))
+        assert code == 2
+        assert out == ""
+        # The interpreter's own wording after "(4300" varies with its version.
+        assert err.startswith("config error at /: invalid JSON: Exceeds the limit (4300")
+
     def test_output_file(self, capsys, tmp_path):
         config = tmp_path / "classical.json"
         config.write_text((FIXTURES / "classical_cutoff5.json").read_text())
@@ -215,6 +227,12 @@ CONFIGS = {
             "params": {"points": [[1, "1"], [10, "0"]], "thresold": "1/2"},
         },
     },
+}
+
+#: Files the contract reads that are not JSON text, written as these bytes.
+RAW_CONFIGS = {
+    "not_utf8": b"\xff\xfe",
+    "deep": b"[" * 100_000,
 }
 
 CONTRACT = [
@@ -339,6 +357,36 @@ CONTRACT = [
         " expected one of points, threshold",
         None,
     ),
+    (
+        [
+            "sorites",
+            "run",
+            "{fixtures}/classical_cutoff5.json",
+            "-o",
+            "/nonexistent/out.txt",
+        ],
+        2,
+        "err",
+        "cannot write output: [Errno 2] No such file or directory:"
+        " '/nonexistent/out.txt'",
+        None,
+    ),
+    (
+        ["sorites", "run", "{not_utf8}"],
+        2,
+        "err",
+        "config error at /: invalid JSON: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte",
+        None,
+    ),
+    (
+        ["sorites", "run", "{deep}"],
+        2,
+        "err",
+        "config error at /: invalid JSON: maximum recursion depth exceeded"
+        " while decoding a JSON array from a unicode string",
+        None,
+    ),
 ]
 
 
@@ -350,6 +398,9 @@ def test_exit_code_contract(
     for name, config in CONFIGS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(config))
+    for name, data in RAW_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
     if patch is not None:
         patch(monkeypatch)
     argv = [arg.format(fixtures=FIXTURES, **paths) for arg in argv]

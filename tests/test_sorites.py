@@ -1,12 +1,14 @@
 import json
+import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_sorites import ref_run_scenario
+from reference_sorites import ref_degree, ref_run_scenario
 from soritica.cli import main
 from soritica.formulas import Atom, Implies, Index
 from soritica.semantics import SuperVerdict, eval_super
@@ -76,6 +78,14 @@ class TestBarnes:
     def test_fuzzy_passes(self):
         result = barnes_check(fuzzy_linear())
         assert result.all_pass()
+
+    def test_fuzzy_flip_where_s_next_crosses_an_integer(self):
+        # S(n) = 1 - n/10 at threshold 2/5: S(n+1) <= 3/5 from n = 3 on, and
+        # S(3) = 7/10 >= 2/5, so the first flip is 3, one before S meets 3/5.
+        backend = FuzzyMembership(((0, F(1)), (10, F(0))), F(2, 5))
+        result = barnes_check(SoritesScenario("fuzzy", 0, 10, backend))
+        assert not result.c3
+        assert result.evidence[-1].endswith("(witness 3)")
 
     def test_classical_interior_cutoff_always_fails_c3(self):
         for cutoff in range(2, 10):
@@ -687,7 +697,7 @@ def configs(draw):
         params = {"points": [[n, str(d)] for n, d in points]}
         # A threshold S(m) or 1 - S(m) makes the crossing land on m itself.
         m = draw(st.integers(indices[0], indices[-1]))
-        level = FuzzyMembership(points).truth(m)
+        level = ref_degree(points, m)
         threshold = draw(st.sampled_from([None, level, 1 - level, draw(degrees)]))
         if threshold is not None:
             params["threshold"] = str(threshold)
@@ -728,6 +738,14 @@ class TestOracle:
         assert report.to_text() == expected.to_text()
         assert report.to_json() == expected.to_json()
 
+    @given(st.sets(st.integers(-10, 10), min_size=2, max_size=6), st.data())
+    @settings(max_examples=200)
+    def test_fuzzy_pieces(self, indices, data):
+        points = tuple((n, data.draw(degrees)) for n in sorted(indices))
+        backend = FuzzyMembership(points)
+        for n in range(-12, 13):
+            assert backend.truth(n) == ref_degree(points, n)
+
     @given(
         st.lists(st.integers(-10, 10), min_size=1, max_size=6),
         st.integers(-12, 12),
@@ -739,6 +757,77 @@ class TestOracle:
         assert backend.truth(n) is eval_super(atom(n), cutoffs)
         step = eval_super(Implies(atom(n), atom(n + 1)), cutoffs)
         assert backend.step_holds(n) == (step is SuperVerdict.SUPERTRUE)
+
+
+# -- the nonstandard edge in closed form -------------------------------------
+
+bound_terms = st.lists(
+    st.tuples(
+        st.integers(-8, 8).map(lambda k: F(k, 2)),
+        st.fractions(min_value=F(-9, 4), max_value=F(9, 4), max_denominator=4),
+    ),
+    max_size=3,
+)
+
+
+class TestNonstandardEdge:
+    """``truth(n)`` is ``n < edge`` against the series comparison of ``n``."""
+
+    @given(bound_terms)
+    @settings(max_examples=300)
+    def test_drawn_bounds(self, terms):
+        bound = EpsSeries.from_terms(terms)
+        backend = Nonstandard(bound)
+        for n in range(-12, 13):
+            assert backend.truth(n) == (EpsSeries.from_rational(n) < bound)
+
+    @pytest.mark.parametrize(
+        "threshold, edge, points",
+        [
+            ("5", 5, [-12, 4, 5]),
+            ("5 + e", 6, [-12, 5, 6]),
+            ("5 - e", 5, [-12, 4, 5]),
+            ("9/2", 5, [-12, 4, 5]),
+            ("e", 1, [-12, 0, 1]),
+            ("-e", 0, [-12, -1, 0]),
+            ("e^(-1)", math.inf, [-12]),
+            ("-e^(-1)", -math.inf, [-12]),
+            ("0", 0, [-12, -1, 0]),
+            ("limited", math.inf, [-12]),
+        ],
+    )
+    def test_hand_rows(self, threshold, edge, points):
+        bound = None if threshold == "limited" else parse_series(threshold)
+        backend = Nonstandard(bound)
+        for n in range(-12, 13):
+            assert backend.truth(n) == (n < edge)
+            assert backend.truth(n) == backend.holds(EpsSeries.from_rational(n))
+            assert backend.step_holds(n) == (n + 1 != edge)
+        assert backend.change_points(-12, 13) == points
+
+    def test_bound_not_a_series(self):
+        with pytest.raises(TypeError):
+            Nonstandard("5")
+
+
+class TestDerivedData:
+    """What a backend derives when built is not a field of it."""
+
+    def test_nonstandard_edge(self):
+        backend = Nonstandard(parse_series("5 + e"))
+        assert backend == Nonstandard(parse_series("5 + e"))
+        assert hash(backend) == hash(Nonstandard(parse_series("5 + e")))
+        assert repr(backend) == "Nonstandard(bound=EpsSeries(5 + e))"
+        assert backend.truth(5) and not replace(backend, bound=parse_series("3")).truth(3)
+
+    def test_fuzzy_pieces(self):
+        points = ((0, F(1)), (4, F(1, 2)), (10, F(0)))
+        backend = FuzzyMembership(points, F(3, 4))
+        assert backend == FuzzyMembership(points, F(3, 4))
+        assert hash(backend) == hash(FuzzyMembership(points, F(3, 4)))
+        assert repr(backend) == f"FuzzyMembership(points={points!r}, threshold={F(3, 4)!r})"
+        moved = replace(backend, points=((0, F(1)), (10, F(0))))
+        assert (backend.truth(5), moved.truth(5)) == (F(5, 12), F(1, 2))
 
 
 # -- ranges of 10**12: change points, not indices ---------------------------
@@ -822,6 +911,16 @@ WIDE_CASES = {
         (False, 400_000_000_000, Nonstandard.step_wording[1].format(lo=0, hi=WIDE)),
         (False, 400_000_000_000, "chain stops at link 400000000000 -> 400000000001"),
         (False, "200000000001"),
+    ),
+    "cut_below": (
+        # S(n) iff n < 6*10**11 - e^2: the edge is 6*10**11 itself, and the
+        # least n with 2n >= 6*10**11 - e^2 is 3*10**11.
+        {"type": "nonstandard", "params": {"threshold": "600000000000 - e^2"}},
+        {"witnesses": ["e^(-1)"]},
+        FLIP.format(599_999_999_999, 600_000_000_000),
+        (False, 599_999_999_999, Nonstandard.step_wording[1].format(lo=0, hi=WIDE)),
+        (False, 599_999_999_999, "chain stops at link 599999999999 -> 600000000000"),
+        (False, "300000000000"),
     ),
 }
 
