@@ -25,10 +25,13 @@ MAX_NESTING = 100
 
 #: Tallest formula tree the formula parser builds, a leaf counting 1.  A
 #: chain of connectives is read by a loop, so only this bound keeps a tree
-#: within what recursive walks over it can reach.  The printer, the
-#: evaluators and ``collect_variables`` spend one stack frame per level;
-#: the generated ``==`` and ``repr`` of the frozen dataclass nodes spend
-#: three, so 250 levels take about 750 of Python's default 1000 frames.
+#: within what recursive walks over it can reach.  The printer,
+#: ``collect_variables``, ``eval_classical`` and ``eval_super`` spend one
+#: stack frame per level; the generated ``==`` and ``repr`` of the frozen
+#: dataclass nodes spend three, so 250 levels take about 750 of Python's
+#: default 1000 frames.  ``eval_k3`` and ``eval_fuzzy`` spend a frame per
+#: quantifier level only: they lower the tree with an explicit stack and
+#: run the plan in a loop.
 MAX_HEIGHT = 250
 
 #: Largest integer power ``x ** n`` of a series or an external number.

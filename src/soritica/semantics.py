@@ -1,14 +1,22 @@
 """Evaluation semantics: classical, Kleene three-valued, fuzzy, supervaluation.
 
-The three-valued and fuzzy evaluators share one graded core: the strong
-Kleene connectives of ``GRADED`` on degrees over a top value ``top``
-(``& = min``, ``| = max``, ``x -> y = max(top-x, y)``), ``~x = top-x``,
-and quantifiers folded by min/max over their finite domains.  Fuzzy
-degrees are ``Fraction``s over ``top = 1``; K3 values are integer halves,
-0, 1 and 2 over ``top = 2``, so a K3 walk does no ``Fraction``
-arithmetic.  Each evaluation asks for every distinct atom ``(pred, n)``
-once and checks it once.  The classical evaluator is a separate boolean
-walk that does not read ``GRADED``, so the conservativity checks compare
+The three-valued and fuzzy evaluators share one graded core.  Each call
+lowers its formula once into a plan: a flat postfix tuple of ``(opcode,
+argument)`` pairs, read off the tree with an explicit stack.  One loop runs
+the plan on degrees held as reduced ``(numerator, denominator)`` pairs of
+ints: ``~x`` is ``(d - n, d)``, and ``&``, ``|``, ``->`` and ``<->`` are
+the strong Kleene connectives (``& = min``, ``| = max``, ``x -> y =
+max(~x, y)``), which compare pairs by cross-multiplication, so the run does
+no ``Fraction`` arithmetic.  Quantifiers fold min/max over their finite
+domains; the run recurses once per quantifier level and never per
+connective.  K3 and fuzzy differ only in how a given value is checked and
+turned into a pair, and in what is returned: ``FALSE``, ``HALF`` or
+``TRUE``, or ``Fraction(n, d)``.  Each evaluation asks for every distinct
+atom ``(pred, n)`` once and checks it once, and neither the plan nor a
+value outlives the call.  ``GRADED`` holds the same connectives on
+``Fraction``s; ``kleene_tables`` reads it, and the tests check every
+opcode of the plan against it.  The classical evaluator is a separate
+boolean walk that reads neither, so the conservativity checks compare
 genuinely independent code paths.
 
 The K3 tautology tests do not enumerate all 3^v assignments.  Strong
@@ -82,7 +90,6 @@ class SuperVerdict(enum.Enum):
 
 
 Domains = Mapping[str, Tuple[int, int]]
-AtomFn = Callable[[str, int], Rational]
 
 
 def _resolve_index(index: Index, env: Dict[str, int]) -> int:
@@ -126,134 +133,255 @@ def _restore(env: Dict[str, int], var: str, outer: Optional[int]) -> None:
         env[var] = outer
 
 
-def _and(x, y, top=1):
+def _and(x, y):
     return y if y < x else x
 
 
-def _or(x, y, top=1):
+def _or(x, y):
     return y if y > x else x
 
 
-def _implies(x, y, top=1):
-    return _or(top - x, y)
+def _implies(x, y):
+    return _or(1 - x, y)
 
 
-#: The strong-Kleene binary connectives on degrees over ``top`` (Kleene
-#: 1952), read by the graded evaluator and by :func:`kleene_tables`;
-#: ``~x`` is ``top - x``.  ``&`` and ``|`` are ``min`` and ``max``.
+#: The strong-Kleene binary connectives on degrees in [0, 1] (Kleene 1952),
+#: read by :func:`kleene_tables`; ``~x`` is ``1 - x``.  ``&`` and ``|`` are
+#: ``min`` and ``max``.  The graded plan computes the same connectives on
+#: pairs, and the tests check each of its opcodes against this table.
 GRADED: Dict[type, Callable[..., Rational]] = {
     And: _and,
     Or: _or,
     Implies: _implies,
-    Iff: lambda x, y, top=1: _and(_implies(x, y, top), _implies(y, x, top)),
+    Iff: lambda x, y: _and(_implies(x, y), _implies(y, x)),
 }
 
 
-def _eval_graded(
-    formula: Formula,
-    atom: AtomFn,
-    propvars: Mapping[str, Rational],
+# -- the graded plan ---------------------------------------------------------
+
+# Opcodes of a lowered plan, each with the argument it takes.
+_AND, _OR, _IMPLIES, _IFF = 0, 1, 2, 3  # None
+_NOT = 4  # None
+_ATOM = 5  # the key (pred, n) of a ground atom
+_OPEN = 6  # (pred, var, offset) of an atom on a bound variable
+_VAR = 7  # the variable's name
+_FORALL, _EXISTS = 8, 9  # (var, domain, the body's plan)
+_LATE = 10  # an atom whose index is not an ``Index``: resolved as it runs
+_BAD = 11  # a node that is not a formula: raises as it runs
+
+#: The step of each binary connective, and of ``~``: they take no argument.
+_BINARY_STEPS = {
+    And: (_AND, None),
+    Or: (_OR, None),
+    Implies: (_IMPLIES, None),
+    Iff: (_IFF, None),
+}
+_NOT_STEP = (_NOT, None)
+
+Pair = Tuple[int, int]
+
+
+def _lower(formula: Formula) -> Tuple:
+    """The plan of ``formula``: its nodes in postfix order, left before right.
+
+    That is the order of a left-to-right walk of the tree, so running the
+    plan meets atoms, variables and errors where such a walk would.  The
+    tree is read with an explicit stack; only a quantifier's body is
+    lowered by a recursive call, into a plan of its own.  Nothing is
+    checked here: a node that is not a formula becomes an instruction that
+    raises when it runs.
+    """
+    plan = []
+    emit = plan.append
+    todo = [formula]
+    visit = todo.append
+    while todo:
+        # Pre-order with the right child first, reversed at the end.
+        node = todo.pop()
+        step = _BINARY_STEPS.get(type(node))
+        if step is not None:
+            emit(step)
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, Atom):
+            index = node.index
+            if type(index) is not Index:
+                emit((_LATE, node))
+            elif index.var is None:
+                emit((_ATOM, (node.predicate, index.offset)))
+            else:
+                emit((_OPEN, (node.predicate, index.var, index.offset)))
+        elif isinstance(node, PropVar):
+            emit((_VAR, node.name))
+        elif isinstance(node, Not):
+            emit(_NOT_STEP)
+            visit(node.body)
+        elif isinstance(node, (Forall, Exists)):
+            op = _FORALL if isinstance(node, Forall) else _EXISTS
+            emit((op, (node.var, node.domain, _lower(node.body))))
+        else:
+            emit((_BAD, node))
+    plan.reverse()
+    return tuple(plan)
+
+
+def _run(
+    plan: Tuple,
+    memo: Dict,
+    propvars: Mapping[str, Pair],
+    ask: Optional[Callable[[Tuple[str, int]], Pair]],
     domains: Optional[Domains],
     env: Dict[str, int],
-    top: Rational,
-    scale: int = 1,
-) -> Rational:
-    connective = GRADED.get(type(formula))
-    if connective is not None:
-        return connective(
-            _eval_graded(formula.left, atom, propvars, domains, env, top, scale),
-            _eval_graded(formula.right, atom, propvars, domains, env, top, scale),
-            top,
-        )
-    if isinstance(formula, Atom):
-        return atom(formula.predicate, _resolve_index(formula.index, env))
-    if isinstance(formula, PropVar):
-        if formula.name not in propvars:
-            raise UnboundAtom(f"unbound variable {formula.name!r}")
-        return propvars[formula.name]
-    if isinstance(formula, Not):
-        return top - _eval_graded(formula.body, atom, propvars, domains, env, top, scale)
-    if isinstance(formula, (Forall, Exists)):
-        fold = _and if isinstance(formula, Forall) else _or
-        value = None
-        outer = env.get(formula.var)
-        values = _domain_range(formula.domain, domains, scale)
-        for n in values:
-            env[formula.var] = n
-            degree = _eval_graded(
-                formula.body, atom, propvars, domains, env, top, scale * len(values)
-            )
-            value = degree if value is None else fold(value, degree)
-        _restore(env, formula.var, outer)
-        if value is None:
-            raise UnboundAtom("empty quantifier domain")
-        return value
-    raise TypeError(f"not a formula: {formula!r}")
+    scale: int,
+) -> Pair:
+    """The value of a lowered plan, as a reduced ``(n, d)`` pair.
+
+    ``memo`` holds the pairs of the atoms met so far, keyed ``(pred, n)``,
+    and ``ask`` gives, and the run stores, the pair of an atom not yet met.
+    ``env`` binds the enclosing quantifiers' variables, and ``scale`` is the
+    product of their domains' sizes.  A degree ``n/d`` has ``d > 0``, and
+    equal degrees are equal pairs, so ``x < y`` is ``a * d < c * b`` for
+    ``x = (a, b)`` and ``y = (c, d)``, and a tie may pick either side.
+    """
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    for op, arg in plan:
+        if op == _ATOM:
+            value = memo.get(arg)
+            if value is None:
+                value = memo[arg] = ask(arg)
+            push(value)
+        elif op <= _IFF:
+            c, d = y = pop()
+            a, b = x = stack[-1]
+            if op == _AND:
+                if c * b < a * d:
+                    stack[-1] = y
+            elif op == _OR:
+                if c * b > a * d:
+                    stack[-1] = y
+            else:
+                # x -> y is max(~x, y), with ~x = (b - a, b).
+                u = y if c * b > (b - a) * d else (b - a, b)
+                if op == _IFF:
+                    # min(x -> y, y -> x)
+                    v = x if a * d > (d - c) * b else (d - c, d)
+                    if v[0] * u[1] < u[0] * v[1]:
+                        u = v
+                stack[-1] = u
+        elif op == _NOT:
+            a, b = stack[-1]
+            stack[-1] = (b - a, b)
+        elif op == _OPEN:
+            pred, var, offset = arg
+            n = env.get(var)
+            if n is None:
+                raise UnboundAtom(f"unbound index variable {var!r}")
+            key = (pred, n + offset)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = ask(key)
+            push(value)
+        elif op == _VAR:
+            value = propvars.get(arg)
+            if value is None:
+                raise UnboundAtom(f"unbound variable {arg!r}")
+            push(value)
+        elif op == _FORALL or op == _EXISTS:
+            var, domain, body = arg
+            outer = env.get(var)
+            values = _domain_range(domain, domains, scale)
+            inner = scale * len(values)
+            forall = op == _FORALL
+            best = None
+            for n in values:
+                env[var] = n
+                value = _run(body, memo, propvars, ask, domains, env, inner)
+                if best is None:
+                    best = value
+                elif forall:
+                    if value[0] * best[1] < best[0] * value[1]:
+                        best = value
+                elif value[0] * best[1] > best[0] * value[1]:
+                    best = value
+            _restore(env, var, outer)
+            if best is None:
+                raise UnboundAtom("empty quantifier domain")
+            push(best)
+        elif op == _LATE:
+            key = (arg.predicate, _resolve_index(arg.index, env))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = ask(key)
+            push(value)
+        else:
+            raise TypeError(f"not a formula: {arg!r}")
+    return stack[0]
 
 
-def _eval_degrees(
+def _pair(value) -> Pair:
+    """``value`` as a reduced ``(n, d)`` pair; a float or a string is refused."""
+    kind = type(value)
+    if kind is Fraction:
+        return value.numerator, value.denominator
+    if kind is int or kind is bool:
+        return int(value), 1
+    if not isinstance(value, Rational):
+        raise ValueError(f"value {value!r} is not an exact rational")
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+#: The K3 values by their pairs.
+_K3 = {(0, 1): FALSE, (1, 2): HALF, (1, 1): TRUE}
+
+
+def _k3_pair(value) -> Pair:
+    pair = _pair(value)
+    if pair not in _K3:
+        raise ValueError(f"K3 value {value} not in {{0, 1/2, 1}}")
+    return pair
+
+
+def _degree_pair(value) -> Pair:
+    pair = n, d = _pair(value)
+    if not 0 <= n <= d:
+        raise ValueError(f"degree {Fraction(n, d)} outside [0, 1]")
+    return pair
+
+
+def _evaluate(
     formula: Formula,
     atoms,
-    convert: Callable[[object], Rational],
+    convert: Callable[[object], Pair],
     propvars: Mapping[str, object],
     domains: Optional[Domains],
-    top: Rational,
-) -> Rational:
-    """The graded value of ``formula`` over ``top``.
+) -> Pair:
+    """The graded value of ``formula``, as a pair.
 
     ``atoms`` gives the value of ``pred(n)``: a function of ``pred`` and
     ``n``, or a mapping keyed by ``(pred, n)``.  ``convert`` checks a given
-    value and returns the degree the walk uses.  Every variable is
-    converted before the walk; an atom is asked for, converted and stored
-    the first time the walk meets it, so a value that fails stops the walk
-    at that first meeting, and no value outlives the call.
+    value and returns its pair.  Every variable is converted before the
+    run; an atom is asked for, converted and stored the first time the run
+    meets it, so a value that fails stops the run at that first meeting,
+    and no value outlives the call.
     """
     if callable(atoms):
-        source = atoms
+
+        def ask(key):
+            return convert(atoms(*key))
+
     else:
         mapping = atoms if atoms is not None else {}
 
-        def source(pred, n):
-            if (pred, n) not in mapping:
-                raise UnboundAtom(f"unbound atom {pred}({n})")
-            return mapping[(pred, n)]
-
-    memo: Dict[Tuple[str, int], Rational] = {}
-
-    def atom(pred, n):
-        value = memo.get((pred, n))
-        if value is None:
-            value = memo[pred, n] = convert(source(pred, n))
-        return value
+        def ask(key):
+            if key not in mapping:
+                raise UnboundAtom(f"unbound atom {key[0]}({key[1]})")
+            return convert(mapping[key])
 
     propvars = {name: convert(v) for name, v in propvars.items()}
-    return _eval_graded(formula, atom, propvars, domains, {}, top)
-
-
-def _rational(value) -> Rational:
-    """``value`` if it is exact; a float or a string is refused."""
-    if not isinstance(value, Rational):
-        raise ValueError(f"value {value!r} is not an exact rational")
-    return value
-
-
-#: The K3 values by their integer halves over ``top = 2``, and back.
-_FROM_HALVES = (FALSE, HALF, TRUE)
-_HALVES = {value: halves for halves, value in enumerate(_FROM_HALVES)}
-
-
-def _k3_halves(value) -> int:
-    halves = _HALVES.get(_rational(value))
-    if halves is None:
-        raise ValueError(f"K3 value {value} not in {{0, 1/2, 1}}")
-    return halves
-
-
-def _degree(value) -> Fraction:
-    value = Fraction(_rational(value))
-    if not 0 <= value <= 1:
-        raise ValueError(f"degree {value} outside [0, 1]")
-    return value
+    return _run(_lower(formula), {}, propvars, ask, domains, {}, 1)
 
 
 def eval_k3(
@@ -266,8 +394,7 @@ def eval_k3(
 
     The value is one of ``FALSE``, ``HALF`` and ``TRUE``.
     """
-    halves = _eval_degrees(formula, atoms, _k3_halves, propvars, domains, 2)
-    return _FROM_HALVES[halves]
+    return _K3[_evaluate(formula, atoms, _k3_pair, propvars, domains)]
 
 
 def eval_fuzzy(
@@ -280,7 +407,8 @@ def eval_fuzzy(
 
     Every degree, of an atom or a variable, must be a rational in [0, 1].
     """
-    return _eval_degrees(formula, membership, _degree, propvars, domains, 1)
+    n, d = _evaluate(formula, membership, _degree_pair, propvars, domains)
+    return Fraction(n, d)
 
 
 def _classical_inputs(cutoffs, propvars: Mapping[str, bool]) -> None:
@@ -422,17 +550,24 @@ _VAR_BOUND = 12
 
 
 def _assignment_values(formula: Formula, values: Tuple):
-    """Value of ``formula`` under each assignment drawn from ``values``."""
+    """The pair of ``formula``'s value under each assignment drawn from ``values``.
+
+    The formula is lowered once and ``values`` converted once; each
+    assignment gives the entries of ``collect_variables`` the values of its
+    combination, position by position.  Variables are keyed by name and
+    ground atoms by ``(pred, n)``, so one dict serves the run as both its
+    variables and its atom memo, and no atom is left to ask for.
+    """
     variables = collect_variables(formula)
     if len(variables) > _VAR_BOUND:
         raise BoundExceeded(
             f"{len(variables)} variables exceed the bound {_VAR_BOUND}"
         )
-    for combo in itertools.product(values, repeat=len(variables)):
+    plan = _lower(formula)
+    pairs = [_k3_pair(value) for value in values]
+    for combo in itertools.product(pairs, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
-        propvars = {k: v for k, v in assignment.items() if isinstance(k, str)}
-        atoms = {k: v for k, v in assignment.items() if isinstance(k, tuple)}
-        yield eval_k3(formula, atoms, propvars)
+        yield _run(plan, assignment, assignment, None, None, {}, 1)
 
 
 def is_tautology_k3(formula: Formula) -> bool:
@@ -440,7 +575,7 @@ def is_tautology_k3(formula: Formula) -> bool:
 
     By regularity the least-defined assignment, all 1/2, decides it.
     """
-    return all(v == TRUE for v in _assignment_values(formula, (HALF,)))
+    return all(_K3[v] == TRUE for v in _assignment_values(formula, (HALF,)))
 
 
 def quasi_tautology_k3(formula: Formula) -> bool:
@@ -450,7 +585,7 @@ def quasi_tautology_k3(formula: Formula) -> bool:
     classical assignments decide it.
     """
     classical = _assignment_values(formula, (TRUE, FALSE))
-    return all(v != FALSE for v in classical)
+    return all(_K3[v] != FALSE for v in classical)
 
 
 #: The columns of the binary table: header and connective.

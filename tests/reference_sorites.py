@@ -3,13 +3,15 @@
 These are the per-index versions the change-point runners replaced: every
 index of the range is visited, and every induction step and every chain link
 asks whether ``S(n)`` is designated true and whether ``S(n+1)`` is.  They
-answer that without the backends' derived boundaries: a supervaluation
-backend evaluates ``S(n)`` and ``S(n) -> S(n+1)`` on every precisification
-with ``eval_super``, a nonstandard backend compares the series of ``n`` with
-its bound through ``holds``, a fuzzy backend interpolates its breakpoints
+answer that without the backends' own verdicts: a classical backend
+evaluates ``S(n)`` with ``eval_classical`` at its cutoff, a Kleene backend
+compares ``n`` with ``t1`` and ``t2``, a supervaluation backend evaluates
+``S(n)`` and ``S(n) -> S(n+1)`` on every precisification with
+``eval_super``, a nonstandard backend compares the series of ``n`` with its
+bound through ``holds``, a fuzzy backend interpolates its breakpoints
 afresh, and the doubling analysis samples every naive index.  They share no
-code with ``change_points``, ``step_holds``, ``first_failing_step``, the
-closed-form ``Superval.truth`` and ``Nonstandard.truth``, or the fuzzy
+code with ``truth``, ``designated_true``, ``designated_false``,
+``change_points``, ``step_holds``, ``first_failing_step`` or the fuzzy
 pieces.
 """
 
@@ -17,16 +19,18 @@ from fractions import Fraction
 
 from soritica.formulas import Atom, Implies, Index
 from soritica.neutrix import ExternalNumber, classify
-from soritica.semantics import SuperVerdict, eval_super
+from soritica.semantics import SuperVerdict, eval_classical, eval_super
 from soritica.series import EpsSeries
 from soritica.sorites import (
     BackendUnsupported,
     BarnesResult,
     ChainThroughWitness,
+    ClassicalCutoff,
     ConditionalResult,
     DoublingResult,
     FuzzyMembership,
     InductionResult,
+    KleenePenumbra,
     Nonstandard,
     SoritesReport,
     Superval,
@@ -59,23 +63,31 @@ def ref_implication(backend, n):
 
 
 def ref_designated_true(backend, n):
+    if isinstance(backend, ClassicalCutoff):
+        return eval_classical(_atom(n), backend.cutoff)
+    if isinstance(backend, KleenePenumbra):
+        return n < backend.t1
     if isinstance(backend, Superval):
         return eval_super(_atom(n), backend.cutoffs) is SuperVerdict.SUPERTRUE
     if isinstance(backend, Nonstandard):
         return backend.holds(EpsSeries.from_rational(n))
     if isinstance(backend, FuzzyMembership):
         return ref_degree(backend.points, n) >= backend.threshold
-    return backend.designated_true(n)
+    raise TypeError(f"no reference verdict for {backend!r}")
 
 
 def ref_designated_false(backend, n):
+    if isinstance(backend, ClassicalCutoff):
+        return not eval_classical(_atom(n), backend.cutoff)
+    if isinstance(backend, KleenePenumbra):
+        return n > backend.t2
     if isinstance(backend, Superval):
         return eval_super(_atom(n), backend.cutoffs) is SuperVerdict.SUPERFALSE
     if isinstance(backend, Nonstandard):
         return not backend.holds(EpsSeries.from_rational(n))
     if isinstance(backend, FuzzyMembership):
         return ref_degree(backend.points, n) <= 1 - backend.threshold
-    return backend.designated_false(n)
+    raise TypeError(f"no reference verdict for {backend!r}")
 
 
 def ref_step_true(backend, n):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -23,12 +24,15 @@ from soritica.formulas import (
 )
 from soritica.semantics import (
     FALSE,
+    GRADED,
     HALF,
+    K3_VALUES,
     TRUE,
     BoundExceeded,
     EmptyFamily,
     SuperVerdict,
     UnboundAtom,
+    collect_variables,
     eval_classical,
     eval_fuzzy,
     eval_k3,
@@ -662,3 +666,150 @@ class TestAtomAskedOnce:
         with pytest.raises(ValueError, match="K3 value 1/3"):
             eval_k3(formula, lambda p, n: next(replies))
         assert eval_k3(formula, lambda p, n: next(replies)) == TRUE
+
+
+# -- the graded plan against GRADED, deep trees and the order of errors -----
+
+BINARY = [And, Or, Implies, Iff]
+unit_degrees = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+class TestPlanAgainstGraded:
+    """Each step of the graded plan computes what ``GRADED`` does, so
+    ``kleene_tables`` and the evaluators cannot drift apart."""
+
+    @pytest.mark.parametrize("connective", BINARY, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("p, q", list(itertools.product(K3_VALUES, repeat=2)))
+    def test_k3_pairs(self, connective, p, q):
+        got = eval_k3(connective(P, Q), propvars={"p": p, "q": q})
+        assert got == GRADED[connective](p, q)
+
+    @pytest.mark.parametrize("p", K3_VALUES)
+    def test_k3_negation(self, p):
+        assert eval_k3(Not(P), propvars={"p": p}) == 1 - p
+
+    @given(st.sampled_from(BINARY), unit_degrees, unit_degrees)
+    @settings(max_examples=300)
+    def test_fuzzy(self, connective, p, q):
+        # p is read as an atom, q as a variable: both reach the same steps.
+        atoms = {("S", 1): p}
+        formula = connective(Atom("S", Index(None, 1)), Q)
+        assert eval_fuzzy(formula, atoms, {"q": q}) == GRADED[connective](p, q)
+        assert eval_fuzzy(Not(Q), propvars={"q": q}) == 1 - q
+
+    @given(st.lists(unit_degrees, min_size=1, max_size=6))
+    @settings(max_examples=200)
+    def test_fuzzy_quantifiers(self, degrees):
+        atoms = {("S", n): d for n, d in enumerate(degrees)}
+        domain = (0, len(degrees) - 1)
+        body = Atom("S", Index("n", 0))
+        want_all = functools.reduce(GRADED[And], degrees)
+        want_any = functools.reduce(GRADED[Or], degrees)
+        assert eval_fuzzy(Forall("n", domain, body), atoms) == want_all
+        assert eval_fuzzy(Exists("n", domain, body), atoms) == want_any
+
+
+def atom(n):
+    return Atom("S", Index(None, n))
+
+
+class TestDeepTrees:
+    """Trees built in Python past ``MAX_HEIGHT`` evaluate: the graded run
+    spends no stack frame per level."""
+
+    DEPTH = 3000
+
+    @pytest.mark.parametrize("depth", [DEPTH, DEPTH + 1])
+    @pytest.mark.parametrize(
+        "evaluate, value", [(eval_k3, TRUE), (eval_k3, HALF), (eval_fuzzy, F(1, 3))]
+    )
+    def test_negation_chain(self, evaluate, value, depth):
+        formula = atom(1)
+        for _ in range(depth):
+            formula = Not(formula)
+        expected = value if depth % 2 == 0 else 1 - value
+        assert evaluate(formula, lambda p, n: value) == expected
+
+    @pytest.mark.parametrize("nest", ["left", "right"])
+    def test_conjunction_chain(self, nest):
+        formula = atom(0)
+        for n in range(1, self.DEPTH + 1):
+            formula = And(formula, atom(n)) if nest == "left" else And(atom(n), formula)
+        # Every degree but S(1234)'s is at least 4/9.
+        degrees = lambda p, n: F(1, 3) if n == 1234 else F(n % 5 + 4, 9)
+        assert eval_fuzzy(formula, degrees) == F(1, 3)
+        assert eval_k3(formula, lambda p, n: HALF if n == 1234 else TRUE) == HALF
+        assert eval_k3(formula, lambda p, n: TRUE) == TRUE
+
+
+class TestErrorOrder:
+    """The plan raises the first error the per-node walker meets."""
+
+    CASES = {
+        "k3": (eval_k3, ref_eval_k3, F(1, 3), HALF),
+        "fuzzy": (eval_fuzzy, ref_eval_fuzzy, F(3, 2), F(2, 5)),
+    }
+
+    @staticmethod
+    def error(evaluate, *args):
+        with pytest.raises((ValueError, KeyError, TypeError, AttributeError)) as caught:
+            evaluate(*args)
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("evaluator", sorted(CASES))
+    def test_bad_value_before_a_bad_node(self, evaluator):
+        fast, reference, bad, _ = self.CASES[evaluator]
+        formula = And(atom(1), object())
+        got = self.error(fast, formula, lambda p, n: bad)
+        assert got == self.error(reference, formula, lambda p, n: bad)
+        assert got[0] is ValueError
+
+    @pytest.mark.parametrize("evaluator", sorted(CASES))
+    def test_bad_node_after_a_good_value(self, evaluator):
+        fast, reference, _, good = self.CASES[evaluator]
+        node = object()
+        formula = And(atom(1), node)
+        got = self.error(fast, formula, lambda p, n: good)
+        assert got == self.error(reference, formula, lambda p, n: good)
+        assert got == (TypeError, f"not a formula: {node!r}")
+
+    @pytest.mark.parametrize("evaluator", sorted(CASES))
+    def test_bad_node_before_a_bad_value(self, evaluator):
+        fast, reference, bad, _ = self.CASES[evaluator]
+        formula = Or(Not(object()), atom(1))
+        got = self.error(fast, formula, lambda p, n: bad)
+        assert got == self.error(reference, formula, lambda p, n: bad)
+        assert got[0] is TypeError
+
+    @pytest.mark.parametrize("evaluator", sorted(CASES))
+    @pytest.mark.parametrize("good", [False, True])
+    def test_atom_with_a_bad_index(self, evaluator, good):
+        # An atom whose index is not an Index fails where the walker reads it.
+        fast, reference, bad, fine = self.CASES[evaluator]
+        formula = Implies(atom(1), Atom("S", 3))
+        value = fine if good else bad
+        got = self.error(fast, formula, lambda p, n: value)
+        assert got == self.error(reference, formula, lambda p, n: value)
+        assert got[0] is (AttributeError if good else ValueError)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "S(1) -> p",
+            "S(1) & ~p",
+            "~(S(2) & ~p) & (q | ~S(3))",
+            "(S(2) & p) -> (S(2) | q)",
+            "(S(1) <-> p) | (S(1) <-> ~p)",
+        ],
+    )
+    def test_ground_atom_before_a_variable(self, text):
+        formula = parse_formula(text)
+        variables = collect_variables(formula)
+        assert isinstance(variables[0], tuple) and "p" in variables
+        assert quasi_tautology_k3(formula) == ref_quasi_tautology_k3(formula)
+        assert is_tautology_k3(formula) == ref_is_tautology_k3(formula)
+
+    def test_atom_and_variable_kept_apart(self):
+        # Were p given S(1)'s value, S(1) -> p could never be 0.
+        assert not quasi_tautology_k3(parse_formula("S(1) -> p"))
+        assert quasi_tautology_k3(parse_formula("(S(1) <-> p) | (S(1) <-> ~p)"))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from reference_sorites import ref_degree, ref_run_scenario
 from soritica.cli import main
 from soritica.formulas import Atom, Implies, Index
-from soritica.semantics import SuperVerdict, eval_super
+from soritica.semantics import FALSE, HALF, TRUE, SuperVerdict, eval_super
 from soritica.series import EpsSeries, parse_series
 from soritica.sorites import (
     BACKENDS,
@@ -737,6 +737,31 @@ class TestOracle:
         report, expected = run_scenario(scenario), ref_run_scenario(scenario)
         assert report.to_text() == expected.to_text()
         assert report.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("sharp", ["classical", "kleene"])
+    def test_a_wrong_truth_is_caught(self, sharp):
+        # A truth wrong at every index, with step_holds and change_points
+        # left right.  The boundary lies past the range, so no step fails
+        # either way; only a reference that decides the verdicts itself,
+        # rather than asking the backend, sees the wrong basis.
+        if sharp == "classical":
+
+            class Wrong(ClassicalCutoff):
+                def truth(self, n):
+                    return not super().truth(n)
+
+            right, wrong = ClassicalCutoff(20), Wrong(20)
+        else:
+
+            class Wrong(KleenePenumbra):
+                def truth(self, n):
+                    return {TRUE: HALF, HALF: FALSE, FALSE: TRUE}[super().truth(n)]
+
+            right, wrong = KleenePenumbra(20, 25), Wrong(20, 25)
+        for backend, agrees in ((right, True), (wrong, False)):
+            scenario = SoritesScenario("sharp", 1, 10, backend)
+            report, expected = run_scenario(scenario), ref_run_scenario(scenario)
+            assert (report.to_text() == expected.to_text()) is agrees
 
     @given(st.sets(st.integers(-10, 10), min_size=2, max_size=6), st.data())
     @settings(max_examples=200)
