@@ -26,11 +26,11 @@ MAX_NESTING = 100
 #: Tallest formula tree the formula parser builds, a leaf counting 1.  A
 #: chain of connectives is read by a loop, so only this bound keeps a tree
 #: within what recursive walks over it can reach.  The printer,
-#: ``collect_variables``, ``eval_classical`` and ``eval_super`` spend one
-#: stack frame per level; the generated ``==`` and ``repr`` of the frozen
-#: dataclass nodes spend three, so 250 levels take about 750 of Python's
-#: default 1000 frames.  ``eval_k3`` and ``eval_fuzzy`` spend a frame per
-#: quantifier level only: they lower the tree with an explicit stack and
+#: ``eval_classical`` and ``eval_super`` spend one stack frame per level;
+#: the generated ``==`` and ``repr`` of the frozen dataclass nodes spend
+#: three, so 250 levels take about 750 of Python's default 1000 frames.
+#: ``eval_k3``, ``eval_fuzzy`` and both tautology searches spend a frame
+#: per quantifier level only: they read the tree with explicit stacks and
 #: run the plan in a loop.
 MAX_HEIGHT = 250
 

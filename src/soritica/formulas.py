@@ -5,14 +5,15 @@ Surface syntax (ASCII): ``~ & | -> <->``, bounded quantifiers
 ``S(n)``, ``S(n+1)``, ``S(3)``, and bare propositional variables.
 Precedence: ``~`` binds tightest, then ``& | -> <->``; quantifiers bind
 loosest.  Quantifier domains are finite and explicit, with signed bounds
-(``-3..3``); named domains are resolved at evaluation time.
+(``-3..3``); named domains are resolved at evaluation time.  An atom
+written without spaces, as the printer writes it, is read as one token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .bounds import MAX_HEIGHT
 from .lexer import Descent, Infix, TextError
@@ -123,10 +124,21 @@ class Exists:
 Formula = Union[Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists]
 
 
-_TOKEN_RE = re.compile(
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+
+#: The tokens of the grammar.  A token holds no whitespace.
+_PLAIN_TOKEN_RE = re.compile(
     r"\d+"  # numeral
-    r"|[A-Za-z_][A-Za-z_0-9]*"  # name
+    rf"|{_NAME}"  # name
     r"|<->|->|\.\.|[~&|().+,-]"  # operator
+)
+
+#: An atom written without spaces, ``S(3)``, ``S(n)`` or ``S(n+1)``: the
+#: form ``formula_to_str`` prints, read as a single token.
+_ATOM_RE = re.compile(rf"({_NAME})\((?:(\d+)|({_NAME})(?:\+(\d+))?)\)")
+
+_TOKEN_RE = re.compile(
+    rf"{_NAME}\((?:\d+|{_NAME}(?:\+\d+)?)\)|" + _PLAIN_TOKEN_RE.pattern
 )
 
 _KEYWORDS = {"forall", "exists", "in"}
@@ -157,6 +169,14 @@ class _Parser(Descent):
     recursion is bounded.  Each rule returns a formula and its height (a
     leaf is 1); once the whole text has parsed, a formula taller than
     ``MAX_HEIGHT`` is refused at the first node that crossed the bound.
+
+    An atom written without spaces is one token, and each such token is
+    turned into an ``Atom`` once per parse: where it recurs, the parse
+    reuses that node.  Such a token is only ever read as an atom:
+    anywhere else, or with a keyword in it, or with a numeral too long to
+    convert, it is an error, and :func:`parse_formula` then reads the
+    whole text again with ``_PlainParser``, which lexes every atom as its
+    parts; that parse gives the error and its offset.
     """
 
     pattern = _TOKEN_RE
@@ -165,6 +185,8 @@ class _Parser(Descent):
     def __init__(self, text: str):
         super().__init__(text)
         self.too_tall: Optional[int] = None
+        # Each atom token read so far, with its formula and height.
+        self.atoms: Dict[str, Tuple[Atom, int]] = {}
 
     def parse(self) -> Formula:
         formula, _ = super().parse()
@@ -221,6 +243,10 @@ class _Parser(Descent):
         tokens = self.tokens
         start = self.index
         token = tokens[start]
+        atom = self.atoms.get(token)
+        if atom is not None:
+            self.index = start + 1
+            return atom
         if token == "~":
             self.enter()
             body, height = self.parse_unary()
@@ -240,7 +266,22 @@ class _Parser(Descent):
                 self.expect(")")
                 return Atom(token, index), 1
             return PropVar(token), 1
-        raise self.fail("expected a formula")
+        match = _ATOM_RE.fullmatch(token)
+        if match is None:
+            raise self.fail("expected a formula")
+        predicate, literal, var, offset = match.groups()
+        if predicate in _KEYWORDS or var in _KEYWORDS:
+            raise self.fail("a keyword in an atom")
+        try:
+            if var is None:
+                index = Index(None, int(literal))
+            else:
+                index = Index(var, int(offset) if offset else 0)
+        except ValueError:  # past the digit limit of int(str)
+            raise self.fail("a numeral too long") from None
+        atom = self.atoms[token] = Atom(predicate, index), 1
+        self.index = start + 1
+        return atom
 
     def parse_index(self) -> Index:
         token = self.tokens[self.index]
@@ -258,8 +299,17 @@ class _Parser(Descent):
         raise self.fail("expected an index term")
 
 
+class _PlainParser(_Parser):
+    """The formula parser with every atom lexed as its parts."""
+
+    pattern = _PLAIN_TOKEN_RE
+
+
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except FormulaSyntaxError:
+        return _PlainParser(text).parse()
 
 
 def _domain_to_str(domain: Domain) -> str:

@@ -13,11 +13,19 @@ connective.  K3 and fuzzy differ only in how a given value is checked and
 turned into a pair, and in what is returned: ``FALSE``, ``HALF`` or
 ``TRUE``, or ``Fraction(n, d)``.  Each evaluation asks for every distinct
 atom ``(pred, n)`` once and checks it once, and neither the plan nor a
-value outlives the call.  ``GRADED`` holds the same connectives on
-``Fraction``s; ``kleene_tables`` reads it, and the tests check every
-opcode of the plan against it.  The classical evaluator is a separate
-boolean walk that reads neither, so the conservativity checks compare
-genuinely independent code paths.
+value outlives the call.  ``kleene_tables`` renders the plan's own steps.
+
+The classical and supervaluation evaluators share a separate boolean walk
+that reads neither the plan nor its steps, so the conservativity checks
+compare genuinely independent code paths.  It evaluates every cutoff at
+once on int bit masks, one bit per cutoff: each node is walked under the
+mask of the cutoffs whose serial walk reaches it, so ``&``, ``|`` and
+``->`` short-circuit per cutoff, and an atom ``S(n)`` holds for the cutoffs
+above ``n``, a range of bits read off the sorted cutoffs by one bisection.
+``eval_classical`` is the one-bit case, and ``eval_super`` reads its verdict
+off the final mask.  When the walk raises, it is run again one cutoff at a
+time in the caller's order, and the first cutoff whose walk fails gives
+the error, exactly as walking the cutoffs one after another would.
 
 The K3 tautology tests do not enumerate all 3^v assignments.  Strong
 Kleene is regular (Kleene 1952): refining a 1/2 to 0 or 1 never changes
@@ -30,9 +38,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .bounds import MAX_DOMAIN, BoundExceeded
 from .formulas import (
@@ -66,7 +75,6 @@ __all__ = [
     "quasi_tautology_k3",
     "collect_variables",
     "kleene_tables",
-    "GRADED",
 ]
 
 TRUE = Fraction(1)
@@ -131,30 +139,6 @@ def _restore(env: Dict[str, int], var: str, outer: Optional[int]) -> None:
         env.pop(var, None)
     else:
         env[var] = outer
-
-
-def _and(x, y):
-    return y if y < x else x
-
-
-def _or(x, y):
-    return y if y > x else x
-
-
-def _implies(x, y):
-    return _or(1 - x, y)
-
-
-#: The strong-Kleene binary connectives on degrees in [0, 1] (Kleene 1952),
-#: read by :func:`kleene_tables`; ``~x`` is ``1 - x``.  ``&`` and ``|`` are
-#: ``min`` and ``max``.  The graded plan computes the same connectives on
-#: pairs, and the tests check each of its opcodes against this table.
-GRADED: Dict[type, Callable[..., Rational]] = {
-    And: _and,
-    Or: _or,
-    Implies: _implies,
-    Iff: lambda x, y: _and(_implies(x, y), _implies(y, x)),
-}
 
 
 # -- the graded plan ---------------------------------------------------------
@@ -421,6 +405,104 @@ def _classical_inputs(cutoffs, propvars: Mapping[str, bool]) -> None:
             raise ValueError(f"variable {name!r} is {value!r}, not a bool")
 
 
+# -- the boolean walk ---------------------------------------------------------
+
+#: The formula classes in the order the walk tests a node against them when
+#: its type is none of them exactly, so a subclass is walked as its base.
+_KINDS = (Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists)
+_KIND_SET = frozenset(_KINDS)
+
+
+def _truths(
+    formula: Formula,
+    cutoffs: Optional[Sequence[int]],
+    propvars: Mapping[str, bool],
+    domains: Optional[Domains],
+) -> int:
+    """The classical truth of ``formula`` under every cutoff at once.
+
+    The result is a bit mask over the cutoffs in sorted order: bit ``j`` is
+    set when ``formula`` holds with soritical atoms true below the ``j``-th
+    least cutoff.  With ``cutoffs`` of ``None`` there is one
+    precisification, and every atom raises.
+
+    Each node is walked once under a *reach* mask, the cutoffs whose own
+    serial walk gets that far: the right side of ``a & b`` and ``a -> b``
+    is reached where ``a`` holds, that of ``a | b`` where it fails, and it
+    is skipped when that mask is 0.  An atom ``S(n)`` holds for the cutoffs
+    above ``n``, the bits from ``bisect_right(cuts, n)`` up.  A node raises
+    the same error under every cutoff that reaches it, but the first error
+    of the joint walk need not be the first that the caller's first cutoff
+    meets.  So when the walk raises, it is run again on one bit per cutoff,
+    in the caller's order, each run exactly that cutoff's serial walk, and
+    the first run that fails raises.
+    """
+    cuts = None if cutoffs is None else sorted(cutoffs)
+    env: Dict[str, int] = {}
+
+    def walk(node, reach: int, scale: int) -> int:
+        kind = type(node)
+        if kind not in _KIND_SET:
+            kind = next((k for k in _KINDS if isinstance(node, k)), None)
+        if kind is Atom:
+            if cuts is None:
+                raise UnboundAtom("no cutoff supplied for soritical atoms")
+            above = bisect_right(cuts, _resolve_index(node.index, env))
+            return reach >> above << above
+        if kind is And:
+            a = walk(node.left, reach, scale)
+            return walk(node.right, a, scale) if a else 0
+        if kind is Or:
+            a = walk(node.left, reach, scale)
+            rest = reach ^ a
+            return a | walk(node.right, rest, scale) if rest else a
+        if kind is Not:
+            return reach ^ walk(node.body, reach, scale)
+        if kind is Implies:
+            a = walk(node.left, reach, scale)
+            return reach ^ a | walk(node.right, a, scale) if a else reach
+        if kind is PropVar:
+            name = node.name
+            if name not in propvars:
+                raise UnboundAtom(f"unbound variable {name!r}")
+            return reach if propvars[name] else 0
+        if kind is Iff:
+            a = walk(node.left, reach, scale)
+            return reach ^ a ^ walk(node.right, reach, scale)
+        if kind is Forall or kind is Exists:
+            # No early exit: a short circuit in the body can leave an error
+            # to a later value, and stopping at the verdict would hide it.
+            var = node.var
+            outer = env.get(var)
+            values = _domain_range(node.domain, domains, scale)
+            inner = scale * len(values)
+            if kind is Forall:
+                verdict = reach
+                for n in values:
+                    env[var] = n
+                    verdict &= walk(node.body, reach, inner)
+            else:
+                verdict = 0
+                for n in values:
+                    env[var] = n
+                    verdict |= walk(node.body, reach, inner)
+            _restore(env, var, outer)
+            return verdict
+        raise TypeError(f"not a formula: {node!r}")
+
+    if cuts is None or len(cuts) == 1:
+        return walk(formula, 1, 1)
+    try:
+        return walk(formula, (1 << len(cuts)) - 1, 1)
+    except Exception as error:
+        failure = error
+    for cutoff in cutoffs:
+        env.clear()
+        # Equal cutoffs walk alike, so any bit of this value will do.
+        walk(formula, 1 << bisect_left(cuts, cutoff), 1)
+    raise failure
+
+
 def eval_classical(
     formula: Formula,
     cutoff: Optional[int] = None,
@@ -431,61 +513,9 @@ def eval_classical(
 
     The cutoff must be an ``int`` and every variable a ``bool``.
     """
-    _classical_inputs(() if cutoff is None else (cutoff,), propvars)
-    return _classical(formula, cutoff, propvars, domains, {}, 1)
-
-
-def _classical(
-    formula: Formula,
-    cutoff: Optional[int],
-    propvars: Mapping[str, bool],
-    domains: Optional[Domains],
-    env: Dict[str, int],
-    scale: int,
-) -> bool:
-    if isinstance(formula, Atom):
-        if cutoff is None:
-            raise UnboundAtom("no cutoff supplied for soritical atoms")
-        return _resolve_index(formula.index, env) < cutoff
-    if isinstance(formula, PropVar):
-        if formula.name not in propvars:
-            raise UnboundAtom(f"unbound variable {formula.name!r}")
-        return propvars[formula.name]
-    if isinstance(formula, Not):
-        return not _classical(formula.body, cutoff, propvars, domains, env, scale)
-    if isinstance(formula, And):
-        return _classical(
-            formula.left, cutoff, propvars, domains, env, scale
-        ) and _classical(formula.right, cutoff, propvars, domains, env, scale)
-    if isinstance(formula, Or):
-        return _classical(
-            formula.left, cutoff, propvars, domains, env, scale
-        ) or _classical(formula.right, cutoff, propvars, domains, env, scale)
-    if isinstance(formula, Implies):
-        return (
-            not _classical(formula.left, cutoff, propvars, domains, env, scale)
-        ) or _classical(formula.right, cutoff, propvars, domains, env, scale)
-    if isinstance(formula, Iff):
-        return _classical(
-            formula.left, cutoff, propvars, domains, env, scale
-        ) == _classical(formula.right, cutoff, propvars, domains, env, scale)
-    if isinstance(formula, (Forall, Exists)):
-        # No early exit: a short circuit in the body can leave an error
-        # to a later value, and stopping at the verdict would hide it.
-        forall = isinstance(formula, Forall)
-        verdict = forall
-        outer = env.get(formula.var)
-        values = _domain_range(formula.domain, domains, scale)
-        for n in values:
-            env[formula.var] = n
-            body = _classical(
-                formula.body, cutoff, propvars, domains, env, scale * len(values)
-            )
-            if body is not forall:
-                verdict = not forall
-        _restore(env, formula.var, outer)
-        return verdict
-    raise TypeError(f"not a formula: {formula!r}")
+    cutoffs = None if cutoff is None else (cutoff,)
+    _classical_inputs(cutoffs or (), propvars)
+    return _truths(formula, cutoffs, propvars, domains) == 1
 
 
 def eval_super(
@@ -502,12 +532,10 @@ def eval_super(
     if not cutoffs:
         raise EmptyFamily("a precisification family must be nonempty")
     _classical_inputs(cutoffs, propvars)
-    verdicts = [
-        _classical(formula, cutoff, propvars, domains, {}, 1) for cutoff in cutoffs
-    ]
-    if all(verdicts):
+    truths = _truths(formula, cutoffs, propvars, domains)
+    if truths == (1 << len(cutoffs)) - 1:
         return SuperVerdict.SUPERTRUE
-    if not any(verdicts):
+    if not truths:
         return SuperVerdict.SUPERFALSE
     return SuperVerdict.INDETERMINATE
 
@@ -516,11 +544,13 @@ def collect_variables(formula: Formula) -> Tuple:
     """Ordered propositional variables and literal-index atoms.
 
     Quantified formulas are rejected here: the tautology searches are
-    defined for the propositional fragment.
+    defined for the propositional fragment.  The tree is read left to
+    right with an explicit stack, so its height costs no stack frames.
     """
     seen = []
-
-    def walk(node):
+    todo = [formula]
+    while todo:
+        node = todo.pop()
         if isinstance(node, PropVar):
             key = node.name
             if key not in seen:
@@ -535,14 +565,12 @@ def collect_variables(formula: Formula) -> Tuple:
             if key not in seen:
                 seen.append(key)
         elif isinstance(node, Not):
-            walk(node.body)
+            todo.append(node.body)
         elif isinstance(node, (And, Or, Implies, Iff)):
-            walk(node.left)
-            walk(node.right)
+            todo.append(node.right)
+            todo.append(node.left)
         else:
             raise ValueError("quantifier-free formula required")
-
-    walk(formula)
     return tuple(seen)
 
 
@@ -593,18 +621,24 @@ _TABLE_COLUMNS = (("p|q", Or), ("p&q", And), ("p->q", Implies), ("p<->q", Iff))
 
 
 def kleene_tables() -> str:
-    """Fixed-width text rendering of the strong three-valued tables."""
+    """Fixed-width text rendering of the strong three-valued tables.
+
+    Every cell is computed by the steps of the graded plan, so the tables
+    show exactly what ``eval_k3`` does.
+    """
     width = 6
+    p, q = PropVar("p"), PropVar("q")
 
     def line(cells) -> str:
         return "".join(str(cell).ljust(width) for cell in cells).rstrip()
 
     lines = [line(("p", "~p"))]
-    lines += [line((p, 1 - p)) for p in K3_VALUES]
+    lines += [line((x, eval_k3(Not(p), propvars={"p": x}))) for x in K3_VALUES]
     lines.append("")
     lines.append(line(("p", "q", *(header for header, _ in _TABLE_COLUMNS))))
-    for p in K3_VALUES:
-        for q in K3_VALUES:
-            values = (GRADED[cls](p, q) for _, cls in _TABLE_COLUMNS)
-            lines.append(line((p, q, *values)))
+    for x in K3_VALUES:
+        for y in K3_VALUES:
+            given = {"p": x, "q": y}
+            values = (eval_k3(cls(p, q), propvars=given) for _, cls in _TABLE_COLUMNS)
+            lines.append(line((x, y, *values)))
     return "\n".join(lines) + "\n"

@@ -9,6 +9,12 @@ contract as the fast evaluators: values are exact rationals, K3 values lie
 in {0, 1/2, 1} and degrees in [0, 1], variables are checked before the
 walk and atoms when the walk first meets them.
 
+``ref_eval_classical`` and ``ref_eval_super`` are the serial boolean
+walk: one recursive pass per cutoff, with Python's short-circuit ``and``
+and ``or``, raising the first error that cutoff's pass meets; a family
+raises the error of its first cutoff that fails.  The fast evaluators run
+every cutoff in one bit-mask walk.
+
 The tautology searches are the plain versions the regularity argument
 replaced: each walks all 3^v assignments of the formula's propositional
 variables and ground atoms and asks the strong-Kleene evaluator for every
@@ -24,7 +30,10 @@ from soritica.semantics import (
     FALSE,
     K3_VALUES,
     TRUE,
+    EmptyFamily,
+    SuperVerdict,
     UnboundAtom,
+    _classical_inputs,
     _domain_range,
     _resolve_index,
     _restore,
@@ -122,6 +131,72 @@ def ref_eval_k3(formula, atoms=None, propvars={}, domains=None):
 
 def ref_eval_fuzzy(formula, membership=None, propvars={}, domains=None):
     return _eval_degrees(formula, membership, _check_degree, propvars, domains)
+
+
+def _classical(formula, cutoff, propvars, domains, env, scale):
+    if isinstance(formula, Atom):
+        if cutoff is None:
+            raise UnboundAtom("no cutoff supplied for soritical atoms")
+        return _resolve_index(formula.index, env) < cutoff
+    if isinstance(formula, PropVar):
+        if formula.name not in propvars:
+            raise UnboundAtom(f"unbound variable {formula.name!r}")
+        return propvars[formula.name]
+    if isinstance(formula, Not):
+        return not _classical(formula.body, cutoff, propvars, domains, env, scale)
+    if isinstance(formula, And):
+        return _classical(
+            formula.left, cutoff, propvars, domains, env, scale
+        ) and _classical(formula.right, cutoff, propvars, domains, env, scale)
+    if isinstance(formula, Or):
+        return _classical(
+            formula.left, cutoff, propvars, domains, env, scale
+        ) or _classical(formula.right, cutoff, propvars, domains, env, scale)
+    if isinstance(formula, Implies):
+        return (
+            not _classical(formula.left, cutoff, propvars, domains, env, scale)
+        ) or _classical(formula.right, cutoff, propvars, domains, env, scale)
+    if isinstance(formula, Iff):
+        return _classical(
+            formula.left, cutoff, propvars, domains, env, scale
+        ) == _classical(formula.right, cutoff, propvars, domains, env, scale)
+    if isinstance(formula, (Forall, Exists)):
+        # No early exit: a short circuit in the body can leave an error
+        # to a later value, and stopping at the verdict would hide it.
+        forall = isinstance(formula, Forall)
+        verdict = forall
+        outer = env.get(formula.var)
+        values = _domain_range(formula.domain, domains, scale)
+        for n in values:
+            env[formula.var] = n
+            body = _classical(
+                formula.body, cutoff, propvars, domains, env, scale * len(values)
+            )
+            if body is not forall:
+                verdict = not forall
+        _restore(env, formula.var, outer)
+        return verdict
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def ref_eval_classical(formula, cutoff=None, propvars={}, domains=None):
+    _classical_inputs(() if cutoff is None else (cutoff,), propvars)
+    return _classical(formula, cutoff, propvars, domains, {}, 1)
+
+
+def ref_eval_super(formula, cutoffs, propvars={}, domains=None):
+    cutoffs = list(cutoffs)
+    if not cutoffs:
+        raise EmptyFamily("a precisification family must be nonempty")
+    _classical_inputs(cutoffs, propvars)
+    verdicts = [
+        _classical(formula, cutoff, propvars, domains, {}, 1) for cutoff in cutoffs
+    ]
+    if all(verdicts):
+        return SuperVerdict.SUPERTRUE
+    if not any(verdicts):
+        return SuperVerdict.SUPERFALSE
+    return SuperVerdict.INDETERMINATE
 
 
 def ref_values(formula):

@@ -19,6 +19,8 @@ from soritica.formulas import (
     parse_formula,
 )
 
+from reference_parsers import old_parse_formula, ref_parse_formula
+
 
 class TestParsing:
     def test_implication(self):
@@ -223,3 +225,69 @@ class TestLongNumerals:
             parse_formula(text)
         assert info.value.position == position
         assert info.value.message.startswith("numeral longer than")
+
+
+def parsed(text):
+    """The tree ``parse_formula`` gives, or its error's message and offset."""
+    try:
+        return parse_formula(text)
+    except FormulaSyntaxError as error:
+        return error.message, error.position
+
+
+def reference_parsed(parse, text):
+    try:
+        return parse(text)
+    except FormulaSyntaxError as error:
+        return error.message, error.position
+
+
+S3, SN1 = Atom("S", Index(None, 3)), Atom("S", Index("n", 1))
+LONG = "9" * 5000
+
+
+class TestAtomTokens:
+    """An atom written without spaces is one token, and parses to the tree
+    and the error it gave as its parts."""
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("forall(3)", ("expected a quantifier variable", 6)),
+            ("S(in)", ("expected an index term", 2)),
+            ("S(in+1)", ("expected an index term", 2)),
+            ("in(n+1)", ("expected a formula", 0)),
+            ("S(n+1) & forall(2)", ("expected a formula", 9)),
+            ("S(n+" + LONG + ")", ("numeral longer than 4300 digits", 4)),
+            ("S(" + LONG + ") | p", ("numeral longer than 4300 digits", 2)),
+            ("S(S(3))", ("expected ')'", 3)),
+            ("p S(3)", ("unexpected token 'S'", 2)),
+            ("forall S(3) in 1..2. p", ("expected 'in'", 8)),
+            ("~" * 5000 + "S(1)", (f"nesting deeper than {MAX_NESTING} levels", 100)),
+            ("S (3)", S3),
+            ("S( n + 1 )", SN1),
+            ("S(n +1)", SN1),
+            ("S(-2)", Atom("S", Index(None, -2))),
+            ("S(007)", Atom("S", Index(None, 7))),
+            ("S(n+0)", Atom("S", Index("n", 0))),
+            ("S(٣)", S3),
+        ],
+    )
+    def test_tree_or_error(self, text, want):
+        assert parsed(text) == want
+        assert reference_parsed(old_parse_formula, text) == want
+        assert reference_parsed(ref_parse_formula, text) == want
+
+    def test_height_error_at_the_plain_offset(self):
+        text = " & ".join(["S(1)"] * (MAX_HEIGHT + 1))
+        want = f"formula taller than {MAX_HEIGHT} levels", text.rindex("&")
+        assert parsed(text) == want
+
+    def test_equal_atoms_shared_within_a_parse(self):
+        formula = parse_formula("S(n+1) & ~S(n+1) | S(3) -> S(3)")
+        conjunction, s3 = formula.left.left, formula.left.right
+        assert conjunction.left is conjunction.right.body
+        assert s3 is formula.right
+
+    def test_atoms_not_shared_across_calls(self):
+        assert parse_formula("S(n+1)") is not parse_formula("S(n+1)")

@@ -24,7 +24,6 @@ from soritica.formulas import (
 )
 from soritica.semantics import (
     FALSE,
-    GRADED,
     HALF,
     K3_VALUES,
     TRUE,
@@ -45,8 +44,11 @@ from soritica.semantics import (
 from soritica.bounds import MAX_DOMAIN
 
 from reference_semantics import (
+    REF_GRADED,
+    ref_eval_classical,
     ref_eval_fuzzy,
     ref_eval_k3,
+    ref_eval_super,
     ref_is_tautology_k3,
     ref_quasi_tautology_k3,
 )
@@ -585,7 +587,7 @@ def outcome(evaluate, *args):
     """The value of ``evaluate(*args)``, or its error's type and message."""
     try:
         return evaluate(*args)
-    except (ValueError, KeyError) as error:
+    except (ValueError, KeyError, TypeError) as error:
         return type(error), str(error)
 
 
@@ -668,21 +670,23 @@ class TestAtomAskedOnce:
         assert eval_k3(formula, lambda p, n: next(replies)) == TRUE
 
 
-# -- the graded plan against GRADED, deep trees and the order of errors -----
+# -- the graded plan against REF_GRADED, deep trees, the order of errors ---
 
 BINARY = [And, Or, Implies, Iff]
 unit_degrees = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 class TestPlanAgainstGraded:
-    """Each step of the graded plan computes what ``GRADED`` does, so
-    ``kleene_tables`` and the evaluators cannot drift apart."""
+    """Each step of the graded plan computes what ``REF_GRADED`` does, the
+    connectives as the strong-Kleene tables write them.  ``kleene_tables``
+    renders the same steps, so the tables and the evaluators cannot drift
+    apart."""
 
     @pytest.mark.parametrize("connective", BINARY, ids=lambda c: c.__name__)
     @pytest.mark.parametrize("p, q", list(itertools.product(K3_VALUES, repeat=2)))
     def test_k3_pairs(self, connective, p, q):
         got = eval_k3(connective(P, Q), propvars={"p": p, "q": q})
-        assert got == GRADED[connective](p, q)
+        assert got == REF_GRADED[connective](p, q)
 
     @pytest.mark.parametrize("p", K3_VALUES)
     def test_k3_negation(self, p):
@@ -694,7 +698,7 @@ class TestPlanAgainstGraded:
         # p is read as an atom, q as a variable: both reach the same steps.
         atoms = {("S", 1): p}
         formula = connective(Atom("S", Index(None, 1)), Q)
-        assert eval_fuzzy(formula, atoms, {"q": q}) == GRADED[connective](p, q)
+        assert eval_fuzzy(formula, atoms, {"q": q}) == REF_GRADED[connective](p, q)
         assert eval_fuzzy(Not(Q), propvars={"q": q}) == 1 - q
 
     @given(st.lists(unit_degrees, min_size=1, max_size=6))
@@ -703,8 +707,8 @@ class TestPlanAgainstGraded:
         atoms = {("S", n): d for n, d in enumerate(degrees)}
         domain = (0, len(degrees) - 1)
         body = Atom("S", Index("n", 0))
-        want_all = functools.reduce(GRADED[And], degrees)
-        want_any = functools.reduce(GRADED[Or], degrees)
+        want_all = functools.reduce(REF_GRADED[And], degrees)
+        want_any = functools.reduce(REF_GRADED[Or], degrees)
         assert eval_fuzzy(Forall("n", domain, body), atoms) == want_all
         assert eval_fuzzy(Exists("n", domain, body), atoms) == want_any
 
@@ -813,3 +817,127 @@ class TestErrorOrder:
         # Were p given S(1)'s value, S(1) -> p could never be 0.
         assert not quasi_tautology_k3(parse_formula("S(1) -> p"))
         assert quasi_tautology_k3(parse_formula("(S(1) <-> p) | (S(1) <-> ~p)"))
+
+
+# -- the bit-mask walk against the serial one ---------------------------------
+
+bool_values = mostly(st.booleans(), st.sampled_from([0, 1, "no"]))
+#: Cutoffs from a narrow range, so that a family often repeats one.
+cutoff_values = mostly(st.integers(-4, 8), st.sampled_from([None, 0.5, True]))
+
+
+class TestBooleanWalkAgainstReference:
+    """``eval_classical`` and ``eval_super`` give the serial walk's value,
+    or the first error of its first failing cutoff."""
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_classical(self, data):
+        formula = data.draw(oracle_formulas)
+        cutoff = data.draw(cutoff_values)
+        propvars = data.draw(valuations(bool_values))
+        got = outcome(eval_classical, formula, cutoff, propvars, ORACLE_DOMAINS)
+        want = outcome(ref_eval_classical, formula, cutoff, propvars, ORACLE_DOMAINS)
+        assert got == want
+        assert type(got) is type(want)
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_super(self, data):
+        formula = data.draw(oracle_formulas)
+        cutoffs = data.draw(st.lists(cutoff_values, max_size=5))
+        propvars = data.draw(valuations(bool_values))
+        got = outcome(eval_super, formula, cutoffs, propvars, ORACLE_DOMAINS)
+        want = outcome(ref_eval_super, formula, cutoffs, propvars, ORACLE_DOMAINS)
+        assert got == want
+
+    FAMILIES = ([1, 5], [5, 1], [4, 0, 2])
+
+    def agree(self, formula):
+        for cutoffs in self.FAMILIES:
+            got = outcome(eval_super, formula, cutoffs)
+            assert got == outcome(ref_eval_super, formula, cutoffs)
+
+    def test_every_two_connective_formula(self):
+        # Every shape a op (b op c) and (a op b) op c over atoms that split
+        # the families, their negations and two unbound variables: a node
+        # reached under too wide a mask shows as an error the serial walk
+        # never meets.
+        atoms = [atom(n) for n in (1, 2, 3)]
+        leaves = atoms + [Not(a) for a in atoms] + [PropVar("r"), PropVar("s")]
+        for op, inner in itertools.product(BINARY, repeat=2):
+            for a, b, c in itertools.product(leaves, repeat=3):
+                self.agree(op(a, inner(b, c)))
+                self.agree(op(inner(a, b), c))
+
+    def test_every_quantified_connective(self):
+        # A fold that skips the cutoffs already decided would miss an
+        # error that a later value of n meets.
+        atoms = [atom(1), atom(3), Atom("S", Index("n", 0))]
+        leaves = atoms + [Not(a) for a in atoms] + [PropVar("r"), PropVar("s")]
+        for quantifier, op in itertools.product((Forall, Exists), BINARY):
+            for a, b in itertools.product(leaves, repeat=2):
+                self.agree(quantifier("n", (0, 2), op(a, b)))
+
+    def test_mixed_reach_raises_the_first_cutoffs_error(self):
+        # Under cutoff 3, S(5) fails and S(1) holds, so the serial walk
+        # passes q by and reaches r; under 10 it would reach q.
+        formula = parse_formula("(S(5) & q) | (S(1) & r)")
+        want = (UnboundAtom, str(UnboundAtom("unbound variable 'r'")))
+        assert outcome(eval_super, formula, [3, 10, 2]) == want
+        assert outcome(ref_eval_super, formula, [3, 10, 2]) == want
+        want_q = (UnboundAtom, str(UnboundAtom("unbound variable 'q'")))
+        assert outcome(eval_super, formula, [10, 3]) == want_q
+
+    def test_rerun_starts_with_no_bindings(self):
+        # The joint walk fails inside the quantifier with n still bound;
+        # cutoff 1's own walk never binds it, and fails at S(n).
+        formula = parse_formula("(S(1) & (forall n in 0..2. r)) | S(n)")
+        want = (UnboundAtom, str(UnboundAtom("unbound index variable 'n'")))
+        assert outcome(eval_super, formula, [1, 5]) == want
+        assert outcome(ref_eval_super, formula, [1, 5]) == want
+
+    @pytest.mark.parametrize("cutoffs", [[4], [4, 4], [9, 4, 9], [0, 2, 1]])
+    def test_duplicate_cutoffs(self, cutoffs):
+        formula = parse_formula("exists n in 0..9. S(n) & ~S(n+1)")
+        assert eval_super(formula, cutoffs) is ref_eval_super(formula, cutoffs)
+        for cutoff in cutoffs:
+            want = ref_eval_classical(formula, cutoff)
+            assert eval_classical(formula, cutoff) is want
+
+    def test_subclass_walked_as_its_base(self):
+        class Both(And):
+            pass
+
+        formula = Both(Atom("S", Index(None, 1)), Not(P))
+        for cutoff in (1, 2):
+            want = ref_eval_classical(formula, cutoff, {"p": False})
+            assert eval_classical(formula, cutoff, {"p": False}) is want
+        assert eval_super(formula, [1, 2], {"p": False}) is SuperVerdict.INDETERMINATE
+
+    def test_not_a_formula(self):
+        node = object()
+        for evaluate, cutoff in ((eval_classical, 3), (eval_super, [1, 5])):
+            got = outcome(evaluate, Or(Atom("S", Index(None, 5)), node), cutoff)
+            assert got == (TypeError, f"not a formula: {node!r}")
+
+
+class TestTautologyOnDeepTrees:
+    """Both tautology searches read the tree with explicit stacks only."""
+
+    @pytest.mark.parametrize("depth", [3000, 3001])
+    def test_negation_chain(self, depth):
+        formula = P
+        for _ in range(depth):
+            formula = Not(formula)
+        assert collect_variables(formula) == ("p",)
+        assert not is_tautology_k3(formula)
+        assert not quasi_tautology_k3(formula)
+
+    def test_collect_variables_order_and_errors(self):
+        formula = parse_formula("(q & S(2)) -> ~(p | q) <-> S(2) & r")
+        assert collect_variables(formula) == ("q", ("S", 2), "p", "r")
+        with pytest.raises(ValueError, match="open index n"):
+            collect_variables(parse_formula("p & S(n) | (forall m in 1..2. p)"))
+        with pytest.raises(ValueError, match="quantifier-free"):
+            collect_variables(parse_formula("p & (forall m in 1..2. p) | S(n)"))
