@@ -14,16 +14,23 @@ can first occur.  The runners test only those, so a run costs the same on a
 range of ten indices as on one of 10**12.
 
 Each backend derives its boundary from its parameters once, when it is
-built: the nonstandard cut its edge, the least integer at or above the
-bound, in closed form; the fuzzy backend its pieces and the change points
-that do not depend on the range.  A per-index query is then an integer
-comparison or one table lookup, and a run costs O(change points +
-witnesses) on every backend.
+built.  A non-fuzzy backend (sharp cutoff, penumbra, precisifications,
+nonstandard cut) is a step function of the index: sorted edges, one verdict
+per gap between them, and the edges at which a step fails.  ``Backend``
+answers every query from those; the change points are the indices just
+before an edge.  The nonstandard cut finds its one edge, the least integer
+at or above the bound, in closed form, and ``inf`` or ``-inf`` when no
+integer or every integer is.  The fuzzy backend derives its pieces and the
+change points that do not depend on the range.  A per-index query is then
+one bisection, and a run costs O(change points + witnesses) on every
+backend.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -90,11 +97,15 @@ class Witness:
 
 
 class Backend:
-    """What the runners ask of a backend, answered as a sharp backend does.
+    """What the runners ask of a backend, answered as a step function does.
 
-    ``FuzzyMembership`` reports the weakest link instead of the first failing
-    step, and ``Nonstandard`` reads unlimited indices.  Each backend defines
-    ``truth``, ``designated_true`` and ``designated_false`` in its own body.
+    A non-fuzzy backend is a step function of the index.  Its ``__post_init__``
+    passes ``_steps`` the sorted edges, one verdict per gap between them (the
+    true verdict first, the false one last), and the edges ``e`` at which the
+    step S(e-1) -> S(e) fails; the methods here answer every query from them.
+    ``FuzzyMembership`` answers for itself and reports the weakest link
+    instead of the first failing step, and ``Nonstandard`` also reads
+    unlimited indices.
     """
 
     #: Whether indices may be unlimited: witnesses, a witness chain length
@@ -106,6 +117,36 @@ class Backend:
     no_flip_evidence: Tuple[str, ...] = ()
     #: Notes that end every report on this backend.
     notes: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # bench/tracing.py counts these by patching vars(cls)[name], so each
+        # class holds them in its own body.
+        for name in ("truth", "designated_true", "designated_false"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
+
+    def _steps(self, edges, verdicts, fails) -> None:
+        # Not fields: equality, hashing, repr and replace see only the parameters.
+        object.__setattr__(self, "_edges", tuple(edges))
+        object.__setattr__(self, "_verdicts", tuple(verdicts))
+        object.__setattr__(self, "_fails", frozenset(fails))
+
+    def truth(self, n: int):
+        return self._verdicts[bisect_right(self._edges, n)]
+
+    def designated_true(self, n: int) -> bool:
+        return self.truth(n) == self._verdicts[0]
+
+    def designated_false(self, n: int) -> bool:
+        return self.truth(n) == self._verdicts[-1]
+
+    def step_holds(self, n: int) -> bool:
+        return n + 1 not in self._fails
+
+    def change_points(self, lo: int, stop: int) -> List[int]:
+        # S(n) and S(n) -> S(n+1) change only where n + 1 is an edge.
+        return _clip([e - 1 for e in self._edges], lo, stop)
 
     def first_failing_step(self, lo: int, stop: int) -> Optional[int]:
         """The least ``n`` in ``lo .. stop-1`` whose step S(n) -> S(n+1) fails."""
@@ -147,22 +188,7 @@ class ClassicalCutoff(Backend):
     id = "classical_cutoff"
 
     def __post_init__(self):
-        _integer(self.cutoff)
-
-    def truth(self, n: int) -> bool:
-        return n < self.cutoff
-
-    def designated_true(self, n: int) -> bool:
-        return self.truth(n)
-
-    def designated_false(self, n: int) -> bool:
-        return not self.truth(n)
-
-    def step_holds(self, n: int) -> bool:
-        return n + 1 != self.cutoff
-
-    def change_points(self, lo: int, stop: int) -> List[int]:
-        return _clip((self.cutoff - 1,), lo, stop)
+        self._steps((_integer(self.cutoff),), (True, False), (self.cutoff,))
 
     def describe(self) -> str:
         return f"classical cutoff at {self.cutoff}"
@@ -180,25 +206,7 @@ class KleenePenumbra(Backend):
     def __post_init__(self):
         if _integer(self.t1) > _integer(self.t2):
             raise ValueError("penumbra bounds must satisfy t1 <= t2")
-
-    def truth(self, n: int) -> Fraction:
-        if n < self.t1:
-            return TRUE
-        if n <= self.t2:
-            return HALF
-        return FALSE
-
-    def designated_true(self, n: int) -> bool:
-        return self.truth(n) == TRUE
-
-    def designated_false(self, n: int) -> bool:
-        return self.truth(n) == FALSE
-
-    def step_holds(self, n: int) -> bool:
-        return n + 1 != self.t1
-
-    def change_points(self, lo: int, stop: int) -> List[int]:
-        return _clip((self.t1 - 1, self.t2), lo, stop)
+        self._steps((self.t1, self.t2 + 1), (TRUE, HALF, FALSE), (self.t1,))
 
     def describe(self) -> str:
         return f"three-valued penumbra on {self.t1}..{self.t2}"
@@ -332,29 +340,11 @@ class Superval(Backend):
     def __post_init__(self):
         if not self.cutoffs:
             raise ValueError("precisification family must be nonempty")
-        for k in self.cutoffs:
-            _integer(k)
-
-    def truth(self, n: int) -> SuperVerdict:
-        # S(n) holds on the precisification at cutoff k exactly when n < k.
-        if n < min(self.cutoffs):
-            return SuperVerdict.SUPERTRUE
-        if n >= max(self.cutoffs):
-            return SuperVerdict.SUPERFALSE
-        return SuperVerdict.INDETERMINATE
-
-    def designated_true(self, n: int) -> bool:
-        return self.truth(n) is SuperVerdict.SUPERTRUE
-
-    def designated_false(self, n: int) -> bool:
-        return self.truth(n) is SuperVerdict.SUPERFALSE
-
-    def step_holds(self, n: int) -> bool:
-        # The step fails on the precisification at cutoff k exactly when k == n + 1.
-        return n + 1 not in self.cutoffs
-
-    def change_points(self, lo: int, stop: int) -> List[int]:
-        return _clip([k - 1 for k in self.cutoffs], lo, stop)
+        edges = sorted(set(map(_integer, self.cutoffs)))
+        # S(n) holds on the precisification at cutoff k exactly when n < k,
+        # and the step S(n) -> S(n+1) fails there exactly when k == n + 1.
+        middle = (SuperVerdict.INDETERMINATE,) * (len(edges) - 1)
+        self._steps(edges, (SuperVerdict.SUPERTRUE, *middle, SuperVerdict.SUPERFALSE), edges)
 
     def describe(self) -> str:
         return f"supervaluation over cutoffs {list(self.cutoffs)}"
@@ -387,34 +377,19 @@ class Nonstandard(Backend):
     def __post_init__(self):
         if self.bound is not None and not isinstance(self.bound, EpsSeries):
             raise TypeError(f"bound {self.bound!r} is not an EpsSeries")
-        # Not a field: equality, hashing, repr and replace see only the bound.
-        object.__setattr__(self, "_edge", _edge_of(self.bound))
+        # S(n) holds exactly below the edge; for `limited` the edge is +inf,
+        # since limited + 1 stays limited, and no n + 1 is an edge.
+        edge = _edge_of(self.bound)
+        self._steps((edge,), (True, False), (edge,))
 
     def holds(self, x: EpsSeries) -> bool:
         if self.bound is None:
             return x.is_zero or x.valuation >= 0
         return x < self.bound
 
-    def truth(self, n: int) -> bool:
-        return n < self._edge
-
-    def designated_true(self, n: int) -> bool:
-        return self.truth(n)
-
-    def designated_false(self, n: int) -> bool:
-        return not self.truth(n)
-
-    def step_holds(self, n: int) -> bool:
-        return n + 1 != self._edge
-
-    def change_points(self, lo: int, stop: int) -> List[int]:
-        # S(n) holds exactly below the edge; for `limited` the edge is +inf,
-        # since limited + 1 stays limited, and no point is kept.
-        return _clip((self._edge - 1, self._edge), lo, stop)
-
     def doubling(self, lo: int, hi: int, witnesses) -> DoublingResult:
         samples: List[EpsSeries] = []
-        edge = self._edge
+        (edge,) = self._edges
         if edge != inf:
             # S(2n) fails exactly from the least naive n with 2n >= edge on.
             # No smaller n is a witness, and a larger one only if this one is,
@@ -774,8 +749,27 @@ def _refuse_unknown(config: dict, known, pointer: str) -> None:
             )
 
 
+#: A decimal as ``Fraction`` reads one, looser: digits, a fraction part, an exponent.
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def _fraction(value) -> Fraction:
+    """``Fraction(str(value))``, refused first if a numerator, denominator or
+    power of ten it would build passes the int-to-str digit limit."""
+    text = str(value)
+    limit = sys.get_int_max_str_digits()
+    decimal = _DECIMAL.fullmatch(text)
+    if decimal and limit:
+        whole, tail, exponent = ((part or "").replace("_", "") for part in decimal.groups())
+        # An exponent itself past the limit is refused by int().
+        shift = int(exponent or 0) - len(tail)
+        if len(whole) + len(tail) + max(shift, 0) > limit or -shift >= limit:
+            raise ValueError(f"degree or threshold over {limit} digits")
+    return Fraction(text)
+
+
 def _points(points) -> Tuple[Tuple[int, Fraction], ...]:
-    return tuple((_integer(n), Fraction(str(degree))) for n, degree in points)
+    return tuple((_integer(n), _fraction(degree)) for n, degree in points)
 
 
 def _bound(threshold) -> Optional[EpsSeries]:
@@ -796,7 +790,7 @@ BACKENDS = {
     "fuzzy_membership": (
         FuzzyMembership,
         ("points", _POINTS, _points),
-        ("threshold", {**_STR, "default": "1"}, lambda t: Fraction(str(t))),
+        ("threshold", {**_STR, "default": "1"}, _fraction),
     ),
     "superval": (Superval, ("cutoffs", _INTS, lambda ks: tuple(map(_integer, ks)))),
     "nonstandard": (Nonstandard, ("threshold", {**_STR, "default": "limited"}, _bound)),

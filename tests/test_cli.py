@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import time
 from importlib import resources
 
 import pytest
@@ -138,6 +140,31 @@ class TestSorites:
         assert out == ""
         # The interpreter's own wording after "(4300" varies with its version.
         assert err.startswith("config error at /: invalid JSON: Exceeds the limit (4300")
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"points": [[0, "1"], [10, "1e-5000"]]},  # printed past the limit: a traceback
+            {"points": [[0, "1"], [10, "1e-10000000"]]},  # 10**10000000: minutes
+            {"points": [[0, "1"], [10, "0"]], "threshold": "1e-10000000"},
+        ],
+    )
+    def test_fuzzy_exponent_past_the_digit_limit(self, capsys, tmp_path, params):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "name": "tiny",
+            "range": [0, 10],
+            "backend": {"type": "fuzzy_membership", "params": params},
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sorites", "run", str(config))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        digits = sys.get_int_max_str_digits()
+        assert err == (
+            f"config error at /backend/params: degree or threshold over {digits} digits\n"
+        )
 
     def test_output_file(self, capsys, tmp_path):
         config = tmp_path / "classical.json"

@@ -809,15 +809,15 @@ class TestNonstandardEdge:
     @pytest.mark.parametrize(
         "threshold, edge, points",
         [
-            ("5", 5, [-12, 4, 5]),
-            ("5 + e", 6, [-12, 5, 6]),
-            ("5 - e", 5, [-12, 4, 5]),
-            ("9/2", 5, [-12, 4, 5]),
-            ("e", 1, [-12, 0, 1]),
-            ("-e", 0, [-12, -1, 0]),
+            ("5", 5, [-12, 4]),
+            ("5 + e", 6, [-12, 5]),
+            ("5 - e", 5, [-12, 4]),
+            ("9/2", 5, [-12, 4]),
+            ("e", 1, [-12, 0]),
+            ("-e", 0, [-12, -1]),
             ("e^(-1)", math.inf, [-12]),
             ("-e^(-1)", -math.inf, [-12]),
-            ("0", 0, [-12, -1, 0]),
+            ("0", 0, [-12, -1]),
             ("limited", math.inf, [-12]),
         ],
     )
@@ -833,6 +833,41 @@ class TestNonstandardEdge:
     def test_bound_not_a_series(self):
         with pytest.raises(TypeError):
             Nonstandard("5")
+
+
+small = st.integers(-10, 10)
+
+#: A drawn backend of each non-fuzzy kind, its parameters in -10..10.
+STEP_BACKENDS = {
+    "classical": st.builds(ClassicalCutoff, small),
+    "kleene": st.builds(lambda a, b: KleenePenumbra(min(a, b), max(a, b)), small, small),
+    "superval": st.lists(small, min_size=1, max_size=5).map(lambda ks: Superval(tuple(ks))),
+    "nonstandard": st.builds(
+        Nonstandard,
+        st.one_of(
+            st.none(),
+            small.map(EpsSeries.from_rational),
+            bound_terms.map(EpsSeries.from_terms),
+        ),
+    ),
+}
+
+
+class TestChangePoints:
+    """A non-fuzzy backend lists just the indices where its verdict moves or a step fails."""
+
+    @pytest.mark.parametrize("kind", sorted(STEP_BACKENDS))
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_minimal(self, kind, data):
+        backend = data.draw(STEP_BACKENDS[kind])
+        lo, stop = data.draw(st.integers(-12, 12)), data.draw(st.integers(-12, 12))
+        moves = [
+            n
+            for n in range(lo + 1, stop)
+            if backend.truth(n) != backend.truth(n + 1) or not backend.step_holds(n)
+        ]
+        assert backend.change_points(lo, stop) == ([lo, *moves] if lo < stop else [])
 
 
 class TestDerivedData:
