@@ -110,6 +110,30 @@ def _merge(xs: Terms, ys: Terms) -> Terms:
     return (*out, *xs[i:], *ys[j:])
 
 
+def _compare(xs: Terms, ys: Terms) -> int:
+    """Sign of ``xs - ys`` for two sorted, zero-free term tuples.
+
+    The difference is decided by the first term at which the two differ, so
+    the walk stops there without building it.  A term whose exponent only
+    one side has dominates with that side's coefficient, and a shared
+    exponent with unequal coefficients with their difference.
+    """
+    for (ex, cx), (ey, cy) in zip(xs, ys):
+        if ex != ey:
+            if ex < ey:
+                return 1 if cx > 0 else -1
+            return -1 if cy > 0 else 1
+        if cx != cy:
+            return 1 if cx > cy else -1
+    # One is a prefix of the other: the longer one's next term decides.
+    nx, ny = len(xs), len(ys)
+    if nx > ny:
+        return 1 if xs[ny][1] > 0 else -1
+    if ny > nx:
+        return -1 if ys[nx][1] > 0 else 1
+    return 0
+
+
 def _product(xs: Terms, ys: Terms, cut: Optional[Cut]) -> Terms:
     """Product of two sorted, zero-free term tuples, less what ``cut`` absorbs.
 
@@ -299,11 +323,16 @@ class EpsSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() < 0
+        return _compare(self.terms, other.terms) < 0
 
     def compare(self, other) -> int:
         """Three-way comparison: -1, 0, or 1."""
-        return (self - other).sign()
+        coerced = self._coerce(other)
+        if coerced is None:
+            raise TypeError(
+                f"cannot compare EpsSeries with {type(other).__name__}"
+            )
+        return _compare(self.terms, coerced.terms)
 
     # -- text --------------------------------------------------------------
 

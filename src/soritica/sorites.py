@@ -20,10 +20,16 @@ per gap between them, and the edges at which a step fails.  ``Backend``
 answers every query from those; the change points are the indices just
 before an edge.  The nonstandard cut finds its one edge, the least integer
 at or above the bound, in closed form, and ``inf`` or ``-inf`` when no
-integer or every integer is.  The fuzzy backend derives its pieces and the
-change points that do not depend on the range.  A per-index query is then
-one bisection, and a run costs O(change points + witnesses) on every
-backend.
+integer or every integer is.  The fuzzy backend derives its pieces, in
+integers, the change points that do not depend on the range, and a table of
+its degree at each of them and at the index after.  A per-index query is
+then a table read, or one bisection at a range end, and a run costs
+O(change points + witnesses) on every backend.
+
+Reports render as text and as JSON.  ``SoritesReport.to_json`` writes its
+JSON itself, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
+does, since with an indent that call runs the pure-Python encoder on Python
+3.10-3.12.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import inf
 from numbers import Rational
 from typing import Dict, List, Optional, Tuple, Union
@@ -245,33 +252,47 @@ class FuzzyMembership(Backend):
         # an end or next to where its two sides meet.
         pieces = []
         fixed = set()
-        levels = (self.threshold, 1 - self.threshold)
+        t, u = self.threshold.numerator, self.threshold.denominator
+        levels = ((t, u), (u - t, u))
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            slope = Fraction(y1 - y0, x1 - x0)
-            pieces.append((x0, y0, slope))
+            # On the piece, S(n) = (start + step * (n - x0)) / denominator:
+            # integers, so that each degree is one Fraction built from two.
+            b, d = y0.denominator, y1.denominator
+            denominator = b * d * (x1 - x0)
+            start = y0.numerator * d * (x1 - x0)
+            step = y1.numerator * b - y0.numerator * d
+            pieces.append((x0, start, step, denominator))
             fixed.update((x0 - 1, x0))
-            if not slope:
+            if not step:
                 continue
-            for v in levels:
-                # S(n) meets v at x0 + (v - y0) / slope, and S(n+1) one before.
-                k = x0 + (v - y0) / slope // 1
+            for v, w in levels:
+                # S(n) meets v/w at x0 + (v/w - S(x0)) / slope, and S(n+1) one before.
+                k = x0 + (v * denominator - start * w) // (step * w)
                 fixed.update((k - 1, k, k + 1))
             # 1 - S(n) meets S(n+1) half an index before S(n) meets 1/2.
-            k = x0 + ((1 - 2 * y0) / slope - 1) / 2 // 1
+            k = x0 + (denominator - 2 * start - step) // (2 * step)
             fixed.update((k, k + 1))
         fixed.update((indices[-1] - 1, indices[-1]))
         object.__setattr__(self, "_indices", tuple(indices))
         object.__setattr__(self, "_pieces", tuple(pieces))
         object.__setattr__(self, "_fixed", tuple(sorted(fixed)))
+        # The runners ask for S(n) and S(n+1) at the change points, which
+        # apart from the range ends are all fixed: interpolate each once.
+        degrees = {n: self._interpolate(n) for n in fixed.union([k + 1 for k in fixed])}
+        object.__setattr__(self, "_degrees", degrees)
 
     def truth(self, n: int) -> Fraction:
+        degree = self._degrees.get(n)
+        return self._interpolate(n) if degree is None else degree
+
+    def _interpolate(self, n: int) -> Fraction:
         indices = self._indices
         if n <= indices[0]:
             return self.points[0][1]
         if n >= indices[-1]:
             return self.points[-1][1]
-        x0, y0, slope = self._pieces[bisect_right(indices, n) - 1]
-        return y0 + slope * (n - x0)
+        x0, start, step, denominator = self._pieces[bisect_right(indices, n) - 1]
+        return Fraction(start + step * (n - x0), denominator)
 
     def designated_true(self, n: int) -> bool:
         return self.truth(n) >= self.threshold
@@ -288,11 +309,7 @@ class FuzzyMembership(Backend):
     def weakest_link(self, lo: int, stop: int) -> Fraction:
         """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
         points = self.change_points(lo, stop)
-        # Adjacent change points share a degree: ask for each one once.
-        degree = {n: self.truth(n) for n in {*points, *(n + 1 for n in points)}}
-        return min(
-            (max(1 - degree[n], degree[n + 1]) for n in points), default=Fraction(1)
-        )
+        return min(map(self.implication, points), default=Fraction(1))
 
     def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
         weakest = self.weakest_link(lo, hi)
@@ -403,11 +420,15 @@ class Nonstandard(Backend):
         if self.bound is not None:
             samples.append(self.bound * Fraction(1, 2))
         for x in samples:
-            if self.holds(x) and not self.holds(x * 2):
+            if not self.holds(x):
+                continue
+            doubled = x * 2
+            if not self.holds(doubled):
+                text = str(x)
                 return DoublingResult(
                     invariant=False,
-                    witness=str(x),
-                    detail=f"S({x}) holds but S({x * 2}) fails",
+                    witness=text,
+                    detail=f"S({text}) holds but S({doubled}) fails",
                 )
         return DoublingResult(
             invariant=True,
@@ -556,7 +577,7 @@ class SoritesReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(self.to_dict())
 
     def to_text(self) -> str:
         tick = lambda ok: "PASS" if ok else "FAIL"
@@ -613,6 +634,65 @@ class SoritesReport:
             for note in self.notes:
                 lines.append(f"  - {note}")
         return "\n".join(lines) + "\n"
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` and a newline.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder on Python
+    3.10-3.12.  A report holds only dicts with string keys, lists, strings,
+    ints, booleans and ``None``, and this writes those alone, with no
+    per-value dispatch or generator; any other value raises ``TypeError``.
+    """
+    out: List[str] = []
+    _write_json(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    """Append the pieces of ``value`` to ``out``; ``newline`` is the line
+    break and indent that the value's own lines start with."""
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif type(value) is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        separator = inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif type(value) is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        separator = inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # -- runners ---------------------------------------------------------------
@@ -753,10 +833,16 @@ def _refuse_unknown(config: dict, known, pointer: str) -> None:
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
-def _fraction(value) -> Fraction:
-    """``Fraction(str(value))``, refused first if a numerator, denominator or
-    power of ten it would build passes the int-to-str digit limit."""
-    text = str(value)
+def _fraction(text) -> Fraction:
+    """``Fraction(text)`` of a JSON string, refused first if a numerator,
+    denominator or power of ten it would build passes the int-to-str digit
+    limit.
+
+    A JSON number is refused: it reaches here already rounded to a float,
+    so ``1e-400`` would read as 0 and ``0.10000000000000000001`` as 1/10.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"degree or threshold must be a string, got {text!r}")
     limit = sys.get_int_max_str_digits()
     decimal = _DECIMAL.fullmatch(text)
     if decimal and limit:
@@ -773,7 +859,9 @@ def _points(points) -> Tuple[Tuple[int, Fraction], ...]:
 
 
 def _bound(threshold) -> Optional[EpsSeries]:
-    return None if threshold == "limited" else parse_series(str(threshold))
+    if not isinstance(threshold, str):
+        raise ValueError(f"threshold must be a string, got {threshold!r}")
+    return None if threshold == "limited" else parse_series(threshold)
 
 
 _INT = {"type": "integer"}
@@ -841,6 +929,12 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
     name = _require(config, "name", "")
     if not isinstance(name, str):
         raise ConfigError("/name", "name must be a string")
+    try:  # JSON can spell a lone surrogate, which no report can be written in
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(
+            "/name", f"name holds a lone surrogate at offset {exc.start}"
+        ) from exc
     raw_range = _require(config, "range", "")
     if (
         not isinstance(raw_range, (list, tuple))

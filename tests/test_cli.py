@@ -166,6 +166,52 @@ class TestSorites:
             f"config error at /backend/params: degree or threshold over {digits} digits\n"
         )
 
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            (
+                {"type": "fuzzy_membership", "params": {"points": [[0, "1"], [10, 1e-400]]}},
+                "degree or threshold must be a string, got 0.0",
+            ),
+            (
+                {
+                    "type": "fuzzy_membership",
+                    "params": {"points": [[0, "1"], [10, "0"]], "threshold": 0.5},
+                },
+                "degree or threshold must be a string, got 0.5",
+            ),
+            (
+                {"type": "nonstandard", "params": {"threshold": 7}},
+                "threshold must be a string, got 7",
+            ),
+        ],
+    )
+    def test_numeric_degree_or_threshold(self, capsys, tmp_path, backend, message):
+        # Written as JSON numbers: 1e-400 would load as 0 and print as (0, 0).
+        config = tmp_path / "numbers.json"
+        config.write_text(
+            json.dumps({"name": "numbers", "range": [0, 10], "backend": backend})
+        )
+        code, out, err = run(capsys, "sorites", "run", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == f"config error at /backend/params: {message}\n"
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_name_with_a_lone_surrogate(self, capsys, tmp_path, output):
+        config = tmp_path / "surrogate.json"
+        config.write_text(
+            '{"name": "a\\ud800b", "range": [1, 10],'
+            ' "backend": {"type": "classical_cutoff", "params": {"cutoff": 5}}}'
+        )
+        report = tmp_path / "report.txt"
+        argv = ["sorites", "run", str(config)] + (["-o", str(report)] if output else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "config error at /name: name holds a lone surrogate at offset 1\n"
+        assert not report.exists()
+
     def test_output_file(self, capsys, tmp_path):
         config = tmp_path / "classical.json"
         config.write_text((FIXTURES / "classical_cutoff5.json").read_text())

@@ -13,6 +13,7 @@ from soritica.series import (
     ZERO,
     EpsSeries,
     ParseError,
+    _compare,
     parse_series,
 )
 
@@ -269,6 +270,49 @@ class TestAgainstReference:
     def test_compare(self, x, y):
         assert x.compare(y) == ref_compare(x, y)
         assert (x < y) == (ref_compare(x, y) < 0)
+
+
+class TestCompareWalk:
+    """``_compare`` reads the sign of ``x - y`` off the first differing term."""
+
+    @given(series_values, series_values)
+    def test_drawn(self, x, y):
+        assert _compare(x.terms, y.terms) == (x - y).sign()
+        assert x.compare(y) == (x - y).sign()
+
+    @given(series_values)
+    def test_equal(self, x):
+        twin = EpsSeries(tuple(x.terms))
+        assert _compare(x.terms, twin.terms) == 0
+        assert not x < twin and not twin < x and x <= twin
+
+    @given(series_values, series_values)
+    def test_prefixes(self, x, y):
+        # A prefix of x, and x with y's terms past its own appended.
+        longer = x + EpsSeries(
+            tuple(t for t in y.terms if not x.terms or t[0] > x.terms[-1][0])
+        )
+        for k in range(len(longer.terms) + 1):
+            prefix = EpsSeries(longer.terms[:k])
+            assert _compare(longer.terms, prefix.terms) == (longer - prefix).sign()
+            assert _compare(prefix.terms, longer.terms) == (prefix - longer).sign()
+
+    @given(series_values)
+    def test_zero(self, x):
+        assert x.compare(ZERO) == x.sign() == -ZERO.compare(x)
+        assert (x < ZERO) == (x.sign() < 0) and (ZERO < x) == (x.sign() > 0)
+
+    def test_rationals(self):
+        assert ONE.compare(1) == 0 and EPS.compare(0) == 1
+        assert OMEGA.compare(F(10**9)) == 1 and (-EPS).compare(F(-1, 10**9)) == 1
+        assert EPS < F(1, 10**9) and not ONE < 1
+
+    @pytest.mark.parametrize("other", ["1", None, 1.0, [ONE]])
+    def test_non_series(self, other):
+        with pytest.raises(TypeError):
+            ONE.compare(other)
+        with pytest.raises(TypeError):
+            ONE < other
 
 
 class TestNestingLimit:

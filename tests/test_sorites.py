@@ -1,9 +1,10 @@
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from soritica.sorites import (
     SoritesScenario,
     Superval,
     Witness,
+    _dumps,
     barnes_check,
     doubling_analysis,
     run_conditional,
@@ -272,6 +274,65 @@ class TestConfig:
             scenario_from_dict(config)
         assert info.value.pointer == "/name"
         assert info.value.message == "name must be a string"
+
+    @pytest.mark.parametrize("name", ["a\ud800b", "\udfff", "ok \udc80"])
+    def test_name_with_a_lone_surrogate(self, name):
+        # Valid JSON ("a\\ud800b"), but no UTF-8 report can hold it.
+        config = self.good()
+        config["name"] = name
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/name"
+        assert info.value.message.startswith("name holds a lone surrogate at offset ")
+
+    def test_name_with_a_surrogate_pair(self):
+        # "\\ud83d\\ude00" in JSON is one astral character, not a lone half.
+        config = self.good()
+        config["name"] = json.loads('"x\\ud83d\\ude00"')
+        assert scenario_from_dict(config).name == "x\U0001F600"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"points": [[1, 1], [10, "0"]]},
+            {"points": [[1, "1"], [10, 0.0]]},  # 1e-400 loads as 0.0
+            {"points": [[1, "1"], [10, True]]},
+            {"points": [[1, "1"], [10, None]]},
+            {"points": [[1, "1"], [10, ["0"]]]},
+            {"points": [[1, "1"], [10, "0"]], "threshold": 0.1},
+            {"points": [[1, "1"], [10, "0"]], "threshold": 1},
+        ],
+    )
+    def test_fuzzy_numbers_refused(self, params):
+        config = self.good()
+        config["backend"] = {"type": "fuzzy_membership", "params": params}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+        assert info.value.message.startswith("degree or threshold must be a string, got ")
+
+    @pytest.mark.parametrize("threshold", [5, 0.5, None, False, ["limited"]])
+    def test_nonstandard_threshold_number_refused(self, threshold):
+        config = self.good()
+        config["backend"] = {"type": "nonstandard", "params": {"threshold": threshold}}
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(config)
+        assert info.value.pointer == "/backend/params"
+        assert info.value.message == f"threshold must be a string, got {threshold!r}"
+
+    def test_strings_stay_exact(self):
+        # What a JSON number would have rounded away, a string keeps.
+        config = self.good()
+        config["backend"] = {
+            "type": "fuzzy_membership",
+            "params": {
+                "points": [[1, "1"], [10, "1e-400"]],
+                "threshold": "0.10000000000000000001",
+            },
+        }
+        backend = scenario_from_dict(config).backend
+        assert backend.points[1][1] == F(1, 10**400)
+        assert backend.threshold == F(10**19 + 1, 10**20)
 
     @pytest.mark.parametrize(
         "path, key, pointer",
@@ -767,9 +828,15 @@ class TestOracle:
     @settings(max_examples=200)
     def test_fuzzy_pieces(self, indices, data):
         points = tuple((n, data.draw(degrees)) for n in sorted(indices))
-        backend = FuzzyMembership(points)
+        backend = FuzzyMembership(points, data.draw(degrees))
         for n in range(-12, 13):
             assert backend.truth(n) == ref_degree(points, n)
+        # The degree table holds S(n) and S(n+1) at every fixed change point,
+        # each as the breakpoints interpolate it.
+        table = backend._degrees
+        assert set(table) == {m for k in backend._fixed for m in (k, k + 1)}
+        for n, degree in table.items():
+            assert degree == ref_degree(points, n)
 
     @given(
         st.lists(st.integers(-10, 10), min_size=1, max_size=6),
@@ -888,6 +955,8 @@ class TestDerivedData:
         assert repr(backend) == f"FuzzyMembership(points={points!r}, threshold={F(3, 4)!r})"
         moved = replace(backend, points=((0, F(1)), (10, F(0))))
         assert (backend.truth(5), moved.truth(5)) == (F(5, 12), F(1, 2))
+        assert [f.name for f in fields(backend)] == ["points", "threshold"]
+        assert backend._degrees and backend._degrees != moved._degrees
 
 
 # -- ranges of 10**12: change points, not indices ---------------------------
@@ -1031,3 +1100,71 @@ class TestWideRange:
         assert code == 0
         assert elapsed < 2, f"the CLI run took {elapsed:.2f}s"
         assert "  witness: 200000000001" in out
+
+
+# -- the JSON writer against json.dumps --------------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Names that every escape of the encoder meets: a quote, a backslash,
+#: control characters, the line and paragraph separators, non-ASCII and
+#: astral characters.
+NAMES = [
+    'say "heap"',
+    "back\\slash",
+    "\x00\x01\x08\t\n\x0b\x0c\r\x1f\x7f",
+    "\u2028\u2029",
+    "caf\u00e9 \u5806",
+    "\U0001F600 \U00010000",
+    "",
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """``SoritesReport.to_json`` writes what ``json.dumps`` does, byte for byte."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_goldens(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _dumps(json.loads(text)) == text
+
+    @given(configs())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_reports(self, config):
+        report = run_scenario(scenario_from_dict(config))
+        assert report.to_json() == dumps(report.to_dict())
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_names(self, name):
+        config = {**TestConfig().good(), "name": name}
+        report = run_scenario(scenario_from_dict(config))
+        assert report.to_json() == dumps(report.to_dict())
+        assert json.loads(report.to_json())["scenario"] == name
+
+    @given(json_values)
+    @settings(max_examples=300)
+    def test_drawn_values(self, value):
+        assert _dumps(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [[], {}, [[]], {"a": {}}, [{}, []], 0, -(10**30)])
+    def test_empty_and_ints(self, value):
+        assert _dumps(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, (1, 2), {1: "x"}, {"a": {None: 1}}, ["x", b"y"], {"s": {1}}]
+    )
+    def test_other_types_refused(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
