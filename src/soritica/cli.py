@@ -150,8 +150,7 @@ def _cmd_sorites_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "numbers":
         return _cmd_numbers_eval(args)
     if args.command == "tables":
@@ -159,10 +158,8 @@ def main(argv=None) -> int:
         return 0
     if args.command == "laws":
         return _cmd_laws(args)
-    if args.command == "sorites":
-        return _cmd_sorites_run(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # Every subcommand is required, so the parser has refused anything else.
+    return _cmd_sorites_run(args)
 
 
 if __name__ == "__main__":

@@ -272,17 +272,11 @@ class ExternalNumber:
     def is_zero(self) -> bool:
         return self.rep.is_zero and self.neutrix.is_zero
 
-    @property
-    def is_neutrix(self) -> bool:
-        return self.rep.is_zero and not self.neutrix.is_zero
-
     def _coerce(self, other):
         if isinstance(other, ExternalNumber):
             return other
-        if isinstance(other, EpsSeries):
+        if isinstance(other, (EpsSeries, int, Fraction)):
             return ExternalNumber.make(other)
-        if isinstance(other, (int, Fraction)):
-            return ExternalNumber.make(EpsSeries.from_rational(other))
         return None
 
     def __add__(self, other):
@@ -456,10 +450,9 @@ def binomial_check(
     if n < 0 or n > bound:
         raise BoundExceeded(f"exponent {n} outside 0..{bound}")
     left = (alpha + beta) ** n
-    right = ExternalNumber.make(ZERO)
-    for k in range(n + 1):
-        coeff = ExternalNumber.make(math.comb(n, k))
-        right = right + coeff * alpha**k * beta ** (n - k)
+    right = sum(
+        math.comb(n, k) * alpha**k * beta ** (n - k) for k in range(n + 1)
+    )
     return left == right, left, right
 
 
@@ -515,13 +508,10 @@ def regular_inverse(alpha: ExternalNumber) -> Optional[ExternalNumber]:
 
 
 class _ExternalExprParser(ExprParser):
-    """Extends the series grammar with neutrix symbols L(q), o(q), osl, lim."""
+    """Extends the series grammar with neutrix symbols L(q), o(q), osl, lim.
 
-    def from_rational(self, value: Rational):
-        return ExternalNumber.make(EpsSeries.from_rational(value))
-
-    def make_eps_power(self, exponent: Rational):
-        return ExternalNumber.make(EpsSeries.monomial(exponent))
+    Only these give external numbers; the operators promote the series they meet.
+    """
 
     def parse_name(self, name: str):
         if name in ("L", "o"):
@@ -539,4 +529,5 @@ class _ExternalExprParser(ExprParser):
 
 def parse_external(text: str) -> ExternalNumber:
     """Parse an external-number expression, e.g. ``(2 + osl) * (3 + osl)``."""
-    return _ExternalExprParser(text).parse()
+    value = _ExternalExprParser(text).parse()
+    return value if isinstance(value, ExternalNumber) else ExternalNumber.make(value)

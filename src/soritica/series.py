@@ -407,29 +407,22 @@ def _apply(index: int, meaning, left, right):
 class ExprParser(Descent):
     """Recursive-descent parser for ``+ - *`` expressions over series.
 
-    Subclasses may extend :meth:`parse_name` to add further primaries
-    (the external-number parser adds neutrix symbols this way).
+    Numerals and powers of ``e`` are series.  Subclasses may extend
+    :meth:`parse_name` to add further primaries (the external-number
+    parser adds neutrix symbols this way).
     Parentheses and unary minus nest at most ``MAX_NESTING`` deep.
     """
 
     pattern = _TOKEN_RE
     error = ParseError
 
-    # hooks ---------------------------------------------------------------
-
-    def from_rational(self, value: Rational):
-        return EpsSeries.from_rational(value)
-
-    def make_eps_power(self, exponent: Rational):
-        return EpsSeries.monomial(exponent)
-
     def parse_name(self, name: str):
         """The value of ``name``, the token just taken."""
         if name == "e":
             if self.tokens[self.index] == "^":
                 self.index += 1
-                return self.make_eps_power(self.parse_exponent())
-            return self.make_eps_power(1)
+                return EpsSeries.monomial(self.parse_exponent())
+            return EPS
         raise self.fail(f"unknown symbol {name!r}", self.index - 1)
 
     # grammar -------------------------------------------------------------
@@ -448,7 +441,7 @@ class ExprParser(Descent):
     def parse_primary(self):
         token = self.tokens[self.index]
         if token[:1].isdecimal():
-            return self.from_rational(self.numeral())
+            return EpsSeries.from_rational(self.numeral())
         if token not in _NOT_NAMES:
             self.index += 1
             return self.parse_name(token)

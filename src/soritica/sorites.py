@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -46,7 +46,6 @@ from numbers import Rational
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import __version__
-from .neutrix import ExternalNumber, classify
 from .semantics import HALF, TRUE, FALSE, SuperVerdict
 from .series import EpsSeries, ParseError, parse_series
 
@@ -280,6 +279,8 @@ class FuzzyMembership(Backend):
         # apart from the range ends are all fixed: interpolate each once.
         degrees = {n: self._interpolate(n) for n in fixed.union([k + 1 for k in fixed])}
         object.__setattr__(self, "_degrees", degrees)
+        # The step-implication degree at each fixed point, for weakest_link.
+        object.__setattr__(self, "_links", tuple(map(self.implication, self._fixed)))
 
     def truth(self, n: int) -> Fraction:
         degree = self._degrees.get(n)
@@ -307,9 +308,15 @@ class FuzzyMembership(Backend):
         return self.implication(n) >= self.threshold
 
     def weakest_link(self, lo: int, stop: int) -> Fraction:
-        """The weakest step-implication degree on ``lo .. stop-1``; 1 if none."""
-        points = self.change_points(lo, stop)
-        return min(map(self.implication, points), default=Fraction(1))
+        """The weakest step-implication degree on ``lo .. stop-1``; 1 if none.
+
+        It lies at a change point: ``lo``, ``stop - 1`` or a fixed point between.
+        """
+        if stop <= lo:
+            return Fraction(1)
+        fixed = self._fixed
+        inner = self._links[bisect_right(fixed, lo) : bisect_left(fixed, stop)]
+        return min(self.implication(lo), self.implication(stop - 1), *inner)
 
     def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
         weakest = self.weakest_link(lo, hi)
@@ -733,9 +740,10 @@ def barnes_check(scenario: SoritesScenario) -> BarnesResult:
 
 def run_induction(scenario: SoritesScenario) -> InductionResult:
     backend = scenario.backend
+    # Witness refuses every series that is not unlimited, so each classifies
+    # as Unlimited.
     witness_details = tuple(
-        f"~S({w.series}): {not backend.holds(w.series)} "
-        f"(classified {classify(ExternalNumber.make(w.series)).value})"
+        f"~S({w.series}): {not backend.holds(w.series)} (classified Unlimited)"
         for w in scenario.witnesses
     )
     return backend.induction(scenario.lo, scenario.hi, witness_details)

@@ -13,6 +13,7 @@ from soritica.neutrix import ExternalNumber, Kind, Neutrix, parse_external
 from soritica.series import EpsSeries, ParseError, parse_series
 
 from reference_parsers import (
+    ReferenceExternalParser,
     old_parse_external,
     old_parse_formula,
     old_parse_series,
@@ -199,3 +200,28 @@ class TestLongChains:
         parse, reference = PARSERS[grammar]
         text = f" {op} ".join(["e"] * 10**4)
         assert parse(text) == reference(text)
+
+
+class TestExternalFromSeries:
+    """Numerals and powers of ``e`` are series until they meet a neutrix."""
+
+    def test_no_neutrix_is_wrapped_once(self, monkeypatch):
+        make, calls = ExternalNumber.make, []
+
+        def counting(*args):
+            calls.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(ExternalNumber, "make", staticmethod(counting))
+        value = parse_external("1 + 2*e - e^(1/2)")
+        assert type(value) is ExternalNumber and len(calls) == 1
+        assert str(value) == "1 - e^(1/2) + 2*e"
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [("0*osl", "0"), ("1 - osl", "1 + o(0)"), ("2*e^(-1)*lim", "L(-1)")],
+    )
+    def test_mixed_operands(self, text, printed):
+        value = parse_external(text)
+        assert value == ReferenceExternalParser(text).parse()
+        assert str(value) == printed

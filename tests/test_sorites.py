@@ -862,6 +862,42 @@ bound_terms = st.lists(
 )
 
 
+fuzzy_configs = configs().filter(lambda c: c["backend"]["type"] == "fuzzy_membership")
+
+
+class TestWeakestLink:
+    """The fuzzy weakest link reads the fixed points' degrees from a table."""
+
+    @given(fuzzy_configs, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_least_at_the_change_points(self, config, data):
+        backend = scenario_from_dict(config).backend
+        lo, hi = config["range"]
+        # Ends on and next to the fixed points, where an off-by-one shows.
+        fixed = st.builds(int.__add__, st.sampled_from(backend._fixed), st.integers(-1, 1))
+        near = st.one_of(st.integers(lo - 10, hi + 10), fixed)
+        start, stop = data.draw(near), data.draw(near)
+        expected = min(
+            map(backend.implication, backend.change_points(start, stop)), default=1
+        )
+        assert backend.weakest_link(start, stop) == expected
+
+    @given(fuzzy_configs)
+    @settings(max_examples=50, deadline=None)
+    def test_run_scenario_asks_for_few_links(self, config):
+        scenario = scenario_from_dict(config)
+        backend, calls = scenario.backend, []
+        implication = backend.implication
+
+        def counting(n):
+            calls.append(n)
+            return implication(n)
+
+        object.__setattr__(backend, "implication", counting)
+        run_scenario(scenario)
+        assert len(calls) <= 4
+
+
 class TestNonstandardEdge:
     """``truth(n)`` is ``n < edge`` against the series comparison of ``n``."""
 
