@@ -123,6 +123,16 @@ class Exists:
 
 Formula = Union[Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists]
 
+#: The formula classes in the order a walker tests a node against them when
+#: its type is none of them exactly, so a subclass is read as its base.
+_KINDS = (Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists)
+_KIND_SET = frozenset(_KINDS)
+
+
+def _base_kind(node) -> Optional[type]:
+    """The first of ``_KINDS`` that ``node`` is an instance of, or ``None``."""
+    return next((kind for kind in _KINDS if isinstance(node, kind)), None)
+
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
@@ -320,7 +330,10 @@ def _domain_to_str(domain: Domain) -> str:
 
 def formula_to_str(formula: Formula, _level: int = 0) -> str:
     """``formula`` in the parser's syntax, with the fewest parentheses."""
-    binary = _SYMBOLS.get(type(formula))
+    kind = type(formula)
+    if kind not in _KIND_SET:
+        kind = _base_kind(formula)
+    binary = _SYMBOLS.get(kind)
     if binary is not None:
         symbol, (level, right, _) = binary
         # An operand of the same level needs parentheses on the side the
@@ -330,14 +343,14 @@ def formula_to_str(formula: Formula, _level: int = 0) -> str:
             f"{formula_to_str(formula.right, level + (not right))}"
         )
         return f"({text})" if _level > level else text
-    if isinstance(formula, Atom):
+    if kind is Atom:
         return f"{formula.predicate}({formula.index})"
-    if isinstance(formula, PropVar):
+    if kind is PropVar:
         return formula.name
-    if isinstance(formula, Not):
+    if kind is Not:
         return f"~{formula_to_str(formula.body, _NOT_LEVEL)}"
-    if isinstance(formula, (Forall, Exists)):
-        word = "forall" if isinstance(formula, Forall) else "exists"
+    if kind is Forall or kind is Exists:
+        word = "forall" if kind is Forall else "exists"
         inner = formula_to_str(formula.body, 0)
         text = f"{word} {formula.var} in {_domain_to_str(formula.domain)}. {inner}"
         return f"({text})" if _level > 0 else text

@@ -439,16 +439,16 @@ def distributivity_holds(
     return left == right, left, right
 
 
+#: The largest exponent ``binomial_check`` expands.
+_BINOMIAL_MAX_EXPONENT = 8
+
+
 def binomial_check(
-    alpha: ExternalNumber,
-    beta: ExternalNumber,
-    n: int,
-    *,
-    bound: int = 8,
+    alpha: ExternalNumber, beta: ExternalNumber, n: int
 ) -> Tuple[bool, ExternalNumber, ExternalNumber]:
     """Compare (a+b)^n against the binomial expansion."""
-    if n < 0 or n > bound:
-        raise BoundExceeded(f"exponent {n} outside 0..{bound}")
+    if n < 0 or n > _BINOMIAL_MAX_EXPONENT:
+        raise BoundExceeded(f"exponent {n} outside 0..{_BINOMIAL_MAX_EXPONENT}")
     left = (alpha + beta) ** n
     right = sum(
         math.comb(n, k) * alpha**k * beta ** (n - k) for k in range(n + 1)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import repeat
 from typing import List, Optional
 
 from .neutrix import ExternalNumber, Kind, Neutrix
-from .series import EpsSeries, rational
+from .series import EpsSeries
 
 __all__ = [
     "neutrix_samples",
@@ -26,65 +25,9 @@ __all__ = [
 ]
 
 
-#: ``_COEFFICIENTS[n + 9][d - 1] == n/d``: the sample coefficients, drawn
-#: as ``rng.choice(rng.choice(_COEFFICIENTS))``, which makes the same
-#: ``rng`` calls as ``n = randint(-9, 9)`` then ``d = randint(1, 9)``.
-_COEFFICIENTS = tuple(
-    tuple(rational(Fraction(n, d)) for d in range(1, 10))
-    for n in range(-9, 10)
-)
-#: ``_OFFSETS[a - 1][b - 1] == a/b``: how far above ``q`` an ``o(q)``
-#: sample starts, drawn as ``a = randint(1, 4)`` then ``b = randint(1, 3)``.
-_OFFSETS = tuple(
-    tuple(rational(Fraction(a, b)) for b in range(1, 4)) for a in range(1, 5)
-)
-#: The second term of a sample sits 1 to ``_STEPS`` powers of ``e`` above
-#: the first.
-_STEPS = 3
-
-
-#: Bit widths of the index draws: ``Random._randbelow(n)`` draws
-#: ``n.bit_length()`` bits and rejects values ``>= n``.  The rows of each
-#: table all have one length.
-_COEFF_ROWS, _COEFF_COLS = len(_COEFFICIENTS), len(_COEFFICIENTS[0])
-_COEFF_ROW_BITS, _COEFF_COL_BITS = _COEFF_ROWS.bit_length(), _COEFF_COLS.bit_length()
-_OFFSET_ROWS, _OFFSET_COLS = len(_OFFSETS), len(_OFFSETS[0])
-_OFFSET_ROW_BITS, _OFFSET_COL_BITS = _OFFSET_ROWS.bit_length(), _OFFSET_COLS.bit_length()
-_STEP_BITS = _STEPS.bit_length()
-#: The least offset above ``q`` of an ``o(q)`` sample's exponent, 1/3.
-_LEAST_OFFSET = min(offset for row in _OFFSETS for offset in row)
-
-
-def _skip_samples(neutrix: Neutrix, count: int, rng: random.Random) -> None:
-    """Advance ``rng`` past ``count`` samples of ``neutrix``, building none.
-
-    The same ``getrandbits`` and ``random`` calls, in the same order, as
-    the ``choice``, ``randint`` and ``random`` calls of
-    :func:`neutrix_samples`, each index drawn in a ``getrandbits`` loop
-    written out inline with the widths above; the zero group draws
-    nothing.
-    """
-    if neutrix.is_zero:
-        return
-    getrandbits, roll = rng.getrandbits, rng.random
-    osl = neutrix.kind is Kind.OSL
-    for _ in repeat(None, count):
-        if osl:
-            while getrandbits(_OFFSET_ROW_BITS) >= _OFFSET_ROWS:
-                pass
-            while getrandbits(_OFFSET_COL_BITS) >= _OFFSET_COLS:
-                pass
-        while getrandbits(_COEFF_ROW_BITS) >= _COEFF_ROWS:
-            pass
-        while getrandbits(_COEFF_COL_BITS) >= _COEFF_COLS:
-            pass
-        if roll() < 0.4:
-            while getrandbits(_STEP_BITS) >= _STEPS:
-                pass
-            while getrandbits(_COEFF_ROW_BITS) >= _COEFF_ROWS:
-                pass
-            while getrandbits(_COEFF_COL_BITS) >= _COEFF_COLS:
-                pass
+#: The least offset above ``q`` of an ``o(q)`` sample's exponent:
+#: ``randint(1, 4) / randint(1, 3)`` is at least 1/3.
+_LEAST_OFFSET = Fraction(1, 3)
 
 
 def _check_count(count: int) -> None:
@@ -111,11 +54,12 @@ def neutrix_samples(
     q, osl = neutrix.exponent, neutrix.kind is Kind.OSL
     samples = []
     for _ in range(count):
-        exponent = q + rng.choice(rng.choice(_OFFSETS)) if osl else q
-        terms = [(exponent, rng.choice(rng.choice(_COEFFICIENTS)))]
+        exponent = q + Fraction(rng.randint(1, 4), rng.randint(1, 3)) if osl else q
+        terms = [(exponent, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))]
         if rng.random() < 0.4:
-            step = rng.randint(1, _STEPS)
-            terms.append((exponent + step, rng.choice(rng.choice(_COEFFICIENTS))))
+            step = rng.randint(1, 3)
+            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            terms.append((exponent + step, coeff))
         samples.append(EpsSeries.from_terms(terms))
     return samples
 
@@ -143,17 +87,15 @@ def samples_within(
 ) -> bool:
     """Whether ``count`` sampled members of ``left`` all lie in ``right``.
 
-    No sample is built when every one is absorbed by ``right``'s cut:
-    when ``left.neutrix`` is zero, or when the cut absorbs the least
+    No sample is built or drawn when every one is absorbed by ``right``'s
+    cut: when ``left.neutrix`` is zero, or when the cut absorbs the least
     exponent a sample can have, ``q`` for ``L(q)`` and ``q + 1/3`` for
     ``o(q)``.  Each member ``left.rep + s`` then lies in ``right`` iff
-    ``left.rep`` does, so that is the verdict, and ``rng`` still advances
-    by the draws of ``count`` samples.  Otherwise each of
-    :func:`neutrix_samples` is tested with :func:`en_member`.  Either way
-    all ``count`` samples are drawn, even once one has failed: the verdict
-    and the state of ``rng`` afterwards are those of testing
-    :func:`en_member` on each of :func:`en_samples`.  A negative ``count``
-    is a ``ValueError``.
+    ``left.rep`` does, so that is the verdict, and ``rng`` is left as it
+    was.  Otherwise each of :func:`neutrix_samples` is tested with
+    :func:`en_member`, all ``count`` drawn even once one has failed.
+    Either way the verdict is that of testing :func:`en_member` on each of
+    :func:`en_samples`.  A negative ``count`` is a ``ValueError``.
     """
     _check_count(count)
     sampled = left.neutrix
@@ -162,7 +104,6 @@ def samples_within(
         if sampled.kind is Kind.OSL
         else sampled.exponent
     ):
-        _skip_samples(sampled, count, rng)
         return count == 0 or right.neutrix.contains(left.rep - right.rep)
     return all(
         [en_member(left.rep + s, right) for s in neutrix_samples(sampled, count, rng)]

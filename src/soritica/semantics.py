@@ -45,6 +45,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .bounds import MAX_DOMAIN, BoundExceeded
 from .formulas import (
+    _KIND_SET,
     And,
     Atom,
     Exists,
@@ -56,6 +57,7 @@ from .formulas import (
     Not,
     Or,
     PropVar,
+    _base_kind,
 )
 
 __all__ = [
@@ -182,12 +184,15 @@ def _lower(formula: Formula) -> Tuple:
     while todo:
         # Pre-order with the right child first, reversed at the end.
         node = todo.pop()
-        step = _BINARY_STEPS.get(type(node))
+        kind = type(node)
+        if kind not in _KIND_SET:
+            kind = _base_kind(node)
+        step = _BINARY_STEPS.get(kind)
         if step is not None:
             emit(step)
             visit(node.left)
             visit(node.right)
-        elif isinstance(node, Atom):
+        elif kind is Atom:
             index = node.index
             if type(index) is not Index:
                 emit((_LATE, node))
@@ -195,13 +200,13 @@ def _lower(formula: Formula) -> Tuple:
                 emit((_ATOM, (node.predicate, index.offset)))
             else:
                 emit((_OPEN, (node.predicate, index.var, index.offset)))
-        elif isinstance(node, PropVar):
+        elif kind is PropVar:
             emit((_VAR, node.name))
-        elif isinstance(node, Not):
+        elif kind is Not:
             emit(_NOT_STEP)
             visit(node.body)
-        elif isinstance(node, (Forall, Exists)):
-            op = _FORALL if isinstance(node, Forall) else _EXISTS
+        elif kind is Forall or kind is Exists:
+            op = _FORALL if kind is Forall else _EXISTS
             emit((op, (node.var, node.domain, _lower(node.body))))
         else:
             emit((_BAD, node))
@@ -407,12 +412,6 @@ def _classical_inputs(cutoffs, propvars: Mapping[str, bool]) -> None:
 
 # -- the boolean walk ---------------------------------------------------------
 
-#: The formula classes in the order the walk tests a node against them when
-#: its type is none of them exactly, so a subclass is walked as its base.
-_KINDS = (Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists)
-_KIND_SET = frozenset(_KINDS)
-
-
 def _truths(
     formula: Formula,
     cutoffs: Optional[Sequence[int]],
@@ -443,7 +442,7 @@ def _truths(
     def walk(node, reach: int, scale: int) -> int:
         kind = type(node)
         if kind not in _KIND_SET:
-            kind = next((k for k in _KINDS if isinstance(node, k)), None)
+            kind = _base_kind(node)
         if kind is Atom:
             if cuts is None:
                 raise UnboundAtom("no cutoff supplied for soritical atoms")

@@ -5,8 +5,8 @@ as a sum of monomials with fresh ``Fraction`` coefficients and exponents,
 and each sampled member ``left.rep + s`` of the left side is rebuilt and
 tested against the right side on its own, by subtracting ``right.rep``.
 They share no code with the coefficient tables or the one-difference
-check.  ``_below`` and ``_entry`` are the index draw that the sampler
-and the law-suite generators write out inline: the ``getrandbits`` calls
+check.  ``_below`` and ``_entry`` are the index draw that only the
+law-suite generators still write out inline: the ``getrandbits`` calls
 of ``choice`` and ``randint``, pinned against ``random`` itself.
 """
 

@@ -6,6 +6,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from soritica.formulas import And, Iff, Implies, Not, Or, PropVar, parse_formula
 from soritica.laws import rand_external, run_law_suite
@@ -41,6 +42,7 @@ from soritica.neutrix import n_mul, n_scale
 
 F = Fraction
 FIXTURES = resources.files("soritica") / "fixtures"
+TABLES_GOLDEN = Path(__file__).parent / "golden" / "tables.txt"
 
 
 @contextmanager
@@ -60,7 +62,7 @@ def criterion(number, description, budget_seconds):
 
 def test_criterion_1_kleene_tables_golden():
     with criterion(1, "Kleene tables match the golden 12 rows exactly", 1.0):
-        golden = (FIXTURES / "kleene_tables.txt").read_text()
+        golden = TABLES_GOLDEN.read_text()
         assert kleene_tables() == golden
         # independently pinned rows (p, q, |, &, ->, <->)
         expected_binary = [

@@ -3,6 +3,7 @@ import json
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from soritica.bounds import MAX_NESTING
 from soritica.cli import main
 
 FIXTURES = resources.files("soritica") / "fixtures"
+TABLES_GOLDEN = Path(__file__).parent / "golden" / "tables.txt"
 
 
 def run(capsys, *argv):
@@ -60,7 +62,7 @@ class TestTables:
     def test_matches_golden(self, capsys):
         code, out, _ = run(capsys, "tables")
         assert code == 0
-        golden = (FIXTURES / "kleene_tables.txt").read_text()
+        golden = TABLES_GOLDEN.read_text()
         assert out == golden
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -20,6 +21,7 @@ from soritica.formulas import (
     Not,
     Or,
     PropVar,
+    formula_to_str,
     parse_formula,
 )
 from soritica.semantics import (
@@ -920,6 +922,56 @@ class TestBooleanWalkAgainstReference:
         for evaluate, cutoff in ((eval_classical, 3), (eval_super, [1, 5])):
             got = outcome(evaluate, Or(Atom("S", Index(None, 5)), node), cutoff)
             assert got == (TypeError, f"not a formula: {node!r}")
+
+
+_S2 = Atom("S", Index(None, 2))
+_SN = Atom("S", Index("n", 0))
+
+
+class TestFormulaSubclasses:
+    """A trivial subclass of a formula class is read as its base."""
+
+    BASES = [
+        _S2,
+        P,
+        Not(_S2),
+        And(_S2, P),
+        Or(_S2, P),
+        Implies(_S2, P),
+        Iff(_S2, P),
+        Forall("n", (1, 3), Or(_SN, P)),
+        Exists("n", (1, 3), And(_SN, P)),
+    ]
+
+    @staticmethod
+    def _results(formula):
+        k3 = {("S", n): value for n, value in zip((1, 2, 3), (TRUE, HALF, FALSE))}
+        return [
+            outcome(formula_to_str, formula),
+            *(
+                outcome(eval_classical, formula, cutoff, {"p": p})
+                for cutoff in range(1, 5)
+                for p in (False, True)
+            ),
+            *(
+                outcome(eval_super, formula, cutoffs, {"p": p})
+                for cutoffs in ([1, 3], [2, 4])
+                for p in (False, True)
+            ),
+            outcome(eval_k3, formula, k3, {"p": HALF}),
+            outcome(eval_fuzzy, formula, lambda pred, n: F(n, 4), {"p": F(1, 3)}),
+            outcome(collect_variables, formula),
+            outcome(is_tautology_k3, formula),
+            outcome(quasi_tautology_k3, formula),
+        ]
+
+    @pytest.mark.parametrize("base", BASES, ids=lambda base: type(base).__name__)
+    def test_printed_and_evaluated_as_the_base(self, base):
+        kind = type(base)
+        subclass = type(f"Sub{kind.__name__}", (kind,), {})
+        node = subclass(*(getattr(base, f.name) for f in dataclasses.fields(base)))
+        for wrap in (lambda f: f, Not, lambda f: And(P, f)):
+            assert self._results(wrap(node)) == self._results(wrap(base))
 
 
 class TestTautologyOnDeepTrees:
