@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 
 from . import __version__
 from .laws import run_law_suite
-from .neutrix import classify, parse_external, regular_inverse
-from .sampling import mutual_membership_check
+from .neutrix import classify, parse_external
 from .semantics import kleene_tables
 from .series import ParseError
 from .sorites import ConfigError, load_scenario, run_scenario
@@ -49,13 +47,20 @@ def _build_parser() -> argparse.ArgumentParser:
     numbers_eval = numbers_sub.add_parser(
         "eval", help="evaluate an expression"
     )
-    numbers_eval.add_argument("expr")
+    numbers_eval.add_argument(
+        "expr",
+        help='write "--" before an expression that starts with "-":'
+        ' soritica numbers eval -- "-e^(-1)"',
+    )
     numbers_eval.add_argument(
         "--oracle",
         action="store_true",
-        help="re-check the result with the membership-sampling oracle",
+        help="check that the printed result parses back to the same external number",
     )
-    numbers_eval.add_argument("--seed", type=int, default=0)
+    numbers_eval.add_argument(
+        "--seed", type=int, default=0,
+        help="echoed on the oracle line; selects nothing until ROADMAP item 4 lands",
+    )
 
     sub.add_parser("tables", help="print the strong three-valued truth tables")
 
@@ -92,16 +97,7 @@ def _cmd_numbers_eval(args) -> int:
         label = f"NeutrixOnly({value.neutrix.kind.name.title()})"
     print(label)
     if args.oracle:
-        rng = random.Random(args.seed)
-        reparsed = parse_external(text)
-        ok = value == reparsed and mutual_membership_check(
-            value, reparsed, rng
-        )
-        inverse = regular_inverse(value)
-        if inverse is not None:
-            ok = ok and mutual_membership_check(
-                value * inverse * value, value, rng
-            )
+        ok = value == parse_external(text)
         print(f"oracle: {'ok' if ok else 'MISMATCH'} (seed {args.seed})")
         if not ok:
             return 1

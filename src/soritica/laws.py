@@ -53,9 +53,10 @@ class LawResult:
 # building each ``Fraction`` from two ``randint`` calls.  ``choice`` and
 # ``randint`` both draw an index below ``n`` as ``Random._randbelow(n)``
 # does: ``n.bit_length()`` bits from ``getrandbits``, drawn again while the
-# value is ``>= n``.  The generators make those ``getrandbits`` calls in
-# loops written out inline, with the widths taken from the tables at
-# import.
+# value is ``>= n``.  The hot generators, ``_rand_exponent`` and
+# ``rand_series``, make those ``getrandbits`` calls in loops written out
+# inline, with the widths taken from the tables at import; the two draws
+# made once per law instance call ``choice`` itself.
 
 
 def _table(numerators, denominators):
@@ -90,11 +91,9 @@ _COEFFICIENTS = _table(range(-9, 10), range(1, 4))
 _COEFF_ROWS, _COEFF_ROW_BITS, _COEFF_COLS, _COEFF_COL_BITS = _widths(_COEFFICIENTS)
 #: Invertible monomials' coefficients: ``randint(1, 9)`` over ``randint(1, 3)``.
 _UNIT_COEFFICIENTS = _table(range(1, 10), range(1, 4))
-_UNIT_ROWS, _UNIT_ROW_BITS, _UNIT_COLS, _UNIT_COL_BITS = _widths(_UNIT_COEFFICIENTS)
 #: Appreciable scalars: ``choice((-9, -5, -1, 1, 2, 5, 9))`` over
 #: ``randint(1, 4)``.
 _SCALARS = _table((-9, -5, -1, 1, 2, 5, 9), range(1, 5))
-_SCALAR_ROWS, _SCALAR_ROW_BITS, _SCALAR_COLS, _SCALAR_COL_BITS = _widths(_SCALARS)
 
 
 def _rand_exponent(rng: random.Random) -> Rational:
@@ -162,12 +161,7 @@ def rand_invertible_external(rng: random.Random) -> ExternalNumber:
     while True:
         neutrix = rand_neutrix(rng)
         if neutrix.is_zero:
-            getrandbits = rng.getrandbits
-            while (row := getrandbits(_UNIT_ROW_BITS)) >= _UNIT_ROWS:
-                pass
-            while (col := getrandbits(_UNIT_COL_BITS)) >= _UNIT_COLS:
-                pass
-            coeff = _UNIT_COEFFICIENTS[row][col]
+            coeff = rng.choice(rng.choice(_UNIT_COEFFICIENTS))
             if rng.random() < 0.5:
                 coeff = -coeff
             rep = EpsSeries.monomial(_rand_exponent(rng), coeff)
@@ -286,12 +280,7 @@ def _check_no_zero_divisors(instance, rng):
 
 def _draw_appreciable_scale(rng):
     neutrix = rand_neutrix(rng)
-    getrandbits = rng.getrandbits
-    while (row := getrandbits(_SCALAR_ROW_BITS)) >= _SCALAR_ROWS:
-        pass
-    while (col := getrandbits(_SCALAR_COL_BITS)) >= _SCALAR_COLS:
-        pass
-    return _SCALARS[row][col], neutrix
+    return rng.choice(rng.choice(_SCALARS)), neutrix
 
 
 def _draw_integer_scale(rng):

@@ -8,12 +8,16 @@ They share no code with the coefficient tables or the one-difference
 check.  ``_below`` and ``_entry`` are the index draw that only the
 law-suite generators still write out inline: the ``getrandbits`` calls
 of ``choice`` and ``randint``, pinned against ``random`` itself.
+``old_cli_oracle`` is the check ``numbers eval --oracle`` made before it
+kept only the printed-text round trip.
 """
 
+import random
 from fractions import Fraction
+from typing import NamedTuple
 
-from soritica.neutrix import Kind
-from soritica.sampling import en_member
+from soritica.neutrix import Kind, parse_external, regular_inverse
+from soritica.sampling import en_member, mutual_membership_check
 from soritica.series import EpsSeries
 
 
@@ -74,3 +78,30 @@ def ref_mutual_membership_check(left, right, rng, count=50):
     return ref_samples_within(left, right, rng, count) and ref_samples_within(
         right, left, rng, count
     )
+
+
+class OldOracle(NamedTuple):
+    round_trip: bool
+    verdict: bool
+    inverted: bool
+    drew: bool
+
+
+def old_cli_oracle(value, seed):
+    """The old ``--oracle`` check of ``value``, as ``numbers eval`` ran it.
+
+    ``round_trip`` is ``value == parse_external(str(value))``, and
+    ``verdict`` adds both ``mutual_membership_check`` calls: ``value``
+    against its re-parse, and ``value * inverse * value`` against ``value``
+    when ``regular_inverse`` finds an ``inverse`` (``inverted``).  ``drew``
+    is whether those calls moved the ``Random(seed)`` they shared.
+    """
+    rng = random.Random(seed)
+    start = rng.getstate()
+    reparsed = parse_external(str(value))
+    round_trip = value == reparsed
+    ok = round_trip and mutual_membership_check(value, reparsed, rng)
+    inverse = regular_inverse(value)
+    if inverse is not None:
+        ok = ok and mutual_membership_check(value * inverse * value, value, rng)
+    return OldOracle(round_trip, ok, inverse is not None, rng.getstate() != start)

@@ -1,15 +1,25 @@
+import contextlib
 import dataclasses
+import io
 import json
+import random
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soritica import cli, laws
 from soritica.bounds import MAX_NESTING
 from soritica.cli import main
+from soritica.laws import rand_external, rand_invertible_external
+from soritica.neutrix import parse_external
+from soritica.series import ParseError
+
+from reference_sampling import old_cli_oracle
+from test_lexer import NUMBER_PIECES, texts
 
 FIXTURES = resources.files("soritica") / "fixtures"
 TABLES_GOLDEN = Path(__file__).parent / "golden" / "tables.txt"
@@ -44,6 +54,17 @@ class TestNumbers:
         )
         assert code == 0
         assert "oracle: ok" in out
+
+    def test_oracle_mismatch(self, capsys, monkeypatch):
+        _failing_oracle(monkeypatch)
+        code, out, err = run(capsys, "numbers", "eval", "--oracle", "1 + osl")
+        assert code == 1
+        assert err == ""
+        assert out.splitlines() == [
+            "1 + o(0)",
+            "Appreciable",
+            "oracle: MISMATCH (seed 0)",
+        ]
 
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "numbers", "eval", "2 +")
@@ -226,6 +247,51 @@ class TestSorites:
         assert "counterexample at n=4" in out_path.read_text()
 
 
+def _oracle_run(text, seed):
+    """Exit code and last stdout line of ``numbers eval --oracle`` on ``text``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["numbers", "eval", "--oracle", "--seed", str(seed), "--", text])
+    return code, out.getvalue().splitlines()[-1]
+
+
+class TestOracleIsTheRoundTrip:
+    """The old oracle's membership and inverse checks never decided anything.
+
+    On every value the old check, ``reference_sampling.old_cli_oracle``,
+    gives the verdict of the round trip alone and draws nothing, so the
+    CLI's ``oracle:`` line is the line the old check printed.
+    """
+
+    def check(self, text, seed):
+        old = old_cli_oracle(parse_external(text), seed)
+        assert old.verdict == old.round_trip
+        assert not old.drew
+        verdict = "ok" if old.verdict else "MISMATCH"
+        assert _oracle_run(text, seed) == (
+            0 if old.verdict else 1,
+            f"oracle: {verdict} (seed {seed})",
+        )
+        return old
+
+    def test_drawn_values(self):
+        rng = random.Random(26)
+        inverted = 0
+        for seed in range(400):
+            self.check(str(rand_external(rng)), seed)
+            inverted += self.check(str(rand_invertible_external(rng)), seed).inverted
+        assert inverted > 200
+
+    @settings(max_examples=300)
+    @given(texts(NUMBER_PIECES), st.integers(min_value=0, max_value=2**32))
+    def test_lexer_texts(self, text, seed):
+        try:
+            parse_external(text)
+        except ParseError:
+            return
+        self.check(text, seed)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -259,7 +325,14 @@ def _failing_law(monkeypatch):
 
 
 def _failing_oracle(monkeypatch):
-    monkeypatch.setattr(cli, "mutual_membership_check", lambda *args: False)
+    """The oracle's re-parse of the printed text gives a different number."""
+    calls = []
+
+    def parse(text):
+        calls.append(text)
+        return parse_external(text if len(calls) == 1 else "2")
+
+    monkeypatch.setattr(cli, "parse_external", parse)
 
 
 DEEP = "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)
