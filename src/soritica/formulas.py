@@ -12,11 +12,12 @@ written without spaces, as the printer writes it, is read as one token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Optional, Tuple, Union
 
 from .bounds import MAX_HEIGHT
-from .lexer import Descent, Infix, TextError
+from .lexer import Descent, Infix, Prefix, TextError
 
 __all__ = [
     "Index",
@@ -40,7 +41,7 @@ class FormulaSyntaxError(TextError):
     """Raised on malformed formula text; carries the failing offset."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index:
     """Index term: a literal, or a bound variable plus an offset.
 
@@ -67,54 +68,54 @@ class Index:
 Domain = Union[str, Tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     index: Index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     domain: Domain
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     domain: Domain
@@ -171,32 +172,90 @@ _SYMBOLS = {infix.meaning: (symbol, infix) for symbol, infix in _BINARY.items()}
 _NOT_LEVEL = 5
 
 
-class _Parser(Descent):
-    """Recursive-descent formula parser.
+_new = object.__new__
 
-    Parentheses, ``~`` and quantifiers nest at most ``MAX_NESTING`` deep,
-    and chains of connectives are read by one loop, so the parser's own
-    recursion is bounded.  Each rule returns a formula and its height (a
-    leaf is 1); once the whole text has parsed, a formula taller than
-    ``MAX_HEIGHT`` is refused at the first node that crossed the bound.
+
+def _trusted(cls):
+    """The parser's constructor of node class ``cls``.
+
+    It fills the slots directly: the generated ``__init__`` of a frozen
+    dataclass sets each field through ``object.__setattr__``, at about
+    three times the cost, and runs ``__post_init__``, whose one check
+    (``Index``'s) every index the grammar can write passes.
+    """
+    setters = [getattr(cls, field.name).__set__ for field in fields(cls)]
+    if len(setters) == 1:
+        [set_a] = setters
+
+        def build(a):
+            node = _new(cls)
+            set_a(node, a)
+            return node
+
+    elif len(setters) == 2:
+        set_a, set_b = setters
+
+        def build(a, b):
+            node = _new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            return node
+
+    else:
+        set_a, set_b, set_c = setters
+
+        def build(a, b, c):
+            node = _new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            set_c(node, c)
+            return node
+
+    return build
+
+
+_index, _atom, _propvar = _trusted(Index), _trusted(Atom), _trusted(PropVar)
+
+#: The parser's tables: ``_BINARY`` and the prefix operators, each with the
+#: trusted constructor of its node class.
+_JOINS = {
+    symbol: infix._replace(meaning=_trusted(infix.meaning))
+    for symbol, infix in _BINARY.items()
+}
+_PREFIXES = {
+    "~": Prefix(False, _trusted(Not)),
+    "forall": Prefix(True, _trusted(Forall)),
+    "exists": Prefix(True, _trusted(Exists)),
+}
+
+
+class _Parser(Descent):
+    """The formula parser: ``Descent``'s loop over the formula tables.
+
+    ``~`` is a tight prefix op and a quantifier a loose one, whose head
+    (``forall n in 1..9.``) :meth:`head` reads.  Parentheses, ``~`` and
+    quantifiers nest at most ``MAX_NESTING`` deep.  Each operand and node
+    is a formula with its height (a leaf is 1); once the whole text has
+    parsed, a formula taller than ``MAX_HEIGHT`` is refused at the first
+    node that crossed the bound.
 
     An atom written without spaces is one token, and each such token is
-    turned into an ``Atom`` once per parse: where it recurs, the parse
-    reuses that node.  Such a token is only ever read as an atom:
-    anywhere else, or with a keyword in it, or with a numeral too long to
-    convert, it is an error, and :func:`parse_formula` then reads the
-    whole text again with ``_PlainParser``, which lexes every atom as its
-    parts; that parse gives the error and its offset.
+    turned into an ``Atom`` once per parse and kept in ``leaves``: where
+    it recurs, the parse reuses that node.  Such a token is only ever read
+    as an atom: anywhere else, or with a keyword in it, or with a numeral
+    too long to convert, it is an error, and :func:`parse_formula` then
+    reads the whole text again with ``_PlainParser``, which lexes every
+    atom as its parts; that parse gives the error and its offset.
     """
 
     pattern = _TOKEN_RE
     error = FormulaSyntaxError
+    infixes = _JOINS
+    prefixes = _PREFIXES
 
     def __init__(self, text: str):
         super().__init__(text)
         self.too_tall: Optional[int] = None
-        # Each atom token read so far, with its formula and height.
-        self.atoms: Dict[str, Tuple[Atom, int]] = {}
 
     def parse(self) -> Formula:
         formula, _ = super().parse()
@@ -204,38 +263,30 @@ class _Parser(Descent):
             raise self.fail(f"formula taller than {MAX_HEIGHT} levels", self.too_tall)
         return formula
 
-    def parse_root(self) -> Tuple[Formula, int]:
-        return self.parse_formula()
-
-    def node(self, index: int, formula: Formula, height: int, other=0):
-        """``formula``, built at token ``index`` on parts ``height`` and
-        ``other`` tall, and its own height."""
-        height = (height if height > other else other) + 1
+    def join(self, index: int, build, left, right) -> Tuple[Formula, int]:
+        (a, a_height), (b, b_height) = left, right
+        height = (a_height if a_height > b_height else b_height) + 1
         if height > MAX_HEIGHT and self.too_tall is None:
             self.too_tall = index
-        return formula, height
+        return build(a, b), height
 
-    def parse_formula(self) -> Tuple[Formula, int]:
-        tokens = self.tokens
-        start = self.index
-        word = tokens[start]
-        if word == "forall" or word == "exists":
-            self.enter()
-            var = tokens[self.index]
-            if not _is_name(var):
-                raise self.fail("expected a quantifier variable")
-            self.index += 1
-            self.expect("in")
-            domain = self.parse_domain()
-            self.expect(".")
-            body, height = self.parse_formula()
-            self.depth -= 1
-            cls = Forall if word == "forall" else Exists
-            return self.node(start, cls(var, domain, body), height)
-        return self.parse_infix(self.parse_unary, _BINARY, self.join)
+    def apply(self, index: int, build, operand) -> Tuple[Formula, int]:
+        body, height = operand
+        height += 1
+        if height > MAX_HEIGHT and self.too_tall is None:
+            self.too_tall = index
+        return build(body), height
 
-    def join(self, index: int, cls, left, right) -> Tuple[Formula, int]:
-        return self.node(index, cls(left[0], right[0]), left[1], right[1])
+    def head(self, build):
+        """A quantifier's variable and domain, up to its ``.``."""
+        var = self.tokens[self.index]
+        if not _is_name(var):
+            raise self.fail("expected a quantifier variable")
+        self.index += 1
+        self.expect("in")
+        domain = self.parse_domain()
+        self.expect(".")
+        return partial(build, var, domain)
 
     def parse_domain(self) -> Domain:
         token = self.tokens[self.index]
@@ -249,33 +300,18 @@ class _Parser(Descent):
             return token
         raise self.fail("expected a finite domain")
 
-    def parse_unary(self) -> Tuple[Formula, int]:
+    def primary(self) -> Tuple[Formula, int]:
         tokens = self.tokens
         start = self.index
         token = tokens[start]
-        atom = self.atoms.get(token)
-        if atom is not None:
-            self.index = start + 1
-            return atom
-        if token == "~":
-            self.enter()
-            body, height = self.parse_unary()
-            self.depth -= 1
-            return self.node(start, Not(body), height)
-        if token == "(":
-            self.enter()
-            formula = self.parse_formula()
-            self.expect(")")
-            self.depth -= 1
-            return formula
         if _is_name(token):
-            self.index += 1
-            if tokens[self.index] == "(":
-                self.index += 1
+            self.index = start + 1
+            if tokens[start + 1] == "(":
+                self.index = start + 2
                 index = self.parse_index()
                 self.expect(")")
-                return Atom(token, index), 1
-            return PropVar(token), 1
+                return _atom(token, index), 1
+            return _propvar(token), 1
         match = _ATOM_RE.fullmatch(token)
         if match is None:
             raise self.fail("expected a formula")
@@ -284,19 +320,19 @@ class _Parser(Descent):
             raise self.fail("a keyword in an atom")
         try:
             if var is None:
-                index = Index(None, int(literal))
+                index = _index(None, int(literal))
             else:
-                index = Index(var, int(offset) if offset else 0)
+                index = _index(var, int(offset) if offset else 0)
         except ValueError:  # past the digit limit of int(str)
             raise self.fail("a numeral too long") from None
-        atom = self.atoms[token] = Atom(predicate, index), 1
+        leaf = self.leaves[token] = _atom(predicate, index), 1
         self.index = start + 1
-        return atom
+        return leaf
 
     def parse_index(self) -> Index:
         token = self.tokens[self.index]
         if token[:1].isdecimal() or token == "-":
-            return Index(None, self.parse_signed_rational("an index term"))
+            return _index(None, self.parse_signed_rational("an index term"))
         if _is_name(token):
             self.index += 1
             offset = 0
@@ -305,7 +341,7 @@ class _Parser(Descent):
                 if not self.tokens[self.index][:1].isdecimal():
                     raise self.fail("expected an offset")
                 offset = self.numeral()
-            return Index(token, offset)
+            return _index(token, offset)
         raise self.fail("expected an index term")
 
 

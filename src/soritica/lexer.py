@@ -1,8 +1,9 @@
-"""The front end both text languages share: tokens, offsets, a descent base.
+"""The front end both text languages share: tokens, offsets, one parse loop.
 
 The number language (``3 - 2*e^(1/2) + L(0)``) and the formula language
 (``forall n in 1..9. S(n) -> S(n+1)``) differ only in their token
-patterns and grammars; each parser raises its own error type.
+patterns, their operands and their tables of prefix and infix operators;
+each parser raises its own error type.
 
 A token is its text.  One ``findall`` reads a whole text into a list of
 strings, ended by ``""``.  A name, a numeral and an operator never share a
@@ -10,6 +11,11 @@ text, so the text also tells the kind: a numeral is the one kind that
 starts with a decimal digit, ``token[:1].isdecimal()`` (what ``\\d``
 matches; ``isdigit`` also takes ``²``).  A token's offset is found again
 only when an error needs it.
+
+One loop, :meth:`Descent.parse`, reads the tokens of either language:
+parentheses, prefix and infix operators wait on an explicit stack, so no
+parse recurses: the Python stack it uses does not grow with how deep the
+text nests or how long its chains are.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Callable, Mapping, NamedTuple, Type
+from typing import Any, Mapping, NamedTuple, Type
 
 from .bounds import MAX_NESTING
 
@@ -38,6 +44,16 @@ class Infix(NamedTuple):
     level: int  # 1 or more; a higher level binds tighter
     right: bool  # a chain of it groups to the right
     meaning: Any  # what ``join`` builds from the two operands
+
+
+class Prefix(NamedTuple):
+    """How a prefix operator binds, and what it builds."""
+
+    # A loose op binds loosest: it stands only where the text, a group or
+    # another loose op's operand starts, and takes the rest of that group.
+    # Any other binds tighter than every infix op and takes the next operand.
+    loose: bool
+    meaning: Any  # what ``apply`` builds from the operand
 
 
 def _zero_denominator(token: str) -> bool:
@@ -62,8 +78,11 @@ def tokenize(text: str, pattern: re.Pattern, error: Type[TextError]) -> list[str
     tokens = pattern.findall(text)
     # Tokens never overlap and hold no whitespace, so they cover every other
     # character exactly when their lengths add up to the count of those.
+    # Only a token with a slash can have a zero denominator.  The scan below
+    # must find a fault wherever this check flags one, or it runs off the end.
     if len("".join(tokens)) != len("".join(text.split())) or (
-        "/" in text and any(map(_zero_denominator, tokens))
+        "/" in text
+        and any(map(_zero_denominator, [token for token in tokens if "/" in token]))
     ):
         pos = 0  # read token by token up to the fault, for its offset
         while True:
@@ -80,32 +99,121 @@ def tokenize(text: str, pattern: re.Pattern, error: Type[TextError]) -> list[str
     return tokens
 
 
-class Descent:
-    """Recursive-descent base: a token cursor and the nesting guard.
+#: Levels on the stack of :meth:`Descent.parse`, below and above those of
+#: the infix ops (1 or more): what nothing joins, an open group, a loose
+#: prefix op (joined where its group ends) and a tight one (joined before
+#: any infix op).
+_BOTTOM, _GROUP, _LOOSE, _TIGHT = -2, -1, 0, sys.maxsize
 
-    A subclass sets ``pattern`` (with no groups) and ``error`` and defines
-    ``parse_root``; :meth:`parse` runs it and refuses leftover tokens.  The
-    grammar reads ``tokens[index]`` and moves ``index`` past what it takes,
-    never past the end marker.  Parentheses and prefix operators go through
-    :meth:`enter`, at most ``MAX_NESTING`` deep; chains of infix operators
-    go through :meth:`parse_infix`.
+
+class Descent:
+    """The parser base: a token cursor and one loop that reads a whole text.
+
+    A subclass sets ``pattern`` (with no groups), ``error``, ``infixes``
+    and ``prefixes``, and defines ``primary``, which reads one operand
+    from ``tokens[index]`` and moves ``index`` past it, never past the end
+    marker.  :meth:`parse` reads everything else: parentheses, prefix ops
+    and infix ops all wait on one explicit stack, so neither a chain nor a
+    nesting recurses.  ``join`` and ``apply`` build the node of an infix
+    and a prefix op.  A grammar with a loose prefix op also defines
+    ``head``, which reads what stands between that op and its operand from
+    ``index`` on and gives what ``apply`` then builds from.  Parentheses
+    and prefix ops nest at most ``MAX_NESTING`` deep.  No operand is
+    ``None``.
     """
 
     pattern: re.Pattern
     error: Type[TextError]
+    infixes: Mapping[str, Infix]
+    prefixes: Mapping[str, Prefix]
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text, self.pattern, self.error)
         self.index = 0
-        self.depth = 0
+        #: Operands by their token, for ``primary`` to keep one in that is
+        #: read the same wherever its token recurs; the loop reuses it.
+        self.leaves: dict[str, Any] = {}
 
     def parse(self):
-        value = self.parse_root()
-        token = self.tokens[self.index]
-        if token:
-            raise self.fail(f"unexpected token {token!r}")
-        return value
+        """The value of the whole text, or the error at its first fault.
+
+        Each node is built as soon as its last operand is complete: in the
+        order a descent with one rule per level would build them.
+        """
+        tokens, leaves = self.tokens, self.leaves
+        prefixes, infixes = self.prefixes, self.infixes
+        primary, join, apply = self.primary, self.join, self.apply
+        # What waits for an operand, as ``(level, token index, meaning,
+        # left operand)``; a group or a prefix op has no left operand.
+        pending: list[tuple] = [(_BOTTOM, 0, None, None)]
+        depth = 0  # the groups and prefix ops on ``pending``
+        index = 0
+        start = True  # where a group starts, so a loose prefix may stand
+        while True:
+            # Take prefix ops and open groups up to an operand, and read it.
+            token = tokens[index]
+            value = leaves.get(token)
+            if value is not None:
+                index += 1
+            else:
+                prefix = prefixes.get(token)
+                if token == "(" or prefix is not None and (start or not prefix.loose):
+                    if depth == MAX_NESTING:
+                        raise self.fail(f"nesting deeper than {MAX_NESTING} levels", index)
+                    depth += 1
+                    at = index
+                    index += 1
+                    if prefix is None:
+                        pending.append((_GROUP, at, None, None))
+                        start = True
+                    elif prefix.loose:
+                        self.index = index
+                        pending.append((_LOOSE, at, self.head(prefix.meaning), None))
+                        index = self.index
+                    else:
+                        pending.append((_TIGHT, at, prefix.meaning, None))
+                        start = False
+                    continue
+                self.index = index
+                value = primary()
+                index = self.index
+            # The operand is complete: join what binds at least as tight as
+            # the op after it (an op that groups right leaves those of its
+            # own level waiting), and close each group that ends there.
+            while True:
+                token = tokens[index]
+                infix = infixes.get(token)
+                level = 0 if infix is None else infix.level + infix.right
+                while pending[-1][0] >= level:
+                    _, at, meaning, left = pending.pop()
+                    if left is None:
+                        depth -= 1
+                        value = apply(at, meaning, value)
+                    else:
+                        value = join(at, meaning, left, value)
+                if infix is not None:
+                    break
+                if pending[-1][0] == _BOTTOM:
+                    if token:
+                        raise self.fail(f"unexpected token {token!r}", index)
+                    return value
+                if token != ")":
+                    raise self.fail("expected ')'", index)
+                pending.pop()
+                depth -= 1
+                index += 1
+            pending.append((infix.level, index, infix.meaning, value))
+            index += 1
+            start = False
+
+    def join(self, index: int, meaning, left, right):
+        """The node of the infix op at token ``index``."""
+        return meaning(left, right)
+
+    def apply(self, index: int, meaning, operand):
+        """The node of the prefix op at token ``index``."""
+        return meaning(operand)
 
     def fail(self, message: str, index: int | None = None) -> TextError:
         """The error at token ``index`` (the next one by default), whose
@@ -120,45 +228,6 @@ class Descent:
         if self.tokens[self.index] != token:
             raise self.fail(f"expected {token!r}")
         self.index += 1
-
-    def enter(self) -> None:
-        """Take the token that opens one more nesting level."""
-        if self.depth == MAX_NESTING:
-            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
-        self.depth += 1
-        self.index += 1
-
-    def parse_infix(
-        self,
-        operand: Callable[[], Any],
-        table: Mapping[str, Infix],
-        join: Callable[[int, Any, Any, Any], Any],
-    ):
-        """Operands read by ``operand``, between ops of ``table``, folded.
-
-        ``join(index, meaning, left, right)`` builds the node of the op at
-        token ``index``.  The ops wait on an explicit stack, so a chain never
-        recurses, and each node is joined as soon as its right operand is
-        complete: in the order a descent with one rule per level would join
-        them.
-        """
-        tokens = self.tokens
-        values = [operand()]
-        pending: list[tuple[int, Infix]] = []
-        while True:
-            infix = table.get(tokens[self.index])
-            # Join the waiting ops that bind at least as tight as this one;
-            # an op that groups right leaves those of its own level waiting.
-            level = 0 if infix is None else infix.level + infix.right
-            while pending and pending[-1][1].level >= level:
-                at, waiting = pending.pop()
-                right = values.pop()
-                values[-1] = join(at, waiting.meaning, values[-1], right)
-            if infix is None:
-                return values[0]
-            pending.append((self.index, infix))
-            self.index += 1
-            values.append(operand())
 
     def numeral(self):
         """Take the next token, a numeral, and give its exact value.

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
 from .bounds import MAX_POWER, BoundExceeded
-from .lexer import Descent, Infix, TextError
+from .lexer import Descent, Infix, Prefix, TextError
 
 __all__ = [
     "EpsSeries",
@@ -396,16 +396,15 @@ _INFIX = {
     "*": Infix(2, False, operator.mul),
 }
 
+#: The one prefix operator: unary minus, which binds tighter than ``*``.
+_PREFIX = {"-": Prefix(False, operator.neg)}
+
 #: The tokens that are not names: the operators and the end marker.
 _NOT_NAMES = frozenset(["^", "*", "+", "-", "(", ")", ""])
 
 
-def _apply(index: int, meaning, left, right):
-    return meaning(left, right)
-
-
 class ExprParser(Descent):
-    """Recursive-descent parser for ``+ - *`` expressions over series.
+    """Parser for ``+ - *`` expressions over series.
 
     Numerals and powers of ``e`` are series.  Subclasses may extend
     :meth:`parse_name` to add further primaries (the external-number
@@ -415,6 +414,8 @@ class ExprParser(Descent):
 
     pattern = _TOKEN_RE
     error = ParseError
+    infixes = _INFIX
+    prefixes = _PREFIX
 
     def parse_name(self, name: str):
         """The value of ``name``, the token just taken."""
@@ -427,30 +428,13 @@ class ExprParser(Descent):
 
     # grammar -------------------------------------------------------------
 
-    def parse_root(self):
-        return self.parse_infix(self.parse_factor, _INFIX, _apply)
-
-    def parse_factor(self):
-        if self.tokens[self.index] == "-":
-            self.enter()
-            value = -self.parse_factor()
-            self.depth -= 1
-            return value
-        return self.parse_primary()
-
-    def parse_primary(self):
+    def primary(self):
         token = self.tokens[self.index]
         if token[:1].isdecimal():
             return EpsSeries.from_rational(self.numeral())
         if token not in _NOT_NAMES:
             self.index += 1
             return self.parse_name(token)
-        if token == "(":
-            self.enter()
-            value = self.parse_root()
-            self.expect(")")
-            self.depth -= 1
-            return value
         raise self.fail("expected a value")
 
     def parse_exponent(self) -> Rational:

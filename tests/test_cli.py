@@ -560,3 +560,81 @@ def test_exit_code_contract(
     text = captured.out if stream == "out" else captured.err
     assert got == code
     assert text.splitlines()[0] == first
+
+
+# -- numbers eval on drawn texts -----------------------------------------------
+
+#: What stderr starts with when ``numbers eval`` exits 2: the CLI's own
+#: prefixes, and argparse's usage line.
+EVAL_PREFIXES = ("syntax error: ", "cannot print result: ", "usage: ")
+
+_LIMIT = sys.get_int_max_str_digits()
+NUMERALS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map("{0[0]}/{0[1]}".format),
+    st.integers(_LIMIT - 1, _LIMIT + 1).map(lambda digits: "9" * digits),
+    st.integers(_LIMIT - 1, _LIMIT + 1).map(lambda digits: "1/" + "7" * digits),
+)
+EXPONENTS = st.sampled_from(["2", "-1", "(1/2)", "(-3/4)", "0"])
+SYMBOLS = st.one_of(
+    NUMERALS,
+    st.sampled_from(["0", "-1", "1/2", "-3/4"]).map("L({})".format),
+    st.sampled_from(["0", "-1", "1/2", "-3/4"]).map("o({})".format),
+    st.sampled_from(["osl", "⊘", "lim", "£", "e"]),
+    EXPONENTS.map("e^{}".format),
+)
+
+
+@st.composite
+def eval_texts(draw):
+    """A text over every symbol of the number language: a chain of terms,
+    nested shallow or about ``MAX_NESTING`` deep, with 0-3 characters
+    inserted."""
+    terms = draw(st.lists(SYMBOLS, min_size=1, max_size=5))
+    ops = draw(st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=len(terms)))
+    text = "".join(op + term for op, term in zip(ops, terms))[len(ops[0]) :]
+    if draw(st.booleans()):
+        levels = draw(st.integers(0, 3))
+    else:
+        levels = draw(st.integers(MAX_NESTING - 1, MAX_NESTING + 1))
+    openers = draw(st.lists(st.sampled_from(["(", "-"]), min_size=levels, max_size=levels))
+    text = "".join(openers) + text + ")" * openers.count("(")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("()-^*+/ 0e@é٣"))) + text[at:]
+    return text
+
+
+def _eval(argv):
+    """``main(argv)`` in process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2  # argparse refused the arguments
+            code = "argparse"
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDrawnEval:
+    """``numbers eval`` gives a value or a typed error, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(eval_texts(), st.booleans(), st.booleans())
+    def test_exit_contract(self, text, oracle, dashes):
+        dashes = dashes or text.startswith("-")
+        argv = ["numbers", "eval", *(["--oracle"] if oracle else []), *(["--"] if dashes else []), text]
+        code, out, err = _eval(argv)
+        assert code in (0, 1, 2, "argparse")
+        if code in (2, "argparse"):
+            assert err.startswith(EVAL_PREFIXES) and out == ""
+        else:
+            assert err == "" and len(out.splitlines()) == 2 + oracle
+
+    def test_leading_minus_needs_dashes(self):
+        code, out, err = _eval(["numbers", "eval", "-e^(-1)"])
+        assert code == "argparse" and out == ""
+        assert "the following arguments are required: expr" in err
+        code, out, err = _eval(["numbers", "eval", "--", "-e^(-1)"])
+        assert (code, out, err) == (0, "-e^(-1)\nUnlimited\n", "")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -291,3 +293,56 @@ class TestAtomTokens:
 
     def test_atoms_not_shared_across_calls(self):
         assert parse_formula("S(n+1)") is not parse_formula("S(n+1)")
+
+
+class TestTrustedConstructors:
+    """The parser fills node slots directly; its trees are the ones the
+    public constructors build, and those still check."""
+
+    @given(formulas)
+    def test_parsed_tree_as_built(self, formula):
+        parsed = parse_formula(formula_to_str(formula))
+        assert parsed == formula
+        assert hash(parsed) == hash(formula)
+        assert repr(parsed) == repr(formula)
+
+    @pytest.mark.parametrize(
+        "text, built",
+        [
+            (
+                "forall n in 1..9. S(n) & ~S(n+1)",
+                Forall(
+                    "n",
+                    (1, 9),
+                    And(Atom("S", Index("n", 0)), Not(Atom("S", Index("n", 1)))),
+                ),
+            ),
+            (
+                "exists m in D. (p <-> S (-2)) | q -> r",
+                Exists(
+                    "m",
+                    "D",
+                    Implies(
+                        Or(Iff(PropVar("p"), Atom("S", Index(None, -2))), PropVar("q")),
+                        PropVar("r"),
+                    ),
+                ),
+            ),
+        ],
+    )
+    def test_every_node_class(self, text, built):
+        for parse in (parse_formula, old_parse_formula):
+            parsed = parse(text)
+            assert (parsed, hash(parsed), repr(parsed)) == (built, hash(built), repr(built))
+
+    def test_nodes_have_slots_and_stay_frozen(self):
+        formula = parse_formula("~S(n+1) & p")
+        for node in (formula, formula.left, formula.left.body, formula.left.body.index):
+            assert not hasattr(node, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            formula.left = PropVar("q")
+
+    def test_public_index_still_checks(self):
+        with pytest.raises(ValueError, match="negative offset"):
+            Index("n", -1)
+        assert parse_formula("S(n+0)").index == Index("n", 0)

@@ -1,13 +1,22 @@
 """The shared front end: fuzzed texts and round trips through ``str``."""
 
+import inspect
 import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soritica.bounds import MAX_HEIGHT
-from soritica.formulas import FormulaSyntaxError, parse_formula
+import soritica
+from soritica.bounds import MAX_HEIGHT, MAX_NESTING
+from soritica.formulas import FormulaSyntaxError, Index, parse_formula
 from soritica.lexer import TextError
 from soritica.neutrix import ExternalNumber, Kind, Neutrix, parse_external
 from soritica.series import EpsSeries, ParseError, parse_series
@@ -225,3 +234,179 @@ class TestExternalFromSeries:
         value = parse_external(text)
         assert value == ReferenceExternalParser(text).parse()
         assert str(value) == printed
+
+
+# -- reading nested texts with one loop ------------------------------------
+
+#: Parses texts from stdin with the recursion limit set low after the
+#: imports, and prints each outcome once the limit is back.
+_LOW_LIMIT_SCRIPT = """
+import json, sys
+from soritica.formulas import parse_formula
+from soritica.lexer import TextError
+from soritica.neutrix import parse_external
+
+cases = json.load(sys.stdin)
+parsers = {"formula": parse_formula, "number": parse_external}
+results = []
+sys.setrecursionlimit(LIMIT)
+for grammar, text in cases:
+    try:
+        results.append(parsers[grammar](text))
+    except TextError as exc:
+        results.append([exc.message, exc.position])
+sys.setrecursionlimit(1000)
+print(json.dumps([r if isinstance(r, list) else repr(r) for r in results]))
+"""
+
+#: Far below the frames a descent with a rule per level would spend on
+#: ``MAX_NESTING`` levels (three or four a level), and above the few the
+#: loop needs whatever the nesting.
+LOW_LIMIT = 40
+
+FORMULA_OPENERS = ["(", "~", "forall n in 1..2. ", "exists m in D. "]
+NUMBER_OPENERS = ["(", "-"]
+
+
+def nest(openers, core, tails=()):
+    """``core`` inside ``openers``, each ``(`` closed and then followed by
+    the next of ``tails`` (or nothing)."""
+    tails = iter(tails)
+    closing = ""
+    for opener in reversed(openers):
+        if opener == "(":
+            closing += ")" + next(tails, "")
+    return "".join(openers) + core + closing
+
+
+def formula_openers(rng_choice, levels):
+    """``levels`` formula openers, a quantifier only where one may stand:
+    first, after ``(`` or after another quantifier."""
+    openers = []
+    for _ in range(levels):
+        allowed = FORMULA_OPENERS if not openers or openers[-1] != "~" else ["(", "~"]
+        openers.append(rng_choice(allowed))
+    return openers
+
+
+def shape(value):
+    """A formula tree as a flat tuple, walked with an explicit stack (a
+    tree near ``MAX_HEIGHT`` is too tall for a recursive ``==`` inside a
+    drawn test); any other value as it is."""
+    if not is_dataclass(value):
+        return value
+    flat, stack = [], [value]
+    while stack:
+        node = stack.pop()
+        flat.append(type(node))
+        for field in fields(node):
+            part = getattr(node, field.name)
+            if is_dataclass(part) and not isinstance(part, Index):
+                stack.append(part)
+            else:
+                flat.append(part)
+    return tuple(flat)
+
+
+class TestNoRecursion:
+    """Parsing spends no Python frame per nesting level."""
+
+    def test_deep_mixes_at_a_low_recursion_limit(self):
+        rng = random.Random(27)
+        cases = []
+        for levels in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+            for _ in range(4):
+                openers = formula_openers(rng.choice, levels)
+                cases.append(("formula", nest(openers, "S(n) & p", [" | q"] * levels)))
+                openers = [rng.choice(NUMBER_OPENERS) for _ in range(levels)]
+                cases.append(("number", nest(openers, "1 + e*osl", [" - 2"] * levels)))
+        cases.append(("formula", "(" * MAX_NESTING + "~" * 5000 + "p"))
+        cases.append(("number", "-" * 5000 + "1"))
+        src = Path(soritica.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", _LOW_LIMIT_SCRIPT.replace("LIMIT", str(LOW_LIMIT))],
+            input=json.dumps(cases),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        got = json.loads(done.stdout)
+        parsers = {"formula": parse_formula, "number": parse_external}
+        parsed = 0
+        for (grammar, text), result in zip(cases, got, strict=True):
+            want = outcome(parsers[grammar], text)
+            if isinstance(want, tuple):
+                assert result == [want[1], want[2]]
+            else:
+                parsed += 1
+                assert result == repr(want)
+        assert parsed >= 8
+
+    def test_the_descent_does_recurse(self):
+        """The same check would catch a parser that spends a frame a level."""
+        text = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+        limit = sys.getrecursionlimit()
+        depth = len(inspect.stack(0))
+        sys.setrecursionlimit(depth + LOW_LIMIT)
+        try:
+            with pytest.raises(RecursionError):
+                old_parse_series(text)
+            assert parse_series(text) == EpsSeries.from_rational(1)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+LEAVES = ["p", "q", "S(1)", "S(n+1)", "S (2)"]
+
+
+@st.composite
+def formulas_at_the_bounds(draw):
+    """A formula text nested about ``MAX_NESTING`` deep around a chain that
+    makes it about ``MAX_HEIGHT`` tall, with up to two pieces inserted."""
+    levels = draw(st.integers(MAX_NESTING - 2, MAX_NESTING + 2))
+    openers = formula_openers(lambda options: draw(st.sampled_from(options)), levels)
+    prefixes = sum(opener != "(" for opener in openers)
+    operands = max(1, MAX_HEIGHT - prefixes + draw(st.integers(-2, 2)))
+    op = draw(st.sampled_from(["&", "|", "->", "<->"]))
+    core = f" {op} ".join(draw(st.lists(st.sampled_from(LEAVES), min_size=operands, max_size=operands)))
+    tails = draw(st.lists(st.sampled_from(["", "", " & p", " -> q"]), max_size=levels))
+    return insert(draw, nest(openers, core, tails), FORMULA_PIECES)
+
+
+@st.composite
+def numbers_at_the_bounds(draw):
+    levels = draw(st.integers(MAX_NESTING - 2, MAX_NESTING + 2))
+    openers = draw(st.lists(st.sampled_from(NUMBER_OPENERS), min_size=levels, max_size=levels))
+    core = draw(st.sampled_from(["1 + e*2 - osl", "L(-1) * 3/4", "e^(1/2) - lim", "x"]))
+    tails = draw(st.lists(st.sampled_from(["", "", " * 2", " - e"]), max_size=levels))
+    return insert(draw, nest(openers, core, tails), NUMBER_PIECES)
+
+
+def insert(draw, text, pieces):
+    """``text`` with up to two of ``pieces`` inserted at drawn offsets."""
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(pieces + STRAY)) + text[at:]
+    return text
+
+
+class TestAtTheBounds:
+    """Texts whose nesting straddles ``MAX_NESTING`` and whose height
+    straddles ``MAX_HEIGHT`` parse as the reference parsers do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas_at_the_bounds())
+    def test_formula(self, text):
+        got = shape(outcome(parse_formula, text))
+        assert got == shape(outcome(ref_parse_formula, text))
+        assert got == shape(outcome(old_parse_formula, text))
+
+    @settings(max_examples=150, deadline=None)
+    @given(numbers_at_the_bounds(), st.sampled_from(["series", "external"]))
+    def test_numbers(self, text, grammar):
+        parse, reference = PARSERS[grammar]
+        got = outcome(parse, text)
+        assert got == outcome(reference, text)
+        assert got == outcome(OLD_PARSERS[grammar][1], text)
