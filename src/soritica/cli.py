@@ -79,6 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_print() -> int:
+    """Report a result holding a numeral past the int-to-str digit limit."""
+    digits = sys.get_int_max_str_digits()
+    print(f"cannot print result: numeral over {digits} digits", file=sys.stderr)
+    return 2
+
+
 def _cmd_numbers_eval(args) -> int:
     try:
         value = parse_external(args.expr)
@@ -87,10 +94,8 @@ def _cmd_numbers_eval(args) -> int:
         return 2
     try:
         text = str(value)
-    except ValueError:  # a numeral past the int-to-str digit limit
-        digits = sys.get_int_max_str_digits()
-        print(f"cannot print result: numeral over {digits} digits", file=sys.stderr)
-        return 2
+    except ValueError:
+        return _cannot_print()
     print(text)
     label = classify(value).value
     if label == "NeutrixOnly":
@@ -129,10 +134,13 @@ def _cmd_sorites_run(args) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(scenario)
-    rendered = (
-        report.to_json() if args.format == "json" else report.to_text()
-    )
+    # The runners write the report's details as text, so a numeral past the
+    # int-to-str digit limit fails there or in the rendering.
+    try:
+        report = run_scenario(scenario)
+        rendered = report.to_json() if args.format == "json" else report.to_text()
+    except ValueError:
+        return _cannot_print()
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

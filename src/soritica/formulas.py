@@ -12,10 +12,11 @@ written without spaces, as the printer writes it, is read as one token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple, Union
 
+from ._trusted import trusted
 from .bounds import MAX_HEIGHT
 from .lexer import Descent, Infix, Prefix, TextError
 
@@ -137,20 +138,19 @@ def _base_kind(node) -> Optional[type]:
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
-#: The tokens of the grammar.  A token holds no whitespace.
-_PLAIN_TOKEN_RE = re.compile(
-    r"\d+"  # numeral
-    rf"|{_NAME}"  # name
-    r"|<->|->|\.\.|[~&|().+,-]"  # operator
-)
+#: The operators.  None starts with a letter or a digit, so trying them
+#: first changes no token and spares the other alternatives at each one.
+_OPERATOR = r"<->|->|\.\.|[~&|().+,-]"
+
+#: The tokens of the grammar: operators, numerals and names.  A token holds
+#: no whitespace.
+_PLAIN_TOKEN_RE = re.compile(rf"{_OPERATOR}|\d+|{_NAME}")
 
 #: An atom written without spaces, ``S(3)``, ``S(n)`` or ``S(n+1)``: the
 #: form ``formula_to_str`` prints, read as a single token.
 _ATOM_RE = re.compile(rf"({_NAME})\((?:(\d+)|({_NAME})(?:\+(\d+))?)\)")
 
-_TOKEN_RE = re.compile(
-    rf"{_NAME}\((?:\d+|{_NAME}(?:\+\d+)?)\)|" + _PLAIN_TOKEN_RE.pattern
-)
+_TOKEN_RE = re.compile(rf"{_OPERATOR}|{_NAME}\((?:\d+|{_NAME}(?:\+\d+)?)\)|\d+|{_NAME}")
 
 _KEYWORDS = {"forall", "exists", "in"}
 
@@ -171,61 +171,20 @@ _BINARY = {
 _SYMBOLS = {infix.meaning: (symbol, infix) for symbol, infix in _BINARY.items()}
 _NOT_LEVEL = 5
 
-
-_new = object.__new__
-
-
-def _trusted(cls):
-    """The parser's constructor of node class ``cls``.
-
-    It fills the slots directly: the generated ``__init__`` of a frozen
-    dataclass sets each field through ``object.__setattr__``, at about
-    three times the cost, and runs ``__post_init__``, whose one check
-    (``Index``'s) every index the grammar can write passes.
-    """
-    setters = [getattr(cls, field.name).__set__ for field in fields(cls)]
-    if len(setters) == 1:
-        [set_a] = setters
-
-        def build(a):
-            node = _new(cls)
-            set_a(node, a)
-            return node
-
-    elif len(setters) == 2:
-        set_a, set_b = setters
-
-        def build(a, b):
-            node = _new(cls)
-            set_a(node, a)
-            set_b(node, b)
-            return node
-
-    else:
-        set_a, set_b, set_c = setters
-
-        def build(a, b, c):
-            node = _new(cls)
-            set_a(node, a)
-            set_b(node, b)
-            set_c(node, c)
-            return node
-
-    return build
-
-
-_index, _atom, _propvar = _trusted(Index), _trusted(Atom), _trusted(PropVar)
+# Index's one check, an offset of a variable not below 0, holds for every
+# index the grammar can write; the other node classes check nothing.
+_index, _atom, _propvar = trusted(Index), trusted(Atom), trusted(PropVar)
 
 #: The parser's tables: ``_BINARY`` and the prefix operators, each with the
 #: trusted constructor of its node class.
 _JOINS = {
-    symbol: infix._replace(meaning=_trusted(infix.meaning))
+    symbol: infix._replace(meaning=trusted(infix.meaning))
     for symbol, infix in _BINARY.items()
 }
 _PREFIXES = {
-    "~": Prefix(False, _trusted(Not)),
-    "forall": Prefix(True, _trusted(Forall)),
-    "exists": Prefix(True, _trusted(Exists)),
+    "~": Prefix(False, trusted(Not)),
+    "forall": Prefix(True, trusted(Forall)),
+    "exists": Prefix(True, trusted(Exists)),
 }
 
 
@@ -237,7 +196,10 @@ class _Parser(Descent):
     quantifiers nest at most ``MAX_NESTING`` deep.  Each operand and node
     is a formula with its height (a leaf is 1); once the whole text has
     parsed, a formula taller than ``MAX_HEIGHT`` is refused at the first
-    node that crossed the bound.
+    node that crossed the bound.  It builds each node with the constructor
+    :func:`~soritica._trusted.trusted` makes of its class, as the number
+    core builds its values: the grammar writes only nodes the public
+    constructors would accept, so their checks are skipped.
 
     An atom written without spaces is one token, and each such token is
     turned into an ``Atom`` once per parse and kept in ``leaves``: where

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from ._trusted import trusted
 from .bounds import MAX_POWER, BoundExceeded
 from .series import (
     ONE,
@@ -152,21 +153,8 @@ class Neutrix:
         return f"{self.kind.value}({self.exponent})"
 
 
-_new = object.__new__
-_set_exponent = Neutrix.exponent.__set__
-_set_kind = Neutrix.kind.__set__
-
-
-def _neutrix(exponent: Rational, kind: Kind) -> Neutrix:
-    """The group ``L(exponent)`` or ``o(exponent)``, built without the check.
-
-    The arithmetic's own constructor: ``exponent`` must already be an
-    ``int`` or a ``Fraction`` and ``kind`` a :class:`Kind`.
-    """
-    neutrix = _new(Neutrix)
-    _set_exponent(neutrix, exponent)
-    _set_kind(neutrix, kind)
-    return neutrix
+# Its exponent must be an ``int`` or a ``Fraction`` and its kind a ``Kind``.
+_neutrix = trusted(Neutrix)
 
 
 _ZERO_GROUP = Neutrix()
@@ -355,20 +343,8 @@ class ExternalNumber:
         return f"ExternalNumber({self})"
 
 
-_set_rep = ExternalNumber.rep.__set__
-_set_neutrix = ExternalNumber.neutrix.__set__
-
-
-def _external(rep: EpsSeries, neutrix: Neutrix) -> ExternalNumber:
-    """The pair ``(rep, neutrix)``, which must already be canonical.
-
-    The arithmetic's own constructor: it fills the slots without running
-    the check in ``__post_init__``.
-    """
-    number = _new(ExternalNumber)
-    _set_rep(number, rep)
-    _set_neutrix(number, neutrix)
-    return number
+# Its pair must be canonical: the neutrix absorbs no term of the rep.
+_external = trusted(ExternalNumber)
 
 
 def classify(alpha: ExternalNumber) -> Classification:

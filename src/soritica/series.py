@@ -20,6 +20,7 @@ from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
+from ._trusted import trusted
 from .bounds import MAX_POWER, BoundExceeded
 from .lexer import Descent, Infix, Prefix, TextError
 
@@ -357,20 +358,8 @@ class EpsSeries:
         return f"EpsSeries({self})"
 
 
-_new = object.__new__
-_set_terms = EpsSeries.terms.__set__
-
-
-def _series(terms: Terms) -> EpsSeries:
-    """The series of ``terms``, which must already be canonical.
-
-    The arithmetic's own constructor: it fills the slot without running
-    the check in ``__post_init__``, which its results, sorted, zero-free
-    and in :func:`rational` form by construction, would always pass.
-    """
-    series = _new(EpsSeries)
-    _set_terms(series, terms)
-    return series
+# Its terms must be sorted, zero-free and in ``rational`` form.
+_series = trusted(EpsSeries)
 
 
 ZERO = EpsSeries()

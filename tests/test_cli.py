@@ -1,9 +1,11 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import random
 import sys
+import tempfile
 import time
 from importlib import resources
 from pathlib import Path
@@ -638,3 +640,176 @@ class TestDrawnEval:
         assert "the following arguments are required: expr" in err
         code, out, err = _eval(["numbers", "eval", "--", "-e^(-1)"])
         assert (code, out, err) == (0, "-e^(-1)\nUnlimited\n", "")
+
+
+# -- sorites run, laws and tables on drawn arguments ---------------------------
+
+#: What stderr starts with when ``sorites run`` exits 2: the CLI's own prefixes.
+SORITES_PREFIXES = (
+    "config error at ",
+    "cannot read config: ",
+    "cannot print result: ",
+    "cannot write output: ",
+)
+
+#: Valid configs whose reports hold a numeral past the int-to-str digit
+#: limit: a weakest-link degree with a denominator of about 63 * 10**4299,
+#: and a doubling sample ``bound/2`` with a 4301-digit denominator.
+PAST_THE_LIMIT = {
+    "big": {
+        "name": "big",
+        "range": [0, 10 ** (_LIMIT - 1)],
+        "backend": {
+            "type": "fuzzy_membership",
+            "params": {
+                "points": [[0, "1/7"], [10 ** (_LIMIT - 1), "8/9"]],
+                "threshold": "1/2",
+            },
+        },
+    },
+    "tiny": {
+        "name": "tiny",
+        "range": [0, 10],
+        "backend": {"type": "nonstandard", "params": {"threshold": "1/" + "9" * _LIMIT}},
+    },
+}
+
+
+class TestPastTheDigitLimit:
+    """A report holding a numeral past the digit limit is refused whole."""
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", PAST_THE_LIMIT)
+    def test_exit_2(self, tmp_path, name, fmt, to_file):
+        config, output = tmp_path / "config.json", tmp_path / "report"
+        config.write_text(json.dumps(PAST_THE_LIMIT[name]))
+        argv = ["sorites", "run", str(config), "--format", fmt]
+        code, out, err = _eval(argv + (["-o", str(output)] if to_file else []))
+        assert (code, out) == (2, "")
+        assert err == f"cannot print result: numeral over {_LIMIT} digits\n"
+        assert not output.exists()
+
+
+class Numeral(str):
+    """A JSON integer written as these digits, which may pass the limit."""
+
+
+def _dump(value) -> str:
+    """``value`` as JSON text, each ``Numeral`` written as it is."""
+    if isinstance(value, Numeral):
+        return value
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return json.dumps(value)
+
+
+def _near_the_limit(digits):
+    """Runs of one of ``digits``, one shorter than the limit to one longer."""
+    return st.tuples(st.sampled_from(digits), st.integers(_LIMIT - 1, _LIMIT + 1)).map(
+        lambda drawn: drawn[0] * drawn[1]
+    )
+
+
+JSON_INTS = st.one_of(
+    st.integers(-3, 12),
+    st.tuples(st.sampled_from(["", "-"]), _near_the_limit("19")).map(
+        lambda drawn: Numeral("".join(drawn))
+    ),
+)
+JSON_STRINGS = st.one_of(
+    # First, as the simplest: a report passes the digit limit only from
+    # such a fraction in the right place.
+    _near_the_limit("159").map("1/{}".format),
+    st.sampled_from(
+        ["0", "1", "1/2", "1/7", "8/9", "-1/3", "3/2", "1e-5000", "e^(-1)", "e^(-1) + 7"]
+        + ["limited", "e", "x", "", "a\ud800b"]
+    ),
+    _near_the_limit("9"),
+)
+JSON_VALUES = st.one_of(
+    JSON_INTS,
+    JSON_STRINGS,
+    st.sampled_from([None, True, 0.5, 1e300, [], {}, [[[]]], [[0, "1"], [10, "0"]]]),
+)
+
+FIXTURE_CONFIGS = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted(FIXTURES.iterdir(), key=lambda path: path.name)
+    if path.name.endswith(".json") and path.name != "sorites_config.schema.json"
+]
+
+
+def _leaves(value, path=()):
+    """The path of every value in ``value`` that is not an array or object."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from _leaves(child, (*path, key))
+
+
+@st.composite
+def sorites_configs(draw):
+    """A bundled fixture with 1-3 of its leaf values swapped for drawn ones:
+    half of them backend params, most for a value of the same JSON type."""
+    config = copy.deepcopy(draw(st.sampled_from(FIXTURE_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = list(_leaves(config))
+        params = [path for path in leaves if path[:2] == ("backend", "params")]
+        *parents, key = draw(st.sampled_from(params or leaves) | st.sampled_from(leaves))
+        node = config
+        for parent in parents:
+            node = node[parent]
+        like = {str: JSON_STRINGS, int: JSON_INTS}.get(type(node[key]), JSON_VALUES)
+        drawn = draw(JSON_VALUES if draw(st.integers(0, 3)) == 3 else like)
+        node[key] = copy.deepcopy(drawn)  # a drawn array or object is shared
+    return config
+
+
+class TestDrawnCommands:
+    """``sorites run``, ``laws`` and ``tables`` give output or a typed error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorites_configs(), st.sampled_from(["text", "json"]), st.booleans())
+    def test_sorites_run(self, config, fmt, to_file):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, output = Path(tmp, "config.json"), Path(tmp, "report")
+            path.write_text(_dump(config), encoding="utf-8")
+            argv = ["sorites", "run", str(path), "--format", fmt]
+            code, out, err = _eval(argv + (["-o", str(output)] if to_file else []))
+            assert code in (0, 1, 2, "argparse")
+            if code in (2, "argparse"):
+                assert err.startswith(SORITES_PREFIXES) and out == ""
+                assert not output.exists()
+                return
+            assert err == ""
+            if to_file:
+                assert out == ""
+                out = output.read_text(encoding="utf-8")
+            assert out.startswith("{" if fmt == "json" else "scenario: ")
+            if fmt == "json":
+                json.loads(out)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["", "x", "1.5"])),
+        st.integers(-(2**70), 2**70),
+    )
+    def test_laws(self, n, seed):
+        code, out, err = _eval(["laws", "--seed", str(seed), "--n", n])
+        assert code in (0, 1, 2, "argparse")
+        if code in (2, "argparse"):
+            assert err.startswith(("laws: ", "usage: ")) and out == ""
+        else:
+            assert err == ""
+            assert out.startswith(f"soritica {cli.__version__} law suite (seed {seed}, n {n})\n")
+
+    def test_tables(self):
+        assert _eval(["tables"]) == (0, TABLES_GOLDEN.read_text(encoding="utf-8"), "")

@@ -1,7 +1,8 @@
 import dataclasses
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from soritica import semantics
 from soritica.bounds import MAX_HEIGHT, MAX_NESTING
@@ -17,6 +18,8 @@ from soritica.formulas import (
     Not,
     Or,
     PropVar,
+    _PLAIN_TOKEN_RE,
+    _TOKEN_RE,
     formula_to_str,
     parse_formula,
 )
@@ -346,3 +349,27 @@ class TestTrustedConstructors:
         with pytest.raises(ValueError, match="negative offset"):
             Index("n", -1)
         assert parse_formula("S(n+0)").index == Index("n", 0)
+
+
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+#: The token patterns as they were with the operators tried last.
+OLD_PLAIN_TOKEN_RE = re.compile(r"\d+" rf"|{_NAME}" r"|<->|->|\.\.|[~&|().+,-]")
+OLD_TOKEN_RE = re.compile(
+    rf"{_NAME}\((?:\d+|{_NAME}(?:\+\d+)?)\)|" + OLD_PLAIN_TOKEN_RE.pattern
+)
+#: Every character of the grammar, stray ones (a non-ASCII digit among
+#: them), and whitespace.
+TOKEN_CHARS = st.sampled_from(list("Sn_p09+-<>~&|().,=@é٣ \t") + ["->", "<->", "..", "S(n+1)"])
+
+
+class TestTokenOrder:
+    """Trying the operators first lexes every text as before."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(formulas.map(formula_to_str), st.lists(TOKEN_CHARS, max_size=40).map("".join)))
+    def test_same_tokens(self, text):
+        for new, old in ((_PLAIN_TOKEN_RE, OLD_PLAIN_TOKEN_RE), (_TOKEN_RE, OLD_TOKEN_RE)):
+            assert new.findall(text) == old.findall(text)
+            for pos in range(len(text)):
+                match, was = new.match(text, pos), old.match(text, pos)
+                assert (match and match.group()) == (was and was.group())
