@@ -1,34 +1,3 @@
 """Exact external-number arithmetic and a multi-semantics Sorites workbench."""
 
 __version__ = "0.1.0"
-
-from .series import EPS, OMEGA, ONE, ZERO, EpsSeries, ParseError, parse_series
-from .neutrix import (
-    Classification,
-    ExternalNumber,
-    Kind,
-    Neutrix,
-    SetRelation,
-    classify,
-    parse_external,
-    relate,
-)
-
-__all__ = [
-    "__version__",
-    "EpsSeries",
-    "ParseError",
-    "parse_series",
-    "ZERO",
-    "ONE",
-    "EPS",
-    "OMEGA",
-    "Neutrix",
-    "Kind",
-    "ExternalNumber",
-    "Classification",
-    "SetRelation",
-    "classify",
-    "relate",
-    "parse_external",
-]

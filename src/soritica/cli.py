@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     numbers_eval.add_argument(
         "--seed", type=int, default=0,
-        help="echoed on the oracle line; selects nothing until ROADMAP item 4 lands",
+        help="echoed on the oracle line; no check draws from it yet",
     )
 
     sub.add_parser("tables", help="print the strong three-valued truth tables")

@@ -25,11 +25,6 @@ __all__ = [
 ]
 
 
-#: The least offset above ``q`` of an ``o(q)`` sample's exponent:
-#: ``randint(1, 4) / randint(1, 3)`` is at least 1/3.
-_LEAST_OFFSET = Fraction(1, 3)
-
-
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
@@ -87,27 +82,20 @@ def samples_within(
 ) -> bool:
     """Whether ``count`` sampled members of ``left`` all lie in ``right``.
 
-    No sample is built or drawn when every one is absorbed by ``right``'s
-    cut: when ``left.neutrix`` is zero, or when the cut absorbs the least
-    exponent a sample can have, ``q`` for ``L(q)`` and ``q + 1/3`` for
-    ``o(q)``.  Each member ``left.rep + s`` then lies in ``right`` iff
-    ``left.rep`` does, so that is the verdict, and ``rng`` is left as it
-    was.  Otherwise each of :func:`neutrix_samples` is tested with
-    :func:`en_member`, all ``count`` drawn even once one has failed.
-    Either way the verdict is that of testing :func:`en_member` on each of
-    :func:`en_samples`.  A negative ``count`` is a ``ValueError``.
+    No sample is built or drawn when ``right.neutrix`` includes
+    ``left.neutrix``: a neutrix is an additive group, so each member
+    ``left.rep + s`` then lies in ``right`` iff ``left.rep`` does, and that
+    is the verdict, with ``rng`` left as it was.  Otherwise each of
+    :func:`neutrix_samples` is tested with :func:`en_member`, all ``count``
+    drawn even once one has failed.  Either way the verdict is that of
+    testing :func:`en_member` on each of :func:`en_samples`.  A negative
+    ``count`` is a ``ValueError``.
     """
     _check_count(count)
-    sampled = left.neutrix
-    if sampled.is_zero or right.neutrix.absorbs(
-        sampled.exponent + _LEAST_OFFSET
-        if sampled.kind is Kind.OSL
-        else sampled.exponent
-    ):
+    if right.neutrix.includes(left.neutrix):
         return count == 0 or right.neutrix.contains(left.rep - right.rep)
-    return all(
-        [en_member(left.rep + s, right) for s in neutrix_samples(sampled, count, rng)]
-    )
+    samples = neutrix_samples(left.neutrix, count, rng)
+    return all([en_member(left.rep + s, right) for s in samples])
 
 
 def mutual_membership_check(

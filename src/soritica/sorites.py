@@ -21,9 +21,9 @@ answers every query from those; the change points are the indices just
 before an edge.  The nonstandard cut finds its one edge, the least integer
 at or above the bound, in closed form, and ``inf`` or ``-inf`` when no
 integer or every integer is.  The fuzzy backend derives its pieces, in
-integers, the change points that do not depend on the range, and a table of
-its degree at each of them and at the index after.  A per-index query is
-then a table read, or one bisection at a range end, and a run costs
+integers, the change points that do not depend on the range, and one table,
+the step-implication degree at each of them.  Its degree at an index is one
+bisection into the pieces and one exact interpolation, and a run costs
 O(change points + witnesses) on every backend.
 
 Reports render as text and as JSON.  ``SoritesReport.to_json`` writes its
@@ -275,18 +275,11 @@ class FuzzyMembership(Backend):
         object.__setattr__(self, "_indices", tuple(indices))
         object.__setattr__(self, "_pieces", tuple(pieces))
         object.__setattr__(self, "_fixed", tuple(sorted(fixed)))
-        # The runners ask for S(n) and S(n+1) at the change points, which
-        # apart from the range ends are all fixed: interpolate each once.
-        degrees = {n: self._interpolate(n) for n in fixed.union([k + 1 for k in fixed])}
-        object.__setattr__(self, "_degrees", degrees)
-        # The step-implication degree at each fixed point, for weakest_link.
+        # The step-implication degree at each fixed point: weakest_link
+        # reads the links between the range ends from this table.
         object.__setattr__(self, "_links", tuple(map(self.implication, self._fixed)))
 
     def truth(self, n: int) -> Fraction:
-        degree = self._degrees.get(n)
-        return self._interpolate(n) if degree is None else degree
-
-    def _interpolate(self, n: int) -> Fraction:
         indices = self._indices
         if n <= indices[0]:
             return self.points[0][1]

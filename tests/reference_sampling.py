@@ -9,7 +9,8 @@ check.  ``_below`` and ``_entry`` are the index draw that only the
 law-suite generators still write out inline: the ``getrandbits`` calls
 of ``choice`` and ``randint``, pinned against ``random`` itself.
 ``old_cli_oracle`` is the check ``numbers eval --oracle`` made before it
-kept only the printed-text round trip.
+kept only the printed-text round trip, and ``old_absorbed`` the rule by
+which ``samples_within`` skipped sampling before it asked for inclusion.
 """
 
 import random
@@ -72,6 +73,23 @@ def ref_en_samples(alpha, count, rng):
 def ref_samples_within(left, right, rng, count=50):
     """Every sampled member of ``left``, rebuilt, is a member of ``right``."""
     return all(en_member(x, right) for x in ref_en_samples(left, count, rng))
+
+
+def old_absorbed(left, right):
+    """The rule by which ``samples_within`` once skipped sampling.
+
+    It skipped when ``right``'s cut absorbs the least exponent a sample of
+    ``left`` can have: ``q`` for ``L(q)``, and ``q + 1/3`` for ``o(q)``,
+    the least ``randint(1, 4) / randint(1, 3)`` above ``q``.  The verdict
+    was then ``count == 0`` or ``right`` holding ``left.rep``.
+    """
+    sampled = left.neutrix
+    if sampled.is_zero:
+        return True
+    least = sampled.exponent
+    if sampled.kind is Kind.OSL:
+        least += Fraction(1, 3)
+    return right.neutrix.absorbs(least)
 
 
 def ref_mutual_membership_check(left, right, rng, count=50):

@@ -18,6 +18,7 @@ from soritica.series import EpsSeries
 from reference_sampling import (
     _below,
     _entry,
+    old_absorbed,
     ref_en_samples,
     ref_mutual_membership_check,
     ref_neutrix_samples,
@@ -56,19 +57,12 @@ seeds = st.integers(min_value=0, max_value=2**32)
 
 
 def _absorbed(left, right):
-    """Whether ``right``'s cut absorbs every reference sample of ``left``.
+    """Whether ``samples_within`` skips sampling.
 
-    The bounds are the reference draw's own: an ``L(q)`` sample starts at
-    ``q``, and an ``o(q)`` sample at ``q + 1/3``, the least
-    ``randint(1, 4) / randint(1, 3)`` above ``q``.
+    It does when ``right``'s neutrix includes ``left``'s, so that each
+    member of ``left`` is in ``right`` iff ``left.rep`` is.
     """
-    sampled = left.neutrix
-    if sampled.is_zero:
-        return True
-    least = sampled.exponent
-    if sampled.kind is Kind.OSL:
-        least += Fraction(1, 3)
-    return right.neutrix.absorbs(least)
+    return right.neutrix.includes(left.neutrix)
 
 
 def _reference_within(left, right, ref_rng, count=50):
@@ -218,8 +212,9 @@ def _same_as_reference(left, right, seed, count):
 class TestAbsorbedSamples:
     """Cases where the cut absorbs every sample, and cases next to them.
 
-    In the first ``samples_within`` builds no sample and draws nothing;
-    each case is checked against the rebuilt members of the reference.
+    Where ``right``'s neutrix includes ``left``'s, ``samples_within``
+    builds no sample and draws nothing; each case is checked against the
+    rebuilt members of the reference.
     """
 
     Q = Fraction(1, 2)
@@ -252,11 +247,17 @@ class TestAbsorbedSamples:
             assert not _same_as_reference(left, right, 0, 50)
 
     def test_osl_least_exponent_on_a_closed_cut(self):
-        # o(q) samples start at q + 1/3, which L(q + 1/3) absorbs.
+        # o(q) samples start at q + 1/3, which L(q + 1/3) absorbs, but
+        # L(q + 1/3) does not include o(q): the call draws, and since every
+        # sample is absorbed the verdict is that of the representatives.
         left = ExternalNumber.make(EpsSeries(), Neutrix.osl(self.Q))
         right = ExternalNumber.make(EpsSeries(), Neutrix.lim(self.Q + Fraction(1, 3)))
+        assert old_absorbed(left, right) and not _absorbed(left, right)
         for seed in range(20):
             assert _same_as_reference(left, right, seed, 50)
+            rng = random.Random(seed)
+            samples_within(left, right, rng, 50)
+            assert rng.getstate() != random.Random(seed).getstate()
         shifted = ExternalNumber.make(EpsSeries.monomial(0, 1), right.neutrix)
         assert not _same_as_reference(left, shifted, 0, 50)
 
@@ -278,12 +279,17 @@ class TestAbsorbedSamples:
             (Neutrix.zero(), Neutrix.osl(q)),
             (Neutrix.lim(q), Neutrix.lim(q)),
             (Neutrix.osl(q), Neutrix.osl(q)),
-            (Neutrix.osl(q), Neutrix.lim(q + Fraction(1, 3))),
             (Neutrix.lim(q + 1), Neutrix.osl(q)),
         ):
             left = ExternalNumber.make(EpsSeries(), a)
             right = ExternalNumber.make(EpsSeries(), b)
             assert _same_as_reference(left, right, 1, 50)
+        # L(q + 1/3) absorbs every o(q) sample but does not include o(q),
+        # so that call builds its samples.
+        left = ExternalNumber.make(EpsSeries(), Neutrix.osl(q))
+        right = ExternalNumber.make(EpsSeries(), Neutrix.lim(q + Fraction(1, 3)))
+        with pytest.raises(AssertionError, match="a sample was built"):
+            samples_within(left, right, random.Random(1), 50)
 
     def test_lim_against_osl_at_the_same_exponent(self):
         # o(q) keeps the exponent q of every L(q) sample's first term.
@@ -292,6 +298,56 @@ class TestAbsorbedSamples:
         verdicts = {_same_as_reference(left, right, seed, 1) for seed in range(300)}
         assert verdicts == {True, False}
         assert _same_as_reference(right, left, 0, 50)
+
+
+def _old_verdict(left, right, seed, count):
+    """The verdict ``samples_within`` gave under :func:`old_absorbed`."""
+    if old_absorbed(left, right):
+        return count == 0 or right.neutrix.contains(left.rep - right.rep)
+    return ref_samples_within(left, right, random.Random(seed), count)
+
+
+@st.composite
+def near_pairs(draw):
+    """A left side and a right side whose cut is within one power of its own."""
+    left = draw(externals)
+    q = draw(exponents) if left.neutrix.is_zero else left.neutrix.exponent
+    offset = draw(st.fractions(min_value=-1, max_value=1, max_denominator=12))
+    cut = Neutrix(q + offset, draw(st.sampled_from((Kind.LIM, Kind.OSL))))
+    rep = draw(st.one_of(st.just(left.rep), series_values.map(left.rep.__add__)))
+    return left, ExternalNumber.make(rep, cut)
+
+
+class TestOldAbsorbedRule:
+    """Inclusion skips fewer calls than the old rule, with the same verdicts.
+
+    A call the old rule skipped and inclusion does not, such as ``o(q)``
+    against ``L(q + 1/3)``, now draws; every sample it draws is absorbed.
+    """
+
+    @given(st.one_of(pairs, near_pairs()), seeds, st.sampled_from((0, 1, 50)))
+    @settings(max_examples=300)
+    def test_drawn_pairs(self, pair, seed, count):
+        left, right = pair
+        assert old_absorbed(left, right) or not _absorbed(left, right)
+        got = samples_within(left, right, random.Random(seed), count)
+        assert got == _old_verdict(left, right, seed, count)
+
+    def test_offsets_within_a_third(self):
+        # Cuts from q - 1/3 to q + 1/2 in twelfths, each with the gap 0, a
+        # term at q and a term at the cut.
+        q = Fraction(1, 2)
+        for left_kind in (Kind.LIM, Kind.OSL):
+            left = ExternalNumber.make(EpsSeries.monomial(-1, 2), Neutrix(q, left_kind))
+            for offset in (Fraction(k, 12) for k in range(-4, 7)):
+                gaps = (EpsSeries(), EpsSeries.monomial(q), EpsSeries.monomial(q + offset))
+                for kind in (Kind.LIM, Kind.OSL):
+                    cut = Neutrix(q + offset, kind)
+                    for gap in gaps:
+                        right = ExternalNumber.make(left.rep + gap, cut)
+                        for seed in range(5):
+                            got = samples_within(left, right, random.Random(seed), 20)
+                            assert got == _old_verdict(left, right, seed, 20)
 
 
 _OSL = ExternalNumber.make(EpsSeries(), Neutrix.osl(0))

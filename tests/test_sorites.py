@@ -831,12 +831,11 @@ class TestOracle:
         backend = FuzzyMembership(points, data.draw(degrees))
         for n in range(-12, 13):
             assert backend.truth(n) == ref_degree(points, n)
-        # The degree table holds S(n) and S(n+1) at every fixed change point,
-        # each as the breakpoints interpolate it.
-        table = backend._degrees
-        assert set(table) == {m for k in backend._fixed for m in (k, k + 1)}
-        for n, degree in table.items():
-            assert degree == ref_degree(points, n)
+        # The link table holds the step-implication degree at every fixed
+        # change point, from S(k) and S(k+1) as the breakpoints interpolate them.
+        assert len(backend._links) == len(backend._fixed)
+        for k, link in zip(backend._fixed, backend._links):
+            assert link == max(1 - ref_degree(points, k), ref_degree(points, k + 1))
 
     @given(
         st.lists(st.integers(-10, 10), min_size=1, max_size=6),
@@ -992,7 +991,7 @@ class TestDerivedData:
         moved = replace(backend, points=((0, F(1)), (10, F(0))))
         assert (backend.truth(5), moved.truth(5)) == (F(5, 12), F(1, 2))
         assert [f.name for f in fields(backend)] == ["points", "threshold"]
-        assert backend._degrees and backend._degrees != moved._degrees
+        assert backend._links and backend._links != moved._links
 
 
 # -- ranges of 10**12: change points, not indices ---------------------------

@@ -1,10 +1,19 @@
-"""soritica has no runtime dependency: every absolute import is stdlib."""
+"""soritica has no runtime dependency: every absolute import is stdlib.
+
+An import loads only what the named modules import: the package itself
+re-exports nothing, so its module paths are the import API.
+"""
 
 import ast
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+
+import soritica
 
 SOURCES = sorted(
     path
@@ -29,3 +38,31 @@ def test_sources_found():
 def test_every_import_is_stdlib(path):
     for name in absolute_imports(path.read_text(encoding="utf-8")):
         assert name.partition(".")[0] in sys.stdlib_module_names, name
+
+
+def loaded_submodules(statement):
+    """The ``soritica.*`` modules a fresh interpreter holds after ``statement``."""
+    src = str(Path(soritica.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    script = f"""import sys
+{statement}
+print(*(name for name in sys.modules if name.startswith("soritica.")))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("import soritica") == set()
+
+
+def test_logic_modules_load_no_number_core():
+    loaded = loaded_submodules("import soritica.formulas, soritica.semantics")
+    assert {"soritica.formulas", "soritica.semantics"} <= loaded
+    assert not loaded & {"soritica.series", "soritica.neutrix"}
