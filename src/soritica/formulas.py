@@ -48,15 +48,22 @@ class Index:
 
     The grammar writes a variable's offset as ``n+k``, so it is refused
     below 0.  A literal (``var`` of ``None``) may be any integer, written
-    with an optional ``-``: ``S(-2)``.
+    with an optional ``-``: ``S(-2)``.  A non-``int`` offset (a ``bool``
+    too) and a variable that is not a name are refused: both would print
+    as text that does not parse back as this index.
     """
 
     var: Optional[str]
     offset: int
 
     def __post_init__(self):
-        if self.var is not None and self.offset < 0:
-            raise ValueError(f"negative offset {self.offset} of {self.var!r}")
+        var, offset = self.var, self.offset
+        if type(offset) is not int:
+            raise TypeError(f"index offset must be an int, got {offset!r}")
+        if var is not None and (type(var) is not str or not _is_name(var)):
+            raise TypeError(f"index variable must be a name, got {var!r}")
+        if var is not None and offset < 0:
+            raise ValueError(f"negative offset {offset} of {var!r}")
 
     def __str__(self) -> str:
         if self.var is None:
@@ -73,6 +80,10 @@ Domain = Union[str, Tuple[int, int]]
 class Atom:
     predicate: str
     index: Index
+
+    def __post_init__(self):
+        if type(self.index) is not Index:
+            raise TypeError(f"atom index must be an Index, got {self.index!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,17 +134,8 @@ class Exists:
     body: "Formula"
 
 
+#: Nodes of exactly these classes: to every walker a subclass is not a formula.
 Formula = Union[Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists]
-
-#: The formula classes in the order a walker tests a node against them when
-#: its type is none of them exactly, so a subclass is read as its base.
-_KINDS = (Atom, PropVar, Not, And, Or, Implies, Iff, Forall, Exists)
-_KIND_SET = frozenset(_KINDS)
-
-
-def _base_kind(node) -> Optional[type]:
-    """The first of ``_KINDS`` that ``node`` is an instance of, or ``None``."""
-    return next((kind for kind in _KINDS if isinstance(node, kind)), None)
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -171,8 +173,8 @@ _BINARY = {
 _SYMBOLS = {infix.meaning: (symbol, infix) for symbol, infix in _BINARY.items()}
 _NOT_LEVEL = 5
 
-# Index's one check, an offset of a variable not below 0, holds for every
-# index the grammar can write; the other node classes check nothing.
+# The checks of Index and Atom hold for every node the grammar can write;
+# the other node classes check nothing.
 _index, _atom, _propvar = trusted(Index), trusted(Atom), trusted(PropVar)
 
 #: The parser's tables: ``_BINARY`` and the prefix operators, each with the
@@ -329,8 +331,6 @@ def _domain_to_str(domain: Domain) -> str:
 def formula_to_str(formula: Formula, _level: int = 0) -> str:
     """``formula`` in the parser's syntax, with the fewest parentheses."""
     kind = type(formula)
-    if kind not in _KIND_SET:
-        kind = _base_kind(formula)
     binary = _SYMBOLS.get(kind)
     if binary is not None:
         symbol, (level, right, _) = binary

@@ -45,7 +45,6 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .bounds import MAX_DOMAIN, BoundExceeded
 from .formulas import (
-    _KIND_SET,
     And,
     Atom,
     Exists,
@@ -57,7 +56,6 @@ from .formulas import (
     Not,
     Or,
     PropVar,
-    _base_kind,
 )
 
 __all__ = [
@@ -152,8 +150,6 @@ _ATOM = 5  # the key (pred, n) of a ground atom
 _OPEN = 6  # (pred, var, offset) of an atom on a bound variable
 _VAR = 7  # the variable's name
 _FORALL, _EXISTS = 8, 9  # (var, domain, the body's plan)
-_LATE = 10  # an atom whose index is not an ``Index``: resolved as it runs
-_BAD = 11  # a node that is not a formula: raises as it runs
 
 #: The step of each binary connective, and of ``~``: they take no argument.
 _BINARY_STEPS = {
@@ -171,11 +167,11 @@ def _lower(formula: Formula) -> Tuple:
     """The plan of ``formula``: its nodes in postfix order, left before right.
 
     That is the order of a left-to-right walk of the tree, so running the
-    plan meets atoms, variables and errors where such a walk would.  The
-    tree is read with an explicit stack; only a quantifier's body is
-    lowered by a recursive call, into a plan of its own.  Nothing is
-    checked here: a node that is not a formula becomes an instruction that
-    raises when it runs.
+    plan meets atoms, variables and their errors where such a walk would.
+    The tree is read with an explicit stack; only a quantifier's body is
+    lowered by a recursive call, into a plan of its own.  A node whose
+    class is not exactly one of the formula classes raises ``TypeError``
+    here, before any of the plan runs.
     """
     plan = []
     emit = plan.append
@@ -185,8 +181,6 @@ def _lower(formula: Formula) -> Tuple:
         # Pre-order with the right child first, reversed at the end.
         node = todo.pop()
         kind = type(node)
-        if kind not in _KIND_SET:
-            kind = _base_kind(node)
         step = _BINARY_STEPS.get(kind)
         if step is not None:
             emit(step)
@@ -194,9 +188,7 @@ def _lower(formula: Formula) -> Tuple:
             visit(node.right)
         elif kind is Atom:
             index = node.index
-            if type(index) is not Index:
-                emit((_LATE, node))
-            elif index.var is None:
+            if index.var is None:
                 emit((_ATOM, (node.predicate, index.offset)))
             else:
                 emit((_OPEN, (node.predicate, index.var, index.offset)))
@@ -209,7 +201,7 @@ def _lower(formula: Formula) -> Tuple:
             op = _FORALL if kind is Forall else _EXISTS
             emit((op, (node.var, node.domain, _lower(node.body))))
         else:
-            emit((_BAD, node))
+            raise TypeError(f"not a formula: {node!r}")
     plan.reverse()
     return tuple(plan)
 
@@ -298,14 +290,6 @@ def _run(
             if best is None:
                 raise UnboundAtom("empty quantifier domain")
             push(best)
-        elif op == _LATE:
-            key = (arg.predicate, _resolve_index(arg.index, env))
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = ask(key)
-            push(value)
-        else:
-            raise TypeError(f"not a formula: {arg!r}")
     return stack[0]
 
 
@@ -441,8 +425,6 @@ def _truths(
 
     def walk(node, reach: int, scale: int) -> int:
         kind = type(node)
-        if kind not in _KIND_SET:
-            kind = _base_kind(node)
         if kind is Atom:
             if cuts is None:
                 raise UnboundAtom("no cutoff supplied for soritical atoms")
@@ -539,38 +521,31 @@ def eval_super(
     return SuperVerdict.INDETERMINATE
 
 
+def _plan_variables(plan: Tuple) -> Tuple:
+    """The ``_VAR`` and ``_ATOM`` arguments of ``plan``, each once, in order."""
+    seen = {}
+    for op, arg in plan:
+        if op == _VAR or op == _ATOM:
+            seen[arg] = None
+        elif op == _OPEN:
+            _, var, offset = arg
+            raise ValueError(
+                "assignment search needs ground atoms; "
+                f"found open index {Index(var, offset)}"
+            )
+        elif op == _FORALL or op == _EXISTS:
+            raise ValueError("quantifier-free formula required")
+    return tuple(seen)
+
+
 def collect_variables(formula: Formula) -> Tuple:
     """Ordered propositional variables and literal-index atoms.
 
-    Quantified formulas are rejected here: the tautology searches are
-    defined for the propositional fragment.  The tree is read left to
-    right with an explicit stack, so its height costs no stack frames.
+    They are read off the plan, which keeps the leaves left to right, so
+    the tree's height costs no stack frames.  An open atom or a quantifier
+    raises ``ValueError``: the searches take only propositional formulas.
     """
-    seen = []
-    todo = [formula]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, PropVar):
-            key = node.name
-            if key not in seen:
-                seen.append(key)
-        elif isinstance(node, Atom):
-            if node.index.var is not None:
-                raise ValueError(
-                    "assignment search needs ground atoms; "
-                    f"found open index {node.index}"
-                )
-            key = (node.predicate, node.index.offset)
-            if key not in seen:
-                seen.append(key)
-        elif isinstance(node, Not):
-            todo.append(node.body)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            todo.append(node.right)
-            todo.append(node.left)
-        else:
-            raise ValueError("quantifier-free formula required")
-    return tuple(seen)
+    return _plan_variables(_lower(formula))
 
 
 _VAR_BOUND = 12
@@ -579,18 +554,18 @@ _VAR_BOUND = 12
 def _assignment_values(formula: Formula, values: Tuple):
     """The pair of ``formula``'s value under each assignment drawn from ``values``.
 
-    The formula is lowered once and ``values`` converted once; each
-    assignment gives the entries of ``collect_variables`` the values of its
-    combination, position by position.  Variables are keyed by name and
-    ground atoms by ``(pred, n)``, so one dict serves the run as both its
-    variables and its atom memo, and no atom is left to ask for.
+    The formula is lowered once, its variables are read off that plan, and
+    ``values`` is converted once; each assignment gives those variables the
+    values of its combination, position by position.  Variables are keyed
+    by name and ground atoms by ``(pred, n)``, so one dict serves the run
+    as both its variables and its atom memo, and no atom is left to ask for.
     """
-    variables = collect_variables(formula)
+    plan = _lower(formula)
+    variables = _plan_variables(plan)
     if len(variables) > _VAR_BOUND:
         raise BoundExceeded(
             f"{len(variables)} variables exceed the bound {_VAR_BOUND}"
         )
-    plan = _lower(formula)
     pairs = [_k3_pair(value) for value in values]
     for combo in itertools.product(pairs, repeat=len(variables)):
         assignment = dict(zip(variables, combo))

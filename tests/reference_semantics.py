@@ -19,6 +19,9 @@ The tautology searches are the plain versions the regularity argument
 replaced: each walks all 3^v assignments of the formula's propositional
 variables and ground atoms and asks the strong-Kleene evaluator for every
 one.
+
+``ref_collect_variables`` reads those variables off the tree with an
+explicit stack; ``collect_variables`` reads them off the lowered plan.
 """
 
 import itertools
@@ -214,3 +217,31 @@ def ref_is_tautology_k3(formula):
 
 def ref_quasi_tautology_k3(formula):
     return all(v != FALSE for v in ref_values(formula))
+
+
+def ref_collect_variables(formula):
+    seen = []
+    todo = [formula]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, PropVar):
+            key = node.name
+            if key not in seen:
+                seen.append(key)
+        elif isinstance(node, Atom):
+            if node.index.var is not None:
+                raise ValueError(
+                    "assignment search needs ground atoms; "
+                    f"found open index {node.index}"
+                )
+            key = (node.predicate, node.index.offset)
+            if key not in seen:
+                seen.append(key)
+        elif isinstance(node, Not):
+            todo.append(node.body)
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            todo.append(node.right)
+            todo.append(node.left)
+        else:
+            raise ValueError("quantifier-free formula required")
+    return tuple(seen)

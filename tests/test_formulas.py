@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soritica import semantics
+from soritica._trusted import trusted
 from soritica.bounds import MAX_HEIGHT, MAX_NESTING
 from soritica.formulas import (
     And,
@@ -100,6 +101,39 @@ class TestIndex:
     def test_literal_may_be_negative(self):
         # A literal is an index value, not an offset; evaluators take any.
         assert semantics.eval_classical(Atom("S", Index(None, -2)), cutoff=0)
+
+    @pytest.mark.parametrize(
+        "var, offset, printed",
+        [
+            (None, True, "S(True)"),
+            (None, False, "S(False)"),
+            (None, 1.5, "S(1.5)"),
+            (None, "3", "S(3)"),
+            ("n", True, "S(n+True)"),
+            ("n n", 0, "S(n n)"),
+            ("forall", 0, "S(forall)"),
+            ("1n", 0, "S(1n)"),
+            ("", 0, "S()"),
+            (3, 1, "S(3+1)"),
+        ],
+    )
+    def test_fields_that_do_not_print_back_refused(self, var, offset, printed):
+        # Unchecked, each index prints as text that does not parse, or that
+        # parses as another atom: S(True) as S on a variable named True.
+        unchecked = Atom("S", trusted(Index)(var, offset))
+        assert formula_to_str(unchecked) == printed
+        try:
+            parsed = parse_formula(printed)
+        except FormulaSyntaxError:
+            parsed = None
+        assert parsed != unchecked
+        with pytest.raises(TypeError, match="index (offset|variable) must be"):
+            Index(var, offset)
+
+    def test_printable_fields_kept(self):
+        for index in (Index(None, -2), Index("n_1", 3), Index("_", 0), Index("m", 0)):
+            text = formula_to_str(Atom("S", index))
+            assert parse_formula(text) == Atom("S", index)
 
     def test_variable_offset_below_zero_refused(self):
         # Only a literal takes a sign: ``n-1`` is not an index term.

@@ -47,6 +47,7 @@ from soritica.bounds import MAX_DOMAIN
 
 from reference_semantics import (
     REF_GRADED,
+    ref_collect_variables,
     ref_eval_classical,
     ref_eval_fuzzy,
     ref_eval_k3,
@@ -749,7 +750,8 @@ class TestDeepTrees:
 
 
 class TestErrorOrder:
-    """The plan raises the first error the per-node walker meets."""
+    """The plan raises the first error the per-node walker meets; a node
+    that is not a formula is refused before the plan runs."""
 
     CASES = {
         "k3": (eval_k3, ref_eval_k3, F(1, 3), HALF),
@@ -764,11 +766,18 @@ class TestErrorOrder:
 
     @pytest.mark.parametrize("evaluator", sorted(CASES))
     def test_bad_value_before_a_bad_node(self, evaluator):
-        fast, reference, bad, _ = self.CASES[evaluator]
-        formula = And(atom(1), object())
-        got = self.error(fast, formula, lambda p, n: bad)
-        assert got == self.error(reference, formula, lambda p, n: bad)
-        assert got[0] is ValueError
+        # Lowering the tree refuses the node before any atom is asked for.
+        fast, _, bad, _ = self.CASES[evaluator]
+        node = object()
+        asked = []
+
+        def source(p, n):
+            asked.append((p, n))
+            return bad
+
+        got = self.error(fast, And(atom(1), node), source)
+        assert got == (TypeError, f"not a formula: {node!r}")
+        assert asked == []
 
     @pytest.mark.parametrize("evaluator", sorted(CASES))
     def test_bad_node_after_a_good_value(self, evaluator):
@@ -790,13 +799,16 @@ class TestErrorOrder:
     @pytest.mark.parametrize("evaluator", sorted(CASES))
     @pytest.mark.parametrize("good", [False, True])
     def test_atom_with_a_bad_index(self, evaluator, good):
-        # An atom whose index is not an Index fails where the walker reads it.
+        # An atom whose index is not an Index is refused where it is built,
+        # so no evaluator meets one; with an Index, the same atom evaluates.
         fast, reference, bad, fine = self.CASES[evaluator]
-        formula = Implies(atom(1), Atom("S", 3))
+        with pytest.raises(TypeError, match="atom index must be an Index, got 3"):
+            Implies(atom(1), Atom("S", 3))
+        formula = Implies(atom(1), atom(3))
         value = fine if good else bad
-        got = self.error(fast, formula, lambda p, n: value)
-        assert got == self.error(reference, formula, lambda p, n: value)
-        assert got[0] is (AttributeError if good else ValueError)
+        got = outcome(fast, formula, lambda p, n: value)
+        assert got == outcome(reference, formula, lambda p, n: value)
+        assert isinstance(got, Fraction) if good else got[0] is ValueError
 
     @pytest.mark.parametrize(
         "text",
@@ -908,14 +920,17 @@ class TestBooleanWalkAgainstReference:
             assert eval_classical(formula, cutoff) is want
 
     def test_subclass_walked_as_its_base(self):
+        # The walk dispatches on a node's own class, so an instance of a
+        # subclass is not a formula, at the root or where the walk reaches it.
         class Both(And):
             pass
 
-        formula = Both(Atom("S", Index(None, 1)), Not(P))
-        for cutoff in (1, 2):
-            want = ref_eval_classical(formula, cutoff, {"p": False})
-            assert eval_classical(formula, cutoff, {"p": False}) is want
-        assert eval_super(formula, [1, 2], {"p": False}) is SuperVerdict.INDETERMINATE
+        node = Both(Atom("S", Index(None, 1)), Not(P))
+        refused = (TypeError, f"not a formula: {node!r}")
+        for formula in (node, Or(Atom("S", Index(None, 5)), node)):
+            for cutoff in (1, 2):
+                assert outcome(eval_classical, formula, cutoff, {"p": False}) == refused
+            assert outcome(eval_super, formula, [1, 2], {"p": False}) == refused
 
     def test_not_a_formula(self):
         node = object()
@@ -929,7 +944,8 @@ _SN = Atom("S", Index("n", 0))
 
 
 class TestFormulaSubclasses:
-    """A trivial subclass of a formula class is read as its base."""
+    """A formula is a tree of the nine node classes exactly: to every walker
+    an instance of a trivial subclass of one is not a formula."""
 
     BASES = [
         _S2,
@@ -967,11 +983,17 @@ class TestFormulaSubclasses:
 
     @pytest.mark.parametrize("base", BASES, ids=lambda base: type(base).__name__)
     def test_printed_and_evaluated_as_the_base(self, base):
+        # The base is printed and evaluated; its subclass is refused by every
+        # walker, at the root and as a child.  Iff is the parent because the
+        # boolean walk reaches both its sides under every cutoff.
         kind = type(base)
         subclass = type(f"Sub{kind.__name__}", (kind,), {})
         node = subclass(*(getattr(base, f.name) for f in dataclasses.fields(base)))
-        for wrap in (lambda f: f, Not, lambda f: And(P, f)):
-            assert self._results(wrap(node)) == self._results(wrap(base))
+        refused = (TypeError, f"not a formula: {node!r}")
+        for wrap in (lambda f: f, Not, lambda f: Iff(P, f)):
+            walked = self._results(wrap(base))
+            assert not any(type(r) is tuple and r[0] is TypeError for r in walked)
+            assert set(self._results(wrap(node))) == {refused}
 
 
 class TestTautologyOnDeepTrees:
@@ -985,6 +1007,19 @@ class TestTautologyOnDeepTrees:
         assert collect_variables(formula) == ("p",)
         assert not is_tautology_k3(formula)
         assert not quasi_tautology_k3(formula)
+
+    @given(
+        formula=st.one_of(k3_formulas, oracle_formulas),
+        depth=st.sampled_from([0, 1, 2, 3000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_collect_variables_against_the_tree_walk(self, formula, depth):
+        # Propositional formulas, and quantifiers and open atoms, which
+        # raise, each under a chain of Nots up to 3000 deep.
+        for _ in range(depth):
+            formula = Not(formula)
+        got = outcome(collect_variables, formula)
+        assert got == outcome(ref_collect_variables, formula)
 
     def test_collect_variables_order_and_errors(self):
         formula = parse_formula("(q & S(2)) -> ~(p | q) <-> S(2) & r")
