@@ -42,6 +42,23 @@ class FormulaSyntaxError(TextError):
     """Raised on malformed formula text; carries the failing offset."""
 
 
+def _name(what: str, value) -> None:
+    if type(value) is not str or not _is_name(value):
+        raise TypeError(f"{what} must be a name, got {value!r}")
+
+
+def _quantifier(node) -> None:
+    # A domain is a name or a tuple of two ints, and a bool is not an int.
+    _name("quantifier variable", node.var)
+    domain = node.domain
+    if type(domain) is tuple:
+        if len(domain) == 2 and type(domain[0]) is int and type(domain[1]) is int:
+            return
+    elif type(domain) is str and _is_name(domain):
+        return
+    raise TypeError(f"quantifier domain must be a name or two ints, got {domain!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Index:
     """Index term: a literal, or a bound variable plus an offset.
@@ -60,10 +77,10 @@ class Index:
         var, offset = self.var, self.offset
         if type(offset) is not int:
             raise TypeError(f"index offset must be an int, got {offset!r}")
-        if var is not None and (type(var) is not str or not _is_name(var)):
-            raise TypeError(f"index variable must be a name, got {var!r}")
-        if var is not None and offset < 0:
-            raise ValueError(f"negative offset {offset} of {var!r}")
+        if var is not None:
+            _name("index variable", var)
+            if offset < 0:
+                raise ValueError(f"negative offset {offset} of {var!r}")
 
     def __str__(self) -> str:
         if self.var is None:
@@ -82,6 +99,7 @@ class Atom:
     index: Index
 
     def __post_init__(self):
+        _name("atom predicate", self.predicate)
         if type(self.index) is not Index:
             raise TypeError(f"atom index must be an Index, got {self.index!r}")
 
@@ -89,6 +107,9 @@ class Atom:
 @dataclass(frozen=True, slots=True)
 class PropVar:
     name: str
+
+    def __post_init__(self):
+        _name("propositional variable", self.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,12 +147,16 @@ class Forall:
     domain: Domain
     body: "Formula"
 
+    __post_init__ = _quantifier
+
 
 @dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     domain: Domain
     body: "Formula"
+
+    __post_init__ = _quantifier
 
 
 #: Nodes of exactly these classes: to every walker a subclass is not a formula.
@@ -158,8 +183,8 @@ _KEYWORDS = {"forall", "exists", "in"}
 
 
 def _is_name(token: str) -> bool:
-    # Of the formula tokens, only a name is an identifier.
-    return token.isidentifier() and token not in _KEYWORDS
+    # Of the formula tokens, only a name is an identifier; names are ASCII.
+    return token.isidentifier() and token.isascii() and token not in _KEYWORDS
 
 
 #: The binary connectives, read by the parser and the printer alike.
@@ -173,8 +198,7 @@ _BINARY = {
 _SYMBOLS = {infix.meaning: (symbol, infix) for symbol, infix in _BINARY.items()}
 _NOT_LEVEL = 5
 
-# The checks of Index and Atom hold for every node the grammar can write;
-# the other node classes check nothing.
+# The checks of the node classes hold for every node the grammar can write.
 _index, _atom, _propvar = trusted(Index), trusted(Atom), trusted(PropVar)
 
 #: The parser's tables: ``_BINARY`` and the prefix operators, each with the

@@ -7,11 +7,11 @@ optional infinitely-large witness indices.  The runners check the three
 soritical constraints, the induction and conditional argument schemata,
 and the doubling analysis, producing deterministic reports.
 
-The runners do not walk the range.  Each backend names its change points,
-``change_points(lo, stop)``: the indices in ``lo .. stop-1``, ``lo`` always
-among them, where a designation flip, a failing step or a weakest fuzzy link
-can first occur.  The runners test only those, so a run costs the same on a
-range of ten indices as on one of 10**12.
+The runners do not walk the range.  The flip scan tests only the change
+points, ``change_points(lo, stop)``: the indices in ``lo .. stop-1``, ``lo``
+among them, where a designation flip can first occur.  The schemata read the
+failing edges below, or the fuzzy links, so a run costs the same on a range
+of ten indices as on one of 10**12.
 
 Each backend derives its boundary from its parameters once, when it is
 built.  A non-fuzzy backend (sharp cutoff, penumbra, precisifications,
@@ -109,6 +109,7 @@ class Backend:
     passes ``_steps`` the sorted edges, one verdict per gap between them (the
     true verdict first, the false one last), and the edges ``e`` at which the
     step S(e-1) -> S(e) fails; the methods here answer every query from them.
+    The schemata break at ``e - 1`` for the least failing ``e`` in ``lo+1 .. stop``.
     ``FuzzyMembership`` answers for itself and reports the weakest link
     instead of the first failing step, and ``Nonstandard`` also reads
     unlimited indices.
@@ -147,21 +148,13 @@ class Backend:
     def designated_false(self, n: int) -> bool:
         return self.truth(n) == self._verdicts[-1]
 
-    def step_holds(self, n: int) -> bool:
-        return n + 1 not in self._fails
-
     def change_points(self, lo: int, stop: int) -> List[int]:
-        # S(n) and S(n) -> S(n+1) change only where n + 1 is an edge.
+        # S(n) and S(n+1) differ only where n + 1 is an edge.
         return _clip([e - 1 for e in self._edges], lo, stop)
-
-    def first_failing_step(self, lo: int, stop: int) -> Optional[int]:
-        """The least ``n`` in ``lo .. stop-1`` whose step S(n) -> S(n+1) fails."""
-        points = self.change_points(lo, stop)
-        return next((n for n in points if not self.step_holds(n)), None)
 
     def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
         basis = self.designated_true(lo)
-        n = self.first_failing_step(lo, hi)
+        n = min((e - 1 for e in self._fails if lo < e <= hi), default=None)
         return InductionResult(
             basis=basis,
             basis_detail=f"S(a_{lo}) designated-true: {basis}",
@@ -172,7 +165,7 @@ class Backend:
         )
 
     def chain(self, lo: int, target: int) -> ConditionalResult:
-        n = self.first_failing_step(lo, target)
+        n = min((e - 1 for e in self._fails if lo < e <= target), default=None)
         return ConditionalResult(
             completed=n is None,
             chain_length=str(target),
@@ -296,9 +289,6 @@ class FuzzyMembership(Backend):
 
     def implication(self, n: int) -> Fraction:
         return max(1 - self.truth(n), self.truth(n + 1))
-
-    def step_holds(self, n: int) -> bool:
-        return self.implication(n) >= self.threshold
 
     def weakest_link(self, lo: int, stop: int) -> Fraction:
         """The weakest step-implication degree on ``lo .. stop-1``; 1 if none.

@@ -11,8 +11,7 @@ compares ``n`` with ``t1`` and ``t2``, a supervaluation backend evaluates
 bound through ``holds``, a fuzzy backend interpolates its breakpoints
 afresh, and the doubling analysis samples every naive index.  They share no
 code with ``truth``, ``designated_true``, ``designated_false``,
-``change_points``, ``step_holds``, ``first_failing_step`` or the fuzzy
-pieces.
+``change_points``, the failing edges or the fuzzy pieces.
 """
 
 from fractions import Fraction

@@ -142,6 +142,43 @@ class TestIndex:
         assert info.value.position == 3
 
 
+P = PropVar("p")
+
+
+class TestNodeFields:
+    """Names and domains are checked where a node is built, as in ``Index``."""
+
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (PropVar, ("n n",)),
+            (PropVar, (3,)),
+            (PropVar, ("é",)),
+            (Atom, ("forall", Index(None, 1))),
+            (Atom, (None, Index(None, 1))),
+            (Forall, ("n n", (1, 2), P)),
+            (Forall, ("n", (1.5, 2), P)),
+            (Forall, ("n", (True, 2), P)),
+            (Forall, ("n", [1, 2], P)),
+            (Forall, ("n", (1, 2, 3), P)),
+            (Exists, ("in", "D", P)),
+            (Exists, ("n", "exists", P)),
+        ],
+    )
+    def test_fields_that_do_not_print_back_refused(self, cls, fields):
+        # Unchecked, each node prints as something other than text that
+        # parses back as it: PropVar(3) prints as the int 3.
+        unchecked = trusted(cls)(*fields)
+        printed = formula_to_str(unchecked)
+        try:
+            parsed = parse_formula(printed)
+        except (FormulaSyntaxError, TypeError):
+            parsed = None
+        assert parsed != unchecked
+        with pytest.raises(TypeError, match="must be a name"):
+            cls(*fields)
+
+
 class TestPrinting:
     @given(formulas)
     def test_round_trip(self, formula):

@@ -659,12 +659,10 @@ class TestBackendTable:
         for name in ("truth", "designated_true", "designated_false"):
             assert name in vars(cls)
         assert cls.id == backend_type
-        assert callable(cls.describe) and callable(cls.step_holds)
-        assert callable(cls.change_points)
+        assert callable(cls.describe) and callable(cls.change_points)
         # The runners ask the backend, not its class, how it reports a step,
         # whether it reads unlimited indices, and what evidence and notes it adds.
         assert callable(cls.induction) and callable(cls.chain)
-        assert callable(cls.first_failing_step)
         assert isinstance(cls.unlimited, bool)
         assert len(cls.step_wording) == 2
         assert all(isinstance(w, str) for w in cls.step_wording)
@@ -801,10 +799,10 @@ class TestOracle:
 
     @pytest.mark.parametrize("sharp", ["classical", "kleene"])
     def test_a_wrong_truth_is_caught(self, sharp):
-        # A truth wrong at every index, with step_holds and change_points
-        # left right.  The boundary lies past the range, so no step fails
-        # either way; only a reference that decides the verdicts itself,
-        # rather than asking the backend, sees the wrong basis.
+        # A truth wrong at every index, with the failing edges and
+        # change_points left right.  The boundary lies past the range, so no
+        # step fails either way; only a reference that decides the verdicts
+        # itself, rather than asking the backend, sees the wrong basis.
         if sharp == "classical":
 
             class Wrong(ClassicalCutoff):
@@ -847,7 +845,7 @@ class TestOracle:
         atom = lambda k: Atom("S", Index(None, k))
         assert backend.truth(n) is eval_super(atom(n), cutoffs)
         step = eval_super(Implies(atom(n), atom(n + 1)), cutoffs)
-        assert backend.step_holds(n) == (step is SuperVerdict.SUPERTRUE)
+        assert backend.induction(n, n + 1, ()).step_holds == (step is SuperVerdict.SUPERTRUE)
 
 
 # -- the nonstandard edge in closed form -------------------------------------
@@ -929,7 +927,7 @@ class TestNonstandardEdge:
         for n in range(-12, 13):
             assert backend.truth(n) == (n < edge)
             assert backend.truth(n) == backend.holds(EpsSeries.from_rational(n))
-            assert backend.step_holds(n) == (n + 1 != edge)
+            assert backend.induction(n, n + 1, ()).step_holds == (n + 1 != edge)
         assert backend.change_points(-12, 13) == points
 
     def test_bound_not_a_series(self):
@@ -964,12 +962,18 @@ class TestChangePoints:
     def test_minimal(self, kind, data):
         backend = data.draw(STEP_BACKENDS[kind])
         lo, stop = data.draw(st.integers(-12, 12)), data.draw(st.integers(-12, 12))
+        step_holds = lambda n: backend.induction(n, n + 1, ()).step_holds
+        fails = [n for n in range(lo, stop) if not step_holds(n)]
         moves = [
             n
             for n in range(lo + 1, stop)
-            if backend.truth(n) != backend.truth(n + 1) or not backend.step_holds(n)
+            if backend.truth(n) != backend.truth(n + 1) or n in fails
         ]
         assert backend.change_points(lo, stop) == ([lo, *moves] if lo < stop else [])
+        # Both schemata stop at the first failing step, found index by index.
+        first = fails[0] if fails else None
+        assert backend.induction(lo, stop, ()).step_counterexample == first
+        assert backend.chain(lo, stop).failing_link == first
 
 
 class TestDerivedData:
