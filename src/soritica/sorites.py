@@ -23,8 +23,11 @@ at or above the bound, in closed form, and ``inf`` or ``-inf`` when no
 integer or every integer is.  The fuzzy backend derives its pieces, in
 integers, the change points that do not depend on the range, and one table,
 the step-implication degree at each of them.  Its degree at an index is one
-bisection into the pieces and one exact interpolation, and a run costs
-O(change points + witnesses) on every backend.
+bisection into the pieces and one interpolation, an integer pair
+``(numerator, denominator)``; designations, links and the weakest-link fold
+compare such pairs by cross-multiplication, and a ``Fraction`` is built only
+for a value handed out.  A run costs O(change points + witnesses) on every
+backend.
 
 Reports render as text and as JSON.  ``SoritesReport.to_json`` writes its
 JSON itself, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
@@ -248,7 +251,7 @@ class FuzzyMembership(Backend):
         levels = ((t, u), (u - t, u))
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
             # On the piece, S(n) = (start + step * (n - x0)) / denominator:
-            # integers, so that each degree is one Fraction built from two.
+            # integers, so that each degree is a pair of them.
             b, d = y0.denominator, y1.denominator
             denominator = b * d * (x1 - x0)
             start = y0.numerator * d * (x1 - x0)
@@ -265,30 +268,51 @@ class FuzzyMembership(Backend):
             k = x0 + (denominator - 2 * start - step) // (2 * step)
             fixed.update((k, k + 1))
         fixed.update((indices[-1] - 1, indices[-1]))
+        (_, first), (_, last) = self.points[0], self.points[-1]
+        ends = ((first.numerator, first.denominator), (last.numerator, last.denominator))
         object.__setattr__(self, "_indices", tuple(indices))
         object.__setattr__(self, "_pieces", tuple(pieces))
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_threshold", (t, u))
         object.__setattr__(self, "_fixed", tuple(sorted(fixed)))
-        # The step-implication degree at each fixed point: weakest_link
-        # reads the links between the range ends from this table.
-        object.__setattr__(self, "_links", tuple(map(self.implication, self._fixed)))
+        # The step-implication degree at each fixed point, as a pair:
+        # weakest_link reads the links between the range ends from this table.
+        object.__setattr__(self, "_links", tuple(map(self._link, self._fixed)))
 
-    def truth(self, n: int) -> Fraction:
+    # Degrees are pairs (a, b) of integers with b > 0, not always reduced, so
+    # a/b <= c/d is a * d <= c * b.  A Fraction is built only for the caller.
+
+    def _degree(self, n: int) -> Tuple[int, int]:
         indices = self._indices
         if n <= indices[0]:
-            return self.points[0][1]
+            return self._ends[0]
         if n >= indices[-1]:
-            return self.points[-1][1]
+            return self._ends[1]
         x0, start, step, denominator = self._pieces[bisect_right(indices, n) - 1]
-        return Fraction(start + step * (n - x0), denominator)
+        return start + step * (n - x0), denominator
+
+    def _link(self, n: int) -> Tuple[int, int]:
+        """max(1 - S(n), S(n+1)) as a pair."""
+        a, b = self._degree(n)
+        c, d = self._degree(n + 1)
+        return (b - a, b) if (b - a) * d >= c * b else (c, d)
+
+    def truth(self, n: int) -> Fraction:
+        return Fraction(*self._degree(n))
 
     def designated_true(self, n: int) -> bool:
-        return self.truth(n) >= self.threshold
+        a, b = self._degree(n)
+        t, u = self._threshold
+        return a * u >= t * b
 
     def designated_false(self, n: int) -> bool:
-        return self.truth(n) <= 1 - self.threshold
+        # a/b <= 1 - t/u
+        a, b = self._degree(n)
+        t, u = self._threshold
+        return a * u <= (u - t) * b
 
     def implication(self, n: int) -> Fraction:
-        return max(1 - self.truth(n), self.truth(n + 1))
+        return Fraction(*self._link(n))
 
     def weakest_link(self, lo: int, stop: int) -> Fraction:
         """The weakest step-implication degree on ``lo .. stop-1``; 1 if none.
@@ -299,13 +323,17 @@ class FuzzyMembership(Backend):
             return Fraction(1)
         fixed = self._fixed
         inner = self._links[bisect_right(fixed, lo) : bisect_left(fixed, stop)]
-        return min(self.implication(lo), self.implication(stop - 1), *inner)
+        a, b = self._link(lo)
+        for c, d in (self._link(stop - 1), *inner):
+            if c * b < a * d:
+                a, b = c, d
+        return Fraction(a, b)
 
     def induction(self, lo: int, hi: int, witness_details) -> InductionResult:
         weakest = self.weakest_link(lo, hi)
         return InductionResult(
             basis=self.designated_true(lo),
-            basis_detail=f"degree of S(a_{lo}) = {self.truth(lo)}",
+            basis_detail=f"degree of S(a_{lo}) = {Fraction(*self._degree(lo))}",
             step_holds=weakest >= self.threshold,
             step_counterexample=None,
             step_detail=f"minimum step-implication degree = {weakest}",
@@ -318,7 +346,7 @@ class FuzzyMembership(Backend):
             chain_length=str(target),
             failing_link=None,
             conclusion=(
-                f"degree of S(a_{target}) = {self.truth(target)}; "
+                f"degree of S(a_{target}) = {Fraction(*self._degree(target))}; "
                 f"minimum link degree = {self.weakest_link(lo, target)}"
             ),
         )

@@ -1008,6 +1008,15 @@ class TestTautologyOnDeepTrees:
         assert not is_tautology_k3(formula)
         assert not quasi_tautology_k3(formula)
 
+    def test_quantifier_nest(self):
+        # The searches refuse the first quantifier, so its body is not lowered.
+        formula = P
+        for _ in range(1200):
+            formula = Forall("n", (1, 3), formula)
+        for search in (collect_variables, is_tautology_k3, quasi_tautology_k3):
+            with pytest.raises(ValueError, match="quantifier-free formula required"):
+                search(formula)
+
     @given(
         formula=st.one_of(k3_formulas, oracle_formulas),
         depth=st.sampled_from([0, 1, 2, 3000]),

@@ -826,14 +826,20 @@ class TestOracle:
     @settings(max_examples=200)
     def test_fuzzy_pieces(self, indices, data):
         points = tuple((n, data.draw(degrees)) for n in sorted(indices))
-        backend = FuzzyMembership(points, data.draw(degrees))
+        threshold = data.draw(degrees)
+        backend = FuzzyMembership(points, threshold)
         for n in range(-12, 13):
-            assert backend.truth(n) == ref_degree(points, n)
+            degree, next_degree = ref_degree(points, n), ref_degree(points, n + 1)
+            assert backend.truth(n) == degree
+            # The designations and the link compare integer pairs.
+            assert backend.designated_true(n) == (degree >= threshold)
+            assert backend.designated_false(n) == (degree <= 1 - threshold)
+            assert backend.implication(n) == max(1 - degree, next_degree)
         # The link table holds the step-implication degree at every fixed
         # change point, from S(k) and S(k+1) as the breakpoints interpolate them.
         assert len(backend._links) == len(backend._fixed)
         for k, link in zip(backend._fixed, backend._links):
-            assert link == max(1 - ref_degree(points, k), ref_degree(points, k + 1))
+            assert F(*link) == max(1 - ref_degree(points, k), ref_degree(points, k + 1))
 
     @given(
         st.lists(st.integers(-10, 10), min_size=1, max_size=6),
@@ -884,13 +890,13 @@ class TestWeakestLink:
     def test_run_scenario_asks_for_few_links(self, config):
         scenario = scenario_from_dict(config)
         backend, calls = scenario.backend, []
-        implication = backend.implication
+        link = backend._link
 
         def counting(n):
             calls.append(n)
-            return implication(n)
+            return link(n)
 
-        object.__setattr__(backend, "implication", counting)
+        object.__setattr__(backend, "_link", counting)
         run_scenario(scenario)
         assert len(calls) <= 4
 
