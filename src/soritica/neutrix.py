@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from ._trusted import trusted
-from .bounds import MAX_POWER, BoundExceeded
+from .bounds import BoundExceeded
 from .series import (
     ONE,
     ZERO,
@@ -30,6 +30,7 @@ from .series import (
     EpsSeries,
     ExprParser,
     Rational,
+    _Arithmetic,
     _series,
     rational,
 )
@@ -206,8 +207,8 @@ class SetRelation(enum.Enum):
     DISJOINT_GREATER = "DisjointGreater"
 
 
-@dataclass(frozen=True, slots=True)
-class ExternalNumber:
+@dataclass(frozen=True, slots=True, repr=False)
+class ExternalNumber(_Arithmetic):
     """Canonical representative-plus-neutrix pair.
 
     Canonical means that the neutrix absorbs no term of the
@@ -280,18 +281,6 @@ class ExternalNumber:
     def __neg__(self):
         return _external(-self.rep, self.neutrix)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -322,25 +311,12 @@ class ExternalNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("powers must be non-negative integers")
-        if power > MAX_POWER:
-            raise BoundExceeded(f"power {power} above {MAX_POWER}")
-        result = ExternalNumber.make(ONE)
-        for _ in range(power):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
         if self.neutrix.is_zero:
             return str(self.rep)
         if self.rep.is_zero:
             return str(self.neutrix)
         return f"{self.rep} + {self.neutrix}"
-
-    def __repr__(self) -> str:
-        return f"ExternalNumber({self})"
 
 
 # Its pair must be canonical: the neutrix absorbs no term of the rep.
@@ -368,16 +344,12 @@ def classify(alpha: ExternalNumber) -> Classification:
 
 def is_limited(alpha: ExternalNumber) -> bool:
     """True when every member of the set is limited."""
-    if not POUND.includes(alpha.neutrix):
-        return False
-    return alpha.rep.is_zero or alpha.rep.valuation >= 0
+    return POUND.includes(alpha.neutrix) and POUND.contains(alpha.rep)
 
 
 def is_infinitesimal(alpha: ExternalNumber) -> bool:
     """True when every member of the set is infinitesimal."""
-    if not OSLASH.includes(alpha.neutrix):
-        return False
-    return alpha.rep.is_zero or alpha.rep.valuation > 0
+    return OSLASH.includes(alpha.neutrix) and OSLASH.contains(alpha.rep)
 
 
 def relate(alpha: ExternalNumber, beta: ExternalNumber) -> SetRelation:

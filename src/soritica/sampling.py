@@ -93,7 +93,7 @@ def samples_within(
     """
     _check_count(count)
     if right.neutrix.includes(left.neutrix):
-        return count == 0 or right.neutrix.contains(left.rep - right.rep)
+        return count == 0 or en_member(left.rep, right)
     samples = neutrix_samples(left.neutrix, count, rng)
     return all([en_member(left.rep + s, right) for s in samples])
 

@@ -16,7 +16,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
@@ -155,9 +154,54 @@ def _product(xs: Terms, ys: Terms, cut: Optional[Cut]) -> Terms:
     return total
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class EpsSeries:
+class _Arithmetic:
+    """Subtraction, powers and ``repr``, defined once for ``EpsSeries`` and
+    ``ExternalNumber`` from their ``_coerce``, ``+``, unary ``-``, ``*``
+    and ``str``; the unit of ``a ** n`` is ``_coerce(1)``.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, power: int):
+        if not isinstance(power, int) or power < 0:
+            raise ValueError("powers must be non-negative integers")
+        if power > MAX_POWER:
+            raise BoundExceeded(f"power {power} above {MAX_POWER}")
+        result = self._coerce(1)
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def _order(test):
+    """The series operator ``test(sign of self - other, 0)``, via :func:`_compare`."""
+
+    def method(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return test(_compare(self.terms, other.terms), 0)
+
+    return method
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class EpsSeries(_Arithmetic):
     """A finite formal series in ``e``, kept in canonical form.
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
@@ -172,6 +216,9 @@ class EpsSeries:
     ``ValueError``; build from unsorted pairs with :meth:`from_terms`.
     The arithmetic builds its results, canonical by construction, through
     :func:`_series`, which skips the check.
+
+    ``<``, ``<=``, ``>``, ``>=`` and :meth:`compare` agree and never build
+    the difference; ``==`` is structural, so ``ONE == 1`` is False.
     """
 
     terms: Terms = ()
@@ -285,18 +332,6 @@ class EpsSeries:
     def __neg__(self):
         return _series(tuple([(exp, -coeff) for exp, coeff in self.terms]))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _series(_merge(self.terms, (-other).terms))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other, cut: Optional[Cut] = None):
         """The product; given ``cut``, only its terms below the cut.
 
@@ -310,21 +345,10 @@ class EpsSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("series powers must be non-negative integers")
-        if power > MAX_POWER:
-            raise BoundExceeded(f"power {power} above {MAX_POWER}")
-        result = ONE
-        for _ in range(power):
-            result = result * self
-        return result
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _compare(self.terms, other.terms) < 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def compare(self, other) -> int:
         """Three-way comparison: -1, 0, or 1."""
@@ -353,9 +377,6 @@ class EpsSeries:
             else:
                 parts.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"EpsSeries({self})"
 
 
 # Its terms must be sorted, zero-free and in ``rational`` form.

@@ -366,6 +366,35 @@ class TestClassify:
             assert member.valuation == 0  # every member appreciable
 
 
+class TestMembershipRule:
+    """``is_limited`` and ``is_infinitesimal`` agree with their old formulas."""
+
+    @staticmethod
+    def old_is_limited(alpha):
+        if not POUND.includes(alpha.neutrix):
+            return False
+        return alpha.rep.is_zero or alpha.rep.valuation >= 0
+
+    @staticmethod
+    def old_is_infinitesimal(alpha):
+        if not OSLASH.includes(alpha.neutrix):
+            return False
+        return alpha.rep.is_zero or alpha.rep.valuation > 0
+
+    @given(externals)
+    def test_drawn(self, alpha):
+        assert is_limited(alpha) is self.old_is_limited(alpha)
+        assert is_infinitesimal(alpha) is self.old_is_infinitesimal(alpha)
+
+    @pytest.mark.parametrize(
+        "text", ["0", "e", "1", "e^(-1)", "osl", "lim", "e + o(1)", "1 + L(1/2)", "L(-1)"]
+    )
+    def test_boundaries(self, text):
+        alpha = en(text)
+        assert is_limited(alpha) is self.old_is_limited(alpha)
+        assert is_infinitesimal(alpha) is self.old_is_infinitesimal(alpha)
+
+
 class TestRelate:
     def test_disjoint_less(self):
         assert relate(en("3 + osl"), en("4 + osl")) is SetRelation.DISJOINT_LESS

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soritica import sampling
-from soritica.neutrix import ExternalNumber, Kind, Neutrix
+from soritica.neutrix import ExternalNumber, Kind, Neutrix, n_max
 from soritica.sampling import (
     en_samples,
     mutual_membership_check,
@@ -298,6 +298,17 @@ class TestAbsorbedSamples:
         verdicts = {_same_as_reference(left, right, seed, 1) for seed in range(300)}
         assert verdicts == {True, False}
         assert _same_as_reference(right, left, 0, 50)
+
+    @given(pairs, seeds, st.sampled_from((0, 1, 50)))
+    def test_absorbed_verdict_and_rng(self, pair, seed, count):
+        # Widening right's neutrix to include left's makes every call
+        # absorbed: the verdict is the representatives' and nothing is drawn.
+        left, right = pair
+        right = ExternalNumber.make(right.rep, n_max(left.neutrix, right.neutrix))
+        rng = random.Random(seed)
+        got = samples_within(left, right, rng, count)
+        assert got is (count == 0 or right.neutrix.contains(left.rep - right.rep))
+        assert rng.getstate() == random.Random(seed).getstate()
 
 
 def _old_verdict(left, right, seed, count):

@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from soritica.bounds import MAX_NESTING, MAX_POWER, BoundExceeded
-from soritica.neutrix import parse_external
+from soritica.neutrix import ExternalNumber, Kind, Neutrix, parse_external
 from soritica.series import (
     EPS,
     INFINITE_VALUATION,
@@ -20,8 +21,11 @@ from soritica.series import (
 from reference_arithmetic import (
     ref_add,
     ref_compare,
+    ref_external_mul,
     ref_from_terms,
+    ref_make,
     ref_mul,
+    ref_n_max,
     ref_sub,
 )
 
@@ -42,6 +46,12 @@ coefficients = st.fractions(
 series_values = st.lists(
     st.tuples(exponents, coefficients), max_size=4
 ).map(EpsSeries.from_terms)
+neutrices = st.one_of(
+    st.just(Neutrix.zero()),
+    st.builds(Neutrix, exponents, st.sampled_from((Kind.LIM, Kind.OSL))),
+)
+externals = st.builds(ExternalNumber.make, series_values, neutrices)
+rationals = st.one_of(st.integers(-9, 9), coefficients)
 
 
 def evaluate(x: EpsSeries, eps_value: float) -> float:
@@ -313,6 +323,111 @@ class TestCompareWalk:
             ONE.compare(other)
         with pytest.raises(TypeError):
             ONE < other
+
+
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def constant_term(x: EpsSeries):
+    """The coefficient of ``e^0`` in ``x``, an ``int`` or a ``Fraction``."""
+    return dict(x.terms).get(0, 0)
+
+
+class TestOrderOperators:
+    """All four operators read the sign of ``compare``, on either side."""
+
+    @given(
+        st.one_of(series_values, rationals.map(EpsSeries.from_rational)),
+        series_values,
+        st.integers(-9, 9),
+        coefficients,
+    )
+    def test_drawn(self, x, y, k, q):
+        for other in (y, k, q, constant_term(x)):
+            sign = x.compare(other)
+            for op in ORDER:
+                assert op(x, other) is op(sign, 0)
+                assert op(other, x) is op(-sign, 0)
+
+    def test_equal_rationals(self):
+        assert not ONE > 1 and not 1 < ONE and not ZERO > 0 and not ZERO < 0
+        assert ONE <= 1 and ONE >= 1 and 1 >= ONE and 1 <= ONE
+        assert ZERO >= F(0) and EpsSeries.from_rational(F(1, 2)) <= F(1, 2)
+
+    def test_equality_stays_structural(self):
+        assert ONE.compare(1) == 0 and ONE != 1 and not ONE == 1
+        assert not ZERO == 0 and not EpsSeries.from_rational(F(1, 2)) == F(1, 2)
+
+    @pytest.mark.parametrize("other", ["1", 1.0])
+    @pytest.mark.parametrize("op", ORDER)
+    def test_foreign_operand(self, op, other):
+        with pytest.raises(TypeError):
+            op(ONE, other)
+        with pytest.raises(TypeError):
+            op(other, ONE)
+
+
+def as_external(value):
+    return value if isinstance(value, ExternalNumber) else ExternalNumber.make(value)
+
+
+def ref_difference(a, b):
+    """``a - b`` from the reference: the dict merge, then the reference cut."""
+    if isinstance(b, (int, Fraction)):
+        b = a._coerce(b)
+    if isinstance(a, EpsSeries) and isinstance(b, EpsSeries):
+        return ref_sub(a, b)
+    a, b = as_external(a), as_external(b)
+    return ref_make(ref_sub(a.rep, b.rep), ref_n_max(a.neutrix, b.neutrix))
+
+
+def ref_product(a, b):
+    if isinstance(a, EpsSeries):
+        return ref_mul(a, b)
+    return ref_external_mul(a, b)
+
+
+class TestSharedArithmetic:
+    """Subtraction, powers and ``repr``, shared by series and external numbers."""
+
+    values = st.one_of(series_values, externals)
+
+    @given(values, st.one_of(values, rationals))
+    def test_subtraction(self, a, b):
+        assert a - b == a + (-b) == ref_difference(a, b)
+
+    @given(values, rationals)
+    def test_reflected_subtraction(self, a, k):
+        assert k - a == k + (-a) == ref_difference(a._coerce(k), a)
+
+    @given(values)
+    def test_powers(self, a):
+        unit = a._coerce(1)
+        assert type(unit) is type(a)
+        product = reference = unit
+        for n in range(6):
+            assert a**n == product == reference
+            product = product * a
+            reference = ref_product(reference, a)
+
+    @given(values)
+    def test_power_refused(self, a):
+        with pytest.raises(ValueError):
+            a ** -1
+        with pytest.raises(BoundExceeded):
+            a ** (MAX_POWER + 1)
+
+    @given(values)
+    def test_repr(self, a):
+        assert repr(a) == f"{type(a).__name__}({a})"
+        assert repr(a).startswith(("EpsSeries(", "ExternalNumber("))
+
+    @given(values)
+    def test_foreign_operand(self, a):
+        with pytest.raises(TypeError):
+            a - "x"
+        with pytest.raises(TypeError):
+            "x" - a
 
 
 class TestNestingLimit:
