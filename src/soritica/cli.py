@@ -8,6 +8,10 @@ Subcommands::
     soritica sorites run <config.json> [--format text|json] [-o FILE]
 
 Exit codes: 0 success, 1 property or oracle failure, 2 usage/config error.
+
+Importing this module loads only the number core, which ``numbers eval``
+runs; ``laws``, ``tables`` and ``sorites run`` each import their own module
+when they run, so no subcommand loads another one's code.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ import functools
 import sys
 
 from . import __version__
-from .laws import run_law_suite
 from .neutrix import classify, parse_external
-from .semantics import kleene_tables
 from .series import ParseError
-from .sorites import ConfigError, load_scenario, run_scenario
 
 
 @functools.cache
@@ -110,6 +111,8 @@ def _cmd_numbers_eval(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    from .laws import run_law_suite
+
     if args.n < 1:
         print("laws: --n must be >= 1", file=sys.stderr)
         return 2
@@ -126,6 +129,8 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_sorites_run(args) -> int:
+    from .sorites import ConfigError, load_scenario, run_scenario
+
     try:
         scenario = load_scenario(args.config)
     except ConfigError as exc:
@@ -158,6 +163,8 @@ def main(argv=None) -> int:
     if args.command == "numbers":
         return _cmd_numbers_eval(args)
     if args.command == "tables":
+        from .semantics import kleene_tables
+
         sys.stdout.write(kleene_tables())
         return 0
     if args.command == "laws":

@@ -32,11 +32,15 @@ Kleene is regular (Kleene 1952): refining a 1/2 to 0 or 1 never changes
 a defined value.  So a formula is 1 under every assignment iff it is 1
 under the all-1/2 one, and it is 0 under some assignment iff it is 0
 under some classical one; one and 2^v evaluations decide the two tests.
+
+``TRUE``, ``HALF``, ``FALSE`` and ``SuperVerdict`` are defined in
+``soritica.truth`` and exported here as the same objects.  The Sorites
+workbench imports them from there, so ``soritica.sorites`` loads no logic
+module.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -57,6 +61,7 @@ from .formulas import (
     Or,
     PropVar,
 )
+from .truth import FALSE, HALF, TRUE, SuperVerdict
 
 __all__ = [
     "TRUE",
@@ -77,9 +82,6 @@ __all__ = [
     "kleene_tables",
 ]
 
-TRUE = Fraction(1)
-FALSE = Fraction(0)
-HALF = Fraction(1, 2)
 K3_VALUES = (TRUE, FALSE, HALF)
 
 
@@ -89,12 +91,6 @@ class UnboundAtom(KeyError):
 
 class EmptyFamily(ValueError):
     pass
-
-
-class SuperVerdict(enum.Enum):
-    SUPERTRUE = "Supertrue"
-    SUPERFALSE = "Superfalse"
-    INDETERMINATE = "Indeterminate"
 
 
 Domains = Mapping[str, Tuple[int, int]]

@@ -49,8 +49,8 @@ from numbers import Rational
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import __version__
-from .semantics import HALF, TRUE, FALSE, SuperVerdict
 from .series import EpsSeries, ParseError, parse_series
+from .truth import FALSE, HALF, TRUE, SuperVerdict
 
 __all__ = [
     "Witness",

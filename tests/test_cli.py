@@ -7,13 +7,14 @@ import random
 import sys
 import tempfile
 import time
+import types
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soritica import cli, laws
+from soritica import cli, laws, semantics, sorites
 from soritica.bounds import MAX_NESTING
 from soritica.cli import main
 from soritica.laws import rand_external, rand_invertible_external
@@ -319,6 +320,45 @@ class TestInProcessCalls:
         assert code == 2
         assert out == ""
         assert err.startswith("syntax error: nesting deeper than")
+
+
+class TestDeferredImports:
+    """A subcommand imports its entry point when it runs, so it calls
+    whatever the module attribute holds then, as a patch or a tracer
+    installed after ``soritica.cli`` was imported."""
+
+    def test_laws(self, capsys, monkeypatch):
+        calls = []
+
+        def suite(seed, n):
+            calls.append((seed, n))
+            return []
+
+        monkeypatch.setattr(laws, "run_law_suite", suite)
+        code, out, _ = run(capsys, "laws", "--seed", "3", "--n", "2")
+        assert code == 0
+        assert calls == [(3, 2)]
+        assert out.endswith("law suite (seed 3, n 2)\n")
+
+    def test_sorites_run(self, capsys, monkeypatch):
+        calls = []
+
+        def run_scenario(scenario):
+            calls.append(scenario.name)
+            return types.SimpleNamespace(to_text=lambda: "patched report\n")
+
+        monkeypatch.setattr(sorites, "run_scenario", run_scenario)
+        config = str(FIXTURES / "nonstandard_heap.json")
+        code, out, _ = run(capsys, "sorites", "run", config)
+        assert code == 0
+        assert calls == ["nonstandard_heap"]
+        assert out == "patched report\n"
+
+    def test_tables(self, capsys, monkeypatch):
+        monkeypatch.setattr(semantics, "kleene_tables", lambda: "patched tables\n")
+        code, out, _ = run(capsys, "tables")
+        assert code == 0
+        assert out == "patched tables\n"
 
 
 def _failing_law(monkeypatch):

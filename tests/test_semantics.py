@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soritica import semantics, sorites
 from soritica.formulas import (
     And,
     Atom,
@@ -409,6 +410,12 @@ class TestTables:
         text = kleene_tables()
         assert "1     1/2   1     1/2   1/2   1/2" in text
         assert "1/2   1/2   1/2   1/2   1/2   1/2" in text
+
+
+class TestSharedTruthValues:
+    @pytest.mark.parametrize("name", ["TRUE", "HALF", "FALSE", "SuperVerdict"])
+    def test_sorites_uses_the_same_objects(self, name):
+        assert getattr(sorites, name) is getattr(semantics, name)
 
 
 class TestReboundVariable:

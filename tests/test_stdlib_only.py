@@ -1,7 +1,8 @@
 """soritica has no runtime dependency: every absolute import is stdlib.
 
 An import loads only what the named modules import: the package itself
-re-exports nothing, so its module paths are the import API.
+re-exports nothing, so its module paths are the import API.  The CLI
+loads the number core, and each subcommand adds only the modules it runs.
 """
 
 import ast
@@ -66,3 +67,51 @@ def test_logic_modules_load_no_number_core():
     loaded = loaded_submodules("import soritica.formulas, soritica.semantics")
     assert {"soritica.formulas", "soritica.semantics"} <= loaded
     assert not loaded & {"soritica.series", "soritica.neutrix"}
+
+
+#: What importing ``soritica.cli`` loads: the number core ``numbers eval`` runs.
+CLI_MODULES = {
+    f"soritica.{name}"
+    for name in ("cli", "neutrix", "series", "lexer", "_trusted", "bounds")
+}
+
+#: Each subcommand's arguments, and what it loads beyond ``CLI_MODULES``.
+SUBCOMMANDS = {
+    "numbers eval": (["numbers", "eval", "--oracle", "1 + osl"], set()),
+    "tables": (
+        ["tables"],
+        {"soritica.formulas", "soritica.semantics", "soritica.truth"},
+    ),
+    "laws": (["laws", "--n", "1"], {"soritica.laws", "soritica.sampling"}),
+    "sorites run": (
+        [
+            "sorites",
+            "run",
+            str(resources.files("soritica") / "fixtures" / "nonstandard_heap.json"),
+        ],
+        {"soritica.sorites", "soritica.truth"},
+    ),
+}
+
+
+def test_cli_import_loads_only_the_number_core():
+    assert loaded_submodules("import soritica.cli") == CLI_MODULES
+
+
+def test_sorites_loads_no_logic_or_calculus_module():
+    loaded = loaded_submodules("import soritica.sorites")
+    assert "soritica.sorites" in loaded
+    assert not loaded & {
+        f"soritica.{name}"
+        for name in ("formulas", "semantics", "neutrix", "laws", "sampling")
+    }
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_each_subcommand_loads_only_its_modules(command):
+    argv, modules = SUBCOMMANDS[command]
+    statement = f"""import contextlib, io
+from soritica import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0"""
+    assert loaded_submodules(statement) == CLI_MODULES | modules
