@@ -27,10 +27,12 @@ class BoundExceeded(ValueError):
 #: levels), and it bounds how deep quantifiers nest in a formula tree.
 MAX_NESTING = 100
 
-#: Tallest formula tree the formula parser builds, a leaf counting 1.  The
-#: parser reads chains of connectives and nested levels alike with one
-#: loop, so only this bound keeps a tree within what recursive walks over
-#: it can reach.  The printer, ``eval_classical`` and ``eval_super`` spend
+#: Tallest formula tree the formula parser builds, a leaf counting 1 and a
+#: group adding no level.  The parse loop both parsers share checks it next
+#: to ``MAX_NESTING``, at the first node past it; number texts have no height
+#: bound, as their values are computed as they are read.  That loop reads
+#: chains of connectives and nested levels alike without recursing, so only
+#: this bound keeps a tree within what recursive walks over it can reach.  The printer, ``eval_classical`` and ``eval_super`` spend
 #: one stack frame per level; the generated ``==`` and ``repr`` of the
 #: frozen dataclass nodes spend three and ``hash`` two, so 250 levels take
 #: about 750 of Python's default 1000 frames.  ``eval_k3``, ``eval_fuzzy``

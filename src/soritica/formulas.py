@@ -219,13 +219,11 @@ class _Parser(Descent):
 
     ``~`` is a tight prefix op and a quantifier a loose one, whose head
     (``forall n in 1..9.``) :meth:`head` reads.  Parentheses, ``~`` and
-    quantifiers nest at most ``MAX_NESTING`` deep.  Each operand and node
-    is a formula with its height (a leaf is 1); once the whole text has
-    parsed, a formula taller than ``MAX_HEIGHT`` is refused at the first
-    node that crossed the bound.  It builds each node with the constructor
-    :func:`~soritica._trusted.trusted` makes of its class, as the number
-    core builds its values: the grammar writes only nodes the public
-    constructors would accept, so their checks are skipped.
+    quantifiers nest at most ``MAX_NESTING`` deep, and a formula taller
+    than ``MAX_HEIGHT`` is refused.  Each node is built with the
+    constructor :func:`~soritica._trusted.trusted` makes of its class, as
+    the number core builds its values: the grammar writes only nodes the
+    public constructors would accept, so their checks are skipped.
 
     An atom written without spaces is one token, and each such token is
     turned into an ``Atom`` once per parse and kept in ``leaves``: where
@@ -240,30 +238,7 @@ class _Parser(Descent):
     error = FormulaSyntaxError
     infixes = _JOINS
     prefixes = _PREFIXES
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.too_tall: Optional[int] = None
-
-    def parse(self) -> Formula:
-        formula, _ = super().parse()
-        if self.too_tall is not None:
-            raise self.fail(f"formula taller than {MAX_HEIGHT} levels", self.too_tall)
-        return formula
-
-    def join(self, index: int, build, left, right) -> Tuple[Formula, int]:
-        (a, a_height), (b, b_height) = left, right
-        height = (a_height if a_height > b_height else b_height) + 1
-        if height > MAX_HEIGHT and self.too_tall is None:
-            self.too_tall = index
-        return build(a, b), height
-
-    def apply(self, index: int, build, operand) -> Tuple[Formula, int]:
-        body, height = operand
-        height += 1
-        if height > MAX_HEIGHT and self.too_tall is None:
-            self.too_tall = index
-        return build(body), height
+    max_height = MAX_HEIGHT
 
     def head(self, build):
         """A quantifier's variable and domain, up to its ``.``."""
@@ -288,7 +263,7 @@ class _Parser(Descent):
             return token
         raise self.fail("expected a finite domain")
 
-    def primary(self) -> Tuple[Formula, int]:
+    def primary(self) -> Formula:
         tokens = self.tokens
         start = self.index
         token = tokens[start]
@@ -298,8 +273,8 @@ class _Parser(Descent):
                 self.index = start + 2
                 index = self.parse_index()
                 self.expect(")")
-                return _atom(token, index), 1
-            return _propvar(token), 1
+                return _atom(token, index)
+            return _propvar(token)
         match = _ATOM_RE.fullmatch(token)
         if match is None:
             raise self.fail("expected a formula")
@@ -313,7 +288,7 @@ class _Parser(Descent):
                 index = _index(var, int(offset) if offset else 0)
         except ValueError:  # past the digit limit of int(str)
             raise self.fail("a numeral too long") from None
-        leaf = self.leaves[token] = _atom(predicate, index), 1
+        leaf = self.leaves[token] = _atom(predicate, index)
         self.index = start + 1
         return leaf
 

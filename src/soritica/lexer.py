@@ -15,7 +15,8 @@ only when an error needs it.
 One loop, :meth:`Descent.parse`, reads the tokens of either language:
 parentheses, prefix and infix operators wait on an explicit stack, so no
 parse recurses: the Python stack it uses does not grow with how deep the
-text nests or how long its chains are.
+text nests or how long its chains are.  It checks both bounds on a text:
+how deep it nests and how tall a tree it builds.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Infix(NamedTuple):
 
     level: int  # 1 or more; a higher level binds tighter
     right: bool  # a chain of it groups to the right
-    meaning: Any  # what ``join`` builds from the two operands
+    meaning: Any  # builds the node from the two operands
 
 
 class Prefix(NamedTuple):
@@ -53,7 +54,7 @@ class Prefix(NamedTuple):
     # another loose op's operand starts, and takes the rest of that group.
     # Any other binds tighter than every infix op and takes the next operand.
     loose: bool
-    meaning: Any  # what ``apply`` builds from the operand
+    meaning: Any  # builds the node from the operand
 
 
 def _zero_denominator(token: str) -> bool:
@@ -110,22 +111,26 @@ class Descent:
     """The parser base: a token cursor and one loop that reads a whole text.
 
     A subclass sets ``pattern`` (with no groups), ``error``, ``infixes``
-    and ``prefixes``, and defines ``primary``, which reads one operand
-    from ``tokens[index]`` and moves ``index`` past it, never past the end
-    marker.  :meth:`parse` reads everything else: parentheses, prefix ops
-    and infix ops all wait on one explicit stack, so neither a chain nor a
-    nesting recurses.  ``join`` and ``apply`` build the node of an infix
-    and a prefix op.  A grammar with a loose prefix op also defines
-    ``head``, which reads what stands between that op and its operand from
-    ``index`` on and gives what ``apply`` then builds from.  Parentheses
-    and prefix ops nest at most ``MAX_NESTING`` deep.  No operand is
-    ``None``.
+    and ``prefixes``, may set ``max_height``, and defines ``primary``,
+    which reads one operand from ``tokens[index]`` and moves ``index`` past
+    it, never past the end marker.  :meth:`parse` reads everything else:
+    parentheses, prefix ops and infix ops all wait on one explicit stack,
+    so neither a chain nor a nesting recurses, and it builds each op's node
+    with the ``meaning`` of its table entry.  A grammar with a loose prefix
+    op also defines ``head``, which reads what stands between that op and
+    its operand from ``index`` on and gives the meaning to build that node
+    with.  Parentheses and prefix ops nest at most ``MAX_NESTING`` deep,
+    and no tree is taller than ``max_height`` (a leaf counts 1, a group
+    adds no level).  No operand is ``None``.
     """
 
     pattern: re.Pattern
     error: Type[TextError]
     infixes: Mapping[str, Infix]
     prefixes: Mapping[str, Prefix]
+    #: No bound by default: the number grammar computes each value as it
+    #: reads it, so it leaves no tree for a recursive walk to overflow on.
+    max_height = sys.maxsize
 
     def __init__(self, text: str):
         self.text = text
@@ -139,15 +144,18 @@ class Descent:
         """The value of the whole text, or the error at its first fault.
 
         Each node is built as soon as its last operand is complete: in the
-        order a descent with one rule per level would build them.
+        order a descent with one rule per level would build them.  A tree
+        taller than ``max_height`` is refused at the first node past it,
+        once the whole text has parsed with no other fault.
         """
         tokens, leaves = self.tokens, self.leaves
-        prefixes, infixes = self.prefixes, self.infixes
-        primary, join, apply = self.primary, self.join, self.apply
+        prefixes, infixes, max_height = self.prefixes, self.infixes, self.max_height
+        primary = self.primary
         # What waits for an operand, as ``(level, token index, meaning,
-        # left operand)``; a group or a prefix op has no left operand.
-        pending: list[tuple] = [(_BOTTOM, 0, None, None)]
+        # left operand, its height)``; a group or a prefix op has none.
+        pending: list[tuple] = [(_BOTTOM, 0, None, None, 0)]
         depth = 0  # the groups and prefix ops on ``pending``
+        too_tall = None  # the token index of the first node past max_height
         index = 0
         start = True  # where a group starts, so a loose prefix may stand
         while True:
@@ -165,19 +173,20 @@ class Descent:
                     at = index
                     index += 1
                     if prefix is None:
-                        pending.append((_GROUP, at, None, None))
+                        pending.append((_GROUP, at, None, None, 0))
                         start = True
                     elif prefix.loose:
                         self.index = index
-                        pending.append((_LOOSE, at, self.head(prefix.meaning), None))
+                        pending.append((_LOOSE, at, self.head(prefix.meaning), None, 0))
                         index = self.index
                     else:
-                        pending.append((_TIGHT, at, prefix.meaning, None))
+                        pending.append((_TIGHT, at, prefix.meaning, None, 0))
                         start = False
                     continue
                 self.index = index
                 value = primary()
                 index = self.index
+            height = 1
             # The operand is complete: join what binds at least as tight as
             # the op after it (an op that groups right leaves those of its
             # own level waiting), and close each group that ends there.
@@ -186,34 +195,33 @@ class Descent:
                 infix = infixes.get(token)
                 level = 0 if infix is None else infix.level + infix.right
                 while pending[-1][0] >= level:
-                    _, at, meaning, left = pending.pop()
+                    _, at, meaning, left, left_height = pending.pop()
                     if left is None:
                         depth -= 1
-                        value = apply(at, meaning, value)
+                        value = meaning(value)
                     else:
-                        value = join(at, meaning, left, value)
+                        value = meaning(left, value)
+                        if left_height > height:
+                            height = left_height
+                    height += 1
+                    if height > max_height and too_tall is None:
+                        too_tall = at
                 if infix is not None:
                     break
                 if pending[-1][0] == _BOTTOM:
                     if token:
                         raise self.fail(f"unexpected token {token!r}", index)
+                    if too_tall is not None:
+                        raise self.fail(f"formula taller than {max_height} levels", too_tall)
                     return value
                 if token != ")":
                     raise self.fail("expected ')'", index)
                 pending.pop()
                 depth -= 1
                 index += 1
-            pending.append((infix.level, index, infix.meaning, value))
+            pending.append((infix.level, index, infix.meaning, value, height))
             index += 1
             start = False
-
-    def join(self, index: int, meaning, left, right):
-        """The node of the infix op at token ``index``."""
-        return meaning(left, right)
-
-    def apply(self, index: int, meaning, operand):
-        """The node of the prefix op at token ``index``."""
-        return meaning(operand)
 
     def fail(self, message: str, index: int | None = None) -> TextError:
         """The error at token ``index`` (the next one by default), whose

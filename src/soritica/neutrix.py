@@ -46,10 +46,7 @@ __all__ = [
     "n_scale",
     "n_mul",
     "classify",
-    "is_limited",
-    "is_infinitesimal",
     "relate",
-    "infinitely_close",
     "distributivity_holds",
     "binomial_check",
     "regular_inverse",
@@ -159,6 +156,8 @@ _neutrix = trusted(Neutrix)
 
 
 _ZERO_GROUP = Neutrix()
+#: The two classical neutrices: all infinitesimals (``osl``) and all
+#: limited numbers (``lim``).
 OSLASH = Neutrix.osl(0)
 POUND = Neutrix.lim(0)
 
@@ -342,16 +341,6 @@ def classify(alpha: ExternalNumber) -> Classification:
     return Classification.INFINITESIMAL
 
 
-def is_limited(alpha: ExternalNumber) -> bool:
-    """True when every member of the set is limited."""
-    return POUND.includes(alpha.neutrix) and POUND.contains(alpha.rep)
-
-
-def is_infinitesimal(alpha: ExternalNumber) -> bool:
-    """True when every member of the set is infinitesimal."""
-    return OSLASH.includes(alpha.neutrix) and OSLASH.contains(alpha.rep)
-
-
 def relate(alpha: ExternalNumber, beta: ExternalNumber) -> SetRelation:
     """Exactly one of equality, proper inclusion, or signed disjointness."""
     if alpha == beta:
@@ -372,10 +361,6 @@ def relate(alpha: ExternalNumber, beta: ExternalNumber) -> SetRelation:
         "unreachable for canonical inputs: equal neutrices with an "
         "absorbed representative difference"
     )
-
-
-def infinitely_close(x: EpsSeries, y: EpsSeries) -> bool:
-    return OSLASH.contains(x - y)
 
 
 def distributivity_holds(

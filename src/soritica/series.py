@@ -175,7 +175,7 @@ class _Arithmetic:
         return other + (-self)
 
     def __pow__(self, power: int):
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int or power < 0:  # a bool is not a power
             raise ValueError("powers must be non-negative integers")
         if power > MAX_POWER:
             raise BoundExceeded(f"power {power} above {MAX_POWER}")

@@ -501,6 +501,8 @@ class SoritesScenario:
     def __post_init__(self):
         if _integer(self.lo) >= _integer(self.hi):
             raise ValueError("range must contain at least two indices")
+        if not isinstance(self.backend, Backend):
+            raise TypeError(f"backend {self.backend!r} is not a Backend")
         if not isinstance(self.witnesses, tuple) or not all(
             isinstance(w, Witness) for w in self.witnesses
         ):

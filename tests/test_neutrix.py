@@ -17,9 +17,6 @@ from soritica.neutrix import (
     binomial_check,
     classify,
     distributivity_holds,
-    infinitely_close,
-    is_infinitesimal,
-    is_limited,
     n_max,
     n_mul,
     n_scale,
@@ -350,14 +347,14 @@ class TestClassify:
         alpha = en("osl")
         assert classify(alpha) is Classification.NEUTRIX_ONLY
         assert alpha.neutrix.kind is Kind.OSL
-        assert is_infinitesimal(alpha)
-        assert is_limited(alpha)
+        assert OSLASH.includes(alpha.neutrix) and OSLASH.contains(alpha.rep)
+        assert POUND.includes(alpha.neutrix) and POUND.contains(alpha.rep)
 
     def test_pound_mixes_classes(self):
         alpha = en("lim")
         assert classify(alpha) is Classification.NEUTRIX_ONLY
-        assert not is_infinitesimal(alpha)
-        assert is_limited(alpha)
+        assert not OSLASH.includes(alpha.neutrix)
+        assert POUND.includes(alpha.neutrix) and POUND.contains(alpha.rep)
 
     def test_classification_matches_members(self):
         rng = random.Random(13)
@@ -367,7 +364,17 @@ class TestClassify:
 
 
 class TestMembershipRule:
-    """``is_limited`` and ``is_infinitesimal`` agree with their old formulas."""
+    """``Neutrix.includes`` and ``contains`` against ``POUND`` and ``OSLASH``
+    decide whether every member of a set is limited or infinitesimal, as
+    the valuation rule does."""
+
+    @staticmethod
+    def limited(alpha):
+        return POUND.includes(alpha.neutrix) and POUND.contains(alpha.rep)
+
+    @staticmethod
+    def infinitesimal(alpha):
+        return OSLASH.includes(alpha.neutrix) and OSLASH.contains(alpha.rep)
 
     @staticmethod
     def old_is_limited(alpha):
@@ -383,16 +390,16 @@ class TestMembershipRule:
 
     @given(externals)
     def test_drawn(self, alpha):
-        assert is_limited(alpha) is self.old_is_limited(alpha)
-        assert is_infinitesimal(alpha) is self.old_is_infinitesimal(alpha)
+        assert self.limited(alpha) is self.old_is_limited(alpha)
+        assert self.infinitesimal(alpha) is self.old_is_infinitesimal(alpha)
 
     @pytest.mark.parametrize(
         "text", ["0", "e", "1", "e^(-1)", "osl", "lim", "e + o(1)", "1 + L(1/2)", "L(-1)"]
     )
     def test_boundaries(self, text):
         alpha = en(text)
-        assert is_limited(alpha) is self.old_is_limited(alpha)
-        assert is_infinitesimal(alpha) is self.old_is_infinitesimal(alpha)
+        assert self.limited(alpha) is self.old_is_limited(alpha)
+        assert self.infinitesimal(alpha) is self.old_is_infinitesimal(alpha)
 
 
 class TestRelate:
@@ -418,17 +425,6 @@ class TestRelate:
             SetRelation.DISJOINT_GREATER: SetRelation.DISJOINT_LESS,
         }
         assert flipped is mirror[rel]
-
-
-class TestInfinitelyClose:
-    def test_eps_close(self):
-        assert infinitely_close(parse_series("1 + e"), ONE)
-
-    def test_appreciable_gap(self):
-        assert not infinitely_close(ONE, EpsSeries.from_rational(2))
-
-    def test_high_order_difference(self):
-        assert infinitely_close(OMEGA, parse_series("e^(-1) + e^2"))
 
 
 class TestDistributivity:

@@ -414,6 +414,10 @@ class TestSharedArithmetic:
     def test_power_refused(self, a):
         with pytest.raises(ValueError):
             a ** -1
+        with pytest.raises(ValueError):
+            a ** True
+        with pytest.raises(ValueError):
+            a ** False
         with pytest.raises(BoundExceeded):
             a ** (MAX_POWER + 1)
 

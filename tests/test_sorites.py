@@ -562,6 +562,12 @@ class TestBuiltValues:
         with pytest.raises(ValueError):
             build()
 
+    def test_backend_refused(self):
+        # Refused where the scenario is built, not later by run_scenario.
+        for backend in (5, None, ClassicalCutoff, "classical_cutoff"):
+            with pytest.raises(TypeError, match="is not a Backend"):
+                SoritesScenario("x", 0, 5, backend)
+
     def test_exact_values_accepted(self):
         backend = FuzzyMembership(((0, 1), (4, F(1, 2)), (10, 0)), F(3, 4))
         scenario = SoritesScenario("x", 0, 10, backend, chain_length=10)
