@@ -32,12 +32,13 @@ MAX_NESTING = 100
 #: to ``MAX_NESTING``, at the first node past it; number texts have no height
 #: bound, as their values are computed as they are read.  That loop reads
 #: chains of connectives and nested levels alike without recursing, so only
-#: this bound keeps a tree within what recursive walks over it can reach.  The printer, ``eval_classical`` and ``eval_super`` spend
-#: one stack frame per level; the generated ``==`` and ``repr`` of the
-#: frozen dataclass nodes spend three and ``hash`` two, so 250 levels take
-#: about 750 of Python's default 1000 frames.  ``eval_k3``, ``eval_fuzzy``
-#: and both tautology searches spend a frame per quantifier level only:
-#: they read the tree with explicit stacks and run the plan in a loop.
+#: this bound keeps a tree within what recursive walks over it can reach.
+#: The printer, ``eval_classical`` and ``eval_super`` spend one stack frame
+#: per level; the generated ``==`` and ``repr`` of the frozen dataclass
+#: nodes spend three and ``hash`` two, so 250 levels take about 750 of
+#: Python's default 1000 frames.  ``eval_k3``, ``eval_fuzzy`` and both
+#: tautology searches spend a frame per quantifier level only: they read
+#: the tree with explicit stacks and run the plan in a loop.
 MAX_HEIGHT = 250
 
 #: Largest integer power ``x ** n`` of a series or an external number.

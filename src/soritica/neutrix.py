@@ -162,15 +162,9 @@ OSLASH = Neutrix.osl(0)
 POUND = Neutrix.lim(0)
 
 
-def n_max(*neutrices: Neutrix) -> Neutrix:
-    """Inclusion-largest of the given neutrices."""
-    if not neutrices:
-        raise ValueError("n_max needs at least one neutrix")
-    largest = neutrices[0]
-    for neutrix in neutrices[1:]:
-        if not largest.includes(neutrix):
-            largest = neutrix
-    return largest
+def n_max(a: Neutrix, b: Neutrix) -> Neutrix:
+    """The larger of two neutrices under inclusion; ``a`` when they are equal."""
+    return a if a.includes(b) else b
 
 
 def n_scale(a: EpsSeries, neutrix: Neutrix) -> Neutrix:
@@ -447,16 +441,17 @@ class _ExternalExprParser(ExprParser):
     """
 
     def parse_name(self, name: str):
+        # A zero representative is canonical under any neutrix.
         if name in ("L", "o"):
             self.expect("(")
             exponent = self.parse_signed_rational("a rational")
             self.expect(")")
-            kind = Kind.LIM if name == "L" else Kind.OSL
-            return ExternalNumber.make(ZERO, Neutrix(exponent, kind))
+            build = Neutrix.lim if name == "L" else Neutrix.osl
+            return _external(ZERO, build(exponent))
         if name in ("osl", "⊘"):
-            return ExternalNumber.make(ZERO, Neutrix.osl(0))
+            return _external(ZERO, OSLASH)
         if name in ("lim", "£"):
-            return ExternalNumber.make(ZERO, Neutrix.lim(0))
+            return _external(ZERO, POUND)
         return super().parse_name(name)
 
 

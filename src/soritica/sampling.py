@@ -86,16 +86,14 @@ def samples_within(
     ``left.neutrix``: a neutrix is an additive group, so each member
     ``left.rep + s`` then lies in ``right`` iff ``left.rep`` does, and that
     is the verdict, with ``rng`` left as it was.  Otherwise each of
-    :func:`neutrix_samples` is tested with :func:`en_member`, all ``count``
-    drawn even once one has failed.  Either way the verdict is that of
-    testing :func:`en_member` on each of :func:`en_samples`.  A negative
-    ``count`` is a ``ValueError``.
+    :func:`en_samples` is tested with :func:`en_member`, all ``count``
+    drawn even once one has failed.  A negative ``count`` is a
+    ``ValueError``.
     """
     _check_count(count)
     if right.neutrix.includes(left.neutrix):
         return count == 0 or en_member(left.rep, right)
-    samples = neutrix_samples(left.neutrix, count, rng)
-    return all([en_member(left.rep + s, right) for s in samples])
+    return all([en_member(x, right) for x in en_samples(left, count, rng)])
 
 
 def mutual_membership_check(

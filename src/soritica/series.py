@@ -62,8 +62,6 @@ def rational(value) -> Rational:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 

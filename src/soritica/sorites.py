@@ -571,7 +571,6 @@ class SoritesReport:
     conditional: Optional[ConditionalResult]
     doubling: Optional[DoublingResult]
     notes: Tuple[str, ...]
-    version: str = __version__
 
     def to_dict(self) -> Dict:
         def fragment(obj):
@@ -593,7 +592,7 @@ class SoritesReport:
             "conditional": fragment(self.conditional),
             "doubling": fragment(self.doubling),
             "notes": list(self.notes),
-            "version": self.version,
+            "version": __version__,
         }
 
     def to_json(self) -> str:
@@ -604,7 +603,7 @@ class SoritesReport:
         lines = [
             f"scenario: {self.scenario}",
             f"backend: {self.backend_detail}",
-            f"tool version: {self.version}",
+            f"tool version: {__version__}",
             "",
             "Barnes constraints:",
             f"  c1 first item designated true   .. {tick(self.barnes.c1)}",
@@ -762,13 +761,13 @@ def run_induction(scenario: SoritesScenario) -> InductionResult:
     return backend.induction(scenario.lo, scenario.hi, witness_details)
 
 
-def run_conditional(
-    scenario: SoritesScenario,
-    chain_length: Union[int, Witness, None] = None,
-) -> ConditionalResult:
-    """Apply modus ponens link by link from the first premise."""
-    if chain_length is not None:  # checked as the scenario's own
-        scenario = replace(scenario, chain_length=chain_length)
+def run_conditional(scenario: SoritesScenario) -> ConditionalResult:
+    """Apply modus ponens link by link from the first premise.
+
+    The chain runs to ``scenario.chain_length``, or to ``hi`` when that is
+    None; ``dataclasses.replace(scenario, chain_length=n)`` sets another
+    length and checks it as the scenario's own.
+    """
     length = scenario.chain_length
     if isinstance(length, Witness):  # only an unlimited backend gets here
         raise ChainThroughWitness(
@@ -998,7 +997,7 @@ def scenario_from_dict(config: dict) -> SoritesScenario:
         raise ConfigError("/range", str(exc)) from exc
     if chain_length is None:
         return scenario
-    try:  # after the range and the witnesses, as run_conditional sets it
+    try:  # checked after the range and the witnesses
         return replace(scenario, chain_length=chain_length)
     except ValueError as exc:
         raise ConfigError("/chainLength", str(exc)) from exc

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from soritica.neutrix import (
     ExternalNumber,
     Kind,
     Neutrix,
+    OSLASH,
+    POUND,
     SetRelation,
     binomial_check,
     classify,
@@ -57,8 +60,6 @@ from reference_arithmetic import (
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
-OSLASH = Neutrix.osl(0)
-POUND = Neutrix.lim(0)
 
 
 def en(text):
@@ -129,7 +130,7 @@ class TestNeutrixLattice:
 
     @given(st.lists(neutrices, min_size=1, max_size=4))
     def test_n_max_matches_reference(self, groups):
-        got = n_max(*groups)
+        got = functools.reduce(n_max, groups)
         assert got == ref_n_max(*groups)
         # Among equal groups the first one given wins, as with max().
         assert got is next(n for n in groups if n == got)
@@ -266,6 +267,8 @@ class TestExternalFields:
         assert ExternalNumber.make(ONE).neutrix is Neutrix.zero()
         assert n_scale(ZERO, POUND) is Neutrix.zero()
         assert n_mul(POUND, Neutrix.zero()) is Neutrix.zero()
+        assert parse_external("osl").neutrix is OSLASH
+        assert parse_external("lim").neutrix is POUND
 
 
 class TestAgainstReference:
@@ -329,10 +332,13 @@ class TestProductNeutrix:
         got = a * b
         assert str(got) == want
         assert got == ref_external_mul(a, b)
-        assert got.neutrix == n_max(
-            n_scale(a.rep, b.neutrix),
-            n_scale(b.rep, a.neutrix),
-            n_mul(a.neutrix, b.neutrix),
+        assert got.neutrix == functools.reduce(
+            n_max,
+            (
+                n_scale(a.rep, b.neutrix),
+                n_scale(b.rep, a.neutrix),
+                n_mul(a.neutrix, b.neutrix),
+            ),
         )
 
 

@@ -20,7 +20,7 @@ from soritica.neutrix import (
     regular_inverse,
 )
 from soritica.sampling import neutrix_samples
-from soritica.series import EpsSeries, rational
+from soritica.series import EPS, EpsSeries, rational
 
 
 def normal(r):
@@ -55,11 +55,25 @@ externals = st.one_of(
 class TestIntegralRationalsAreInts:
     def test_rational(self):
         assert type(rational(Fraction(4, 2))) is int
-        assert type(rational(True)) is int
         assert rational(Fraction(1, 2)) == Fraction(1, 2)
-        for bad in (0.5, "1/2"):
+        for bad in (0.5, "1/2", True, False):
             with pytest.raises(TypeError):
                 rational(bad)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EpsSeries.monomial(True),
+            lambda: EpsSeries.monomial(1, True),
+            lambda: ExternalNumber.make(True),
+            lambda: Neutrix.lim(True),
+            lambda: EPS + True,
+        ],
+        ids=["monomial exponent", "monomial coefficient", "make", "lim", "add"],
+    )
+    def test_bool_refused_by_builders(self, build):
+        with pytest.raises(TypeError, match="expected a rational, got bool"):
+            build()
 
     @given(externals, externals)
     def test_arithmetic(self, a, b):

@@ -128,23 +128,25 @@ class TestInduction:
 
 class TestConditional:
     def test_classical_chain_stops(self):
-        result = run_conditional(classical(), 9)
+        result = run_conditional(replace(classical(), chain_length=9))
         assert not result.completed
         assert result.failing_link == 4
 
     def test_nonstandard_naive_chain_completes(self):
-        result = run_conditional(heap(), 1000)
+        result = run_conditional(replace(heap(), chain_length=1000))
         assert result.completed
         assert "S(a_1000) designated-true: True" in result.conclusion
 
     def test_chain_through_witness_refused(self):
         with pytest.raises(ChainThroughWitness):
-            run_conditional(heap(), Witness(parse_series("e^(-1)")))
+            run_conditional(
+                replace(heap(), chain_length=Witness(parse_series("e^(-1)")))
+            )
 
     def test_fuzzy_degree_non_increasing_in_length(self):
         degrees = []
         for length in (10, 40, 70, 100):
-            result = run_conditional(fuzzy_linear(), length)
+            result = run_conditional(replace(fuzzy_linear(), chain_length=length))
             prefix = f"degree of S(a_{length}) = "
             value = result.conclusion.split(";")[0].removeprefix(prefix)
             degrees.append(F(value))
@@ -152,14 +154,14 @@ class TestConditional:
 
     def test_fuzzy_chain_weakest_at_its_last_link(self):
         # Up to the middle of the range the weakest link so far is the last.
-        result = run_conditional(fuzzy_linear(), 30)
+        result = run_conditional(replace(fuzzy_linear(), chain_length=30))
         assert result.conclusion == (
             "degree of S(a_30) = 70/99; minimum link degree = 70/99"
         )
 
     def test_chain_outside_range(self):
         with pytest.raises(ValueError):
-            run_conditional(classical(), 11)
+            run_conditional(replace(classical(), chain_length=11))
 
 
 class TestDoubling:
@@ -534,8 +536,8 @@ class TestBuiltValues:
             lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=-1),
             lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=5.0),
             lambda: SoritesScenario("x", 0, 10, ClassicalCutoff(5), chain_length=True),
-            lambda: run_conditional(classical(), True),
-            lambda: run_conditional(classical(), 7.0),
+            lambda: run_conditional(replace(classical(), chain_length=True)),
+            lambda: run_conditional(replace(classical(), chain_length=7.0)),
         ],
         ids=[
             "cutoff float",
